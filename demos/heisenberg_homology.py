@@ -6,7 +6,7 @@ central extension, the degree-two differentials, the third-page cells
 that assemble the Betti numbers, and the integral invariant factors.
 """
 
-from nilhom import (FreeNilpotentSpec, betti_free_nilpotent_c2, d2_ks,
+from nilhom import (FreeNilpotentSpec, betti_free_nilpotent_c2,
                     e3_dimensions, h2_class2, homology_free_nilpotent_c2,
                     ks_page)
 
@@ -22,7 +22,7 @@ def main():
 
     print("\nthe key differential out of (2, 0), e1^e2 |-> [x1, x2]:")
     print("  matrix:", [[str(x) for x in row]
-                        for row in d2_ks(2, 2, 0).entries])
+                        for row in page.diff(2, 0).entries])
 
     print("\nthird-page dimensions (only the surviving cells):")
     for (p, q), dim in sorted(e3_dimensions(page).items()):

@@ -17,8 +17,8 @@ from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                      hall_basis, heisenberg, induced_action_on_quotient,
                      lower_central_quotients, witt_number)
 from .spectral import (HomologyResult, Page, abelian_homology,
-                       betti_free_nilpotent_c2, d2_central, d2_ks,
-                       e2_page, e3_dimensions, equivariant_page, h2_class2,
+                       betti_free_nilpotent_c2, d2_central, e2_page,
+                       e3_dimensions, equivariant_page, h2_class2,
                        homology_free_nilpotent_c2, ks_page)
 from .filtration import (ActionNilpotencyReport, FiltrationCertificate,
                          filtration_certificate, induced_homology_action,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (RatMatrix, binomial, block_diag, image_matrix,
-                     kernel_matrix, rank_kernel_image, solve)
+                     rank_kernel_image, solve)
 from .spectral import _ks_data, equivariant_page
 
 
@@ -156,24 +156,17 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
 
 def _subquotient_action(d_out: RatMatrix, d_in: RatMatrix, act: RatMatrix) -> RatMatrix:
     """Action induced on ker(d_out) / im(d_in) by a compatible operator."""
-    kmat = kernel_matrix(d_out)
-    imat = image_matrix(d_in) if d_in.cols else RatMatrix.zero(d_out.cols, 0)
-    # extend the image basis to a basis of the kernel by greedy column picks
-    chosen = [imat.col(j) for j in range(imat.cols)]
-    extension = []
-    for j in range(kmat.cols):
-        cand = chosen + extension + [kmat.col(j)]
-        rk = rank_kernel_image(RatMatrix.from_cols(cand, d_out.cols))[0]
-        if rk > len(chosen) + len(extension):
-            extension.append(kmat.col(j))
+    kernel = rank_kernel_image(d_out)[1]
+    image = rank_kernel_image(d_in)[2]
+    # extend the image basis to a basis of the kernel: the image columns
+    # are independent, so the pivot columns past them are the greedy picks
+    basis = rank_kernel_image(RatMatrix.from_cols(image + kernel, d_out.cols))[2]
+    extension = basis[len(image):]
     if not extension:
         return RatMatrix.zero(0, 0)
     cmat = RatMatrix.from_cols(extension, d_out.cols)
-    basis = RatMatrix.from_cols(chosen + extension, d_out.cols)
-    coords = solve(basis, act * cmat)
-    rows = range(imat.cols, imat.cols + len(extension))
-    return RatMatrix([[coords.entries[i][j] for j in range(len(extension))]
-                      for i in rows])
+    coords = solve(RatMatrix.from_cols(basis, d_out.cols), act * cmat)
+    return RatMatrix(coords.entries[len(image):])
 
 
 def induced_homology_action(spec: FreeNilpotentSpec, act: NilpotentAction, j: int):

@@ -172,6 +172,7 @@ def scan_report_json(report: ScanReport):
         "rows": [{"m": r.m, "by_p": list(r.by_p), "total": r.total}
                  for r in report.rows],
         "observed_sup": report.observed_sup,
+        # constant key, kept because it is part of schema v1
         "verdict": {"bounded_over_range": True,
                     "observed_bound": report.observed_sup,
                     "range": report.m_max},

@@ -6,6 +6,10 @@ dense and exact.  Rational matrices hold ``fractions.Fraction`` entries,
 integer matrices hold Python ints; both are immutable after construction
 and safe to share between threads.
 
+Every dense rank, kernel, image, solve and determinant runs through one
+fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
+only the Smith normal form chooses its pivots by another rule.
+
 Graded bases are fixed once and for all: exterior bases are the strictly
 increasing index tuples, tensor bases the arbitrary index tuples, each
 family in lexicographic order.  Every matrix of a graded map produced
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 
 def as_fraction(x) -> Fraction:
@@ -209,59 +213,12 @@ class IntMatrix:
         return (self.to_rat() ** k).to_int()
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        """Determinant by fraction-free elimination."""
+        return int(det(self))
 
     def rank(self) -> int:
-        """Rank by Bareiss elimination with full pivoting."""
-        a = [list(r) for r in self.entries]
-        nr, nc = self.rows, self.cols
-        colperm = list(range(nc))
-        r = 0
-        prev = 1
-        while r < nr and r < nc:
-            piv = None
-            for i in range(r, nr):
-                for j in range(r, nc):
-                    if a[i][colperm[j]] != 0:
-                        piv = (i, j)
-                        break
-                if piv:
-                    break
-            if piv is None:
-                break
-            i0, j0 = piv
-            a[r], a[i0] = a[i0], a[r]
-            colperm[r], colperm[j0] = colperm[j0], colperm[r]
-            pc = colperm[r]
-            for i in range(r + 1, nr):
-                for j in range(r + 1, nc):
-                    cj = colperm[j]
-                    a[i][cj] = (a[i][cj] * a[r][pc] - a[i][pc] * a[r][cj]) // prev
-                a[i][pc] = 0
-            prev = a[r][pc]
-            r += 1
-        return r
+        """Rank by fraction-free elimination."""
+        return matrix_rank(self)
 
     def __repr__(self):
         return f"IntMatrix({[list(row) for row in self.entries]})"
@@ -320,6 +277,58 @@ class BasisIndex:
         return f"BasisIndex({self.kind}, {len(self.labels)} labels)"
 
 
+def _integral_rows(entries):
+    """Rows scaled to integers by the lcm of their denominators, and the
+    product of the scales.  Row scaling keeps the rank, the reduced row
+    echelon form and the solutions; it multiplies a determinant."""
+    rows, scale = [], 1
+    for row in entries:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return rows, scale
+
+
+def _eliminate(a):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
+
+    Reduces ``a`` in place and returns ``(pivots, d, sign)``: the pivot
+    columns, the last pivot d, and the parity of the row swaps.  Each
+    step replaces every other row by (p*x - f*y) // prev, where p is the
+    new pivot and prev the one before; the division is exact (the entries
+    are minors of the input), also for rows above the pivot.  Afterwards
+    the pivot rows are d times the reduced row echelon form, the rows
+    below them are zero, and for a square matrix of full rank
+    sign * d is the determinant.
+    """
+    pivots = []
+    prev, sign = 1, 1
+    nr = len(a)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+    return pivots, prev, sign
+
+
 def rank_kernel_image(m: RatMatrix):
     """Exact rank, kernel basis and image basis of a rational matrix.
 
@@ -327,43 +336,21 @@ def rank_kernel_image(m: RatMatrix):
     Q^cols, image vectors are the pivot columns of the original matrix, so
     rank + len(kernel_basis) == cols holds on the nose.
     """
-    nr, nc = m.rows, m.cols
-    work = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(nr):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    rank = r
-    pivot_set = set(pivots)
+    a, _ = _integral_rows(m.entries)
+    pivots, d, _ = _eliminate(a)
     kernel = []
-    for fc in (c for c in range(nc) if c not in pivot_set):
-        v = [Fraction(0)] * nc
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
+        v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            v[pc] = -work[ri][fc]
+            v[pc] = Fraction(-a[ri][fc], d)
         kernel.append(tuple(v))
-    image = [m.col(c) for c in pivots]
-    return rank, kernel, image
+    return len(pivots), kernel, [m.col(c) for c in pivots]
 
 
-def matrix_rank(m: RatMatrix) -> int:
-    """Rank of a rational matrix, via Bareiss when the entries are integral."""
-    if all(x.denominator == 1 for row in m.entries for x in row):
-        return m.to_int().rank()
-    return rank_kernel_image(m)[0]
+def matrix_rank(m) -> int:
+    """Rank of a rational or integer matrix."""
+    return len(_eliminate(_integral_rows(m.entries)[0])[0])
 
 
 def kernel_matrix(m: RatMatrix) -> RatMatrix:
@@ -380,62 +367,31 @@ def image_matrix(m: RatMatrix) -> RatMatrix:
 def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Solve A X = B exactly; free variables are set to zero.
 
-    Raises ValueError when the system is inconsistent.
+    Raises ValueError when the system is inconsistent, which shows as a
+    pivot in the columns of B.
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    nr, nc, k = a.rows, a.cols, b.cols
-    work = [list(ar) + list(br) for ar, br in zip(a.entries, b.entries)]
-    if nr == 0:
-        return RatMatrix.zero(nc, k)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(nr):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nr):
-        if any(work[i][nc + j] != 0 for j in range(k)):
-            raise ValueError("inconsistent linear system")
+    nc, k = a.cols, b.cols
+    work, _ = _integral_rows([ar + br for ar, br in zip(a.entries, b.entries)])
+    pivots, d, _ = _eliminate(work)
+    if pivots and pivots[-1] >= nc:
+        raise ValueError("inconsistent linear system")
     x = [[Fraction(0)] * k for _ in range(nc)]
     for ri, pc in enumerate(pivots):
-        for j in range(k):
-            x[pc][j] = work[ri][nc + j]
+        x[pc] = [Fraction(y, d) for y in work[ri][nc:]]
     return RatMatrix(x, nc, k)
 
 
-def det(m: RatMatrix) -> Fraction:
-    """Determinant of a square rational matrix by exact elimination."""
+def det(m) -> Fraction:
+    """Determinant of a square rational or integer matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    work = [list(r) for r in m.entries]
-    out = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            out = -out
-        pv = work[c][c]
-        out *= pv
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return out
+    a, scale = _integral_rows(m.entries)
+    pivots, d, sign = _eliminate(a)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -461,44 +461,13 @@ def tame_requirement(c: int, n: int) -> int:
     return 2 * (c * (n - 1) + 1)
 
 
-def characteristic_polynomial(mat: RatMatrix):
-    """Coefficients of det(x I - M), highest degree first, exact.
-
-    Lagrange interpolation through d+1 exact determinant evaluations.
-    """
-    if mat.rows != mat.cols:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    d = mat.rows
-    xs = [Fraction(k) for k in range(d + 1)]
-    ys = [det(RatMatrix([[Fraction(int(i == j)) * x - mat.entries[i][j]
-                          for j in range(d)] for i in range(d)]))
-          for x in xs]
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = [Fraction(1)]
-        denom = Fraction(1)
-        for jj, xj in enumerate(xs):
-            if jj == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(term) + 1)
-            for k, c in enumerate(term):
-                nxt[k] += c * (-xj)
-                nxt[k + 1] += c
-            term = nxt
-        scale = yi / denom
-        for k, c in enumerate(term):
-            coeffs[k] += scale * c
-    return list(reversed(coeffs))
-
-
 def finite_dimensional_is_fully_tame(dim: int, ops) -> ConeUnion:
     """Empty complement for a finite-dimensional module, certified.
 
     Each invertible generator satisfies its characteristic polynomial, a
-    monic polynomial whose constant term is a unit, so the module is
-    finitely generated over the half-monoid ring of every direction.  A
-    singular generator voids the certificate and raises.
+    monic polynomial whose constant term, +-det, is a unit, so the module
+    is finitely generated over the half-monoid ring of every direction.
+    A singular generator voids the certificate and raises.
     """
     ops = list(ops)
     if not ops:
@@ -511,8 +480,7 @@ def finite_dimensional_is_fully_tame(dim: int, ops) -> ConeUnion:
             if ops[i] * ops[j] != ops[j] * ops[i]:
                 raise ValueError("operators must pairwise commute")
     for g in ops:
-        coeffs = characteristic_polynomial(g)
-        if coeffs[-1] == 0:
+        if det(g) == 0:
             raise ValueError("singular action matrix, no monic witness with "
                              "invertible constant term")
     return ConeUnion(len(ops), ())
@@ -542,7 +510,6 @@ def _closure_certifies(spec: CyclicModuleSpec, m: int, degree_bound: int,
             gens_embedded.append(terms)
     if not gens_embedded:
         return False
-    spread = max(abs(x) for t in gens_embedded for e in t for x in e)
     for d in range(0, degree_bound + 1):
         u_bound = d + 1
         box = d + u_bound
@@ -566,45 +533,28 @@ def _closure_certifies(spec: CyclicModuleSpec, m: int, degree_bound: int,
                 columns.append({tuple(x + s for x, s in zip(e, shift)): c
                                 for e, c in terms.items()})
         pivots = {}
-        for vec in columns:
+
+        def remainder(vec):
+            """Remainder of vec against the pivots: empty when vec lies in
+            their span, else led by a monomial that is not a pivot."""
             vec = dict(vec)
             while vec:
                 lead = min(vec)
                 if lead not in pivots:
-                    c = vec[lead]
-                    pivots[lead] = {mm: x / c for mm, x in vec.items()}
                     break
                 f = vec[lead]
                 for mm, x in pivots[lead].items():
                     vec[mm] = vec.get(mm, Fraction(0)) - f * x
                 vec = {mm: x for mm, x in vec.items() if x != 0}
+            return vec
 
-        def representable(target):
-            vec = dict(target)
-            while vec:
+        for vec in columns:
+            vec = remainder(vec)
+            if vec:
                 lead = min(vec)
-                if lead not in pivots:
-                    return False
-                f = vec[lead]
-                for mm, x in pivots[lead].items():
-                    vec[mm] = vec.get(mm, Fraction(0)) - f * x
-                vec = {mm: x for mm, x in vec.items() if x != 0}
-            return True
-
-        ok = True
-        for mu in cand:
-            if not ok:
-                break
-            for var in range(nm):
-                for step in (1, -1):
-                    e = list(mu)
-                    e[var] += step
-                    if not representable({tuple(e): Fraction(1)}):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+                pivots[lead] = {mm: x / vec[lead] for mm, x in vec.items()}
+        if all(not remainder({mu[:var] + (mu[var] + step,) + mu[var + 1:]: Fraction(1)})
+               for mu in cand for var in range(nm) for step in (1, -1)):
             return True
     return False
 

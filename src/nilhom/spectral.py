@@ -161,27 +161,10 @@ def e2_page(ext: CentralExtension) -> Page:
     return Page(n, a, cells, diffs)
 
 
-def d2_ks(r: int, p: int, q: int) -> RatMatrix:
-    """Differential of the class-two free nilpotent page of rank r.
-
-    Special case of the central-extension differential with the identity
-    pairing: contract a_k ^ a_l out of the exterior factor with sign
-    (-1)^(k+l-1) and wedge the corresponding weight-two commutator into
-    the centre factor.
-    """
-    return d2_central(central_extension_of_class2(FreeNilpotentSpec(r, 2)), p, q)
-
-
 @lru_cache(maxsize=None)
 def _ks_data(r: int):
     page = e2_page(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
-    ranks = {pq: matrix_rank(d) for pq, d in page.diffs.items()}
-    e3 = {}
-    for (p, q), cell in page.cells.items():
-        out_rank = ranks.get((p, q), 0)
-        in_rank = ranks.get((p + 2, q - 1), 0)
-        e3[(p, q)] = cell.dim - out_rank - in_rank
-    return page, e3
+    return page, e3_dimensions(page)
 
 
 def ks_page(r: int) -> Page:

@@ -110,10 +110,6 @@ class ScanReport:
     rows: tuple
     observed_sup: int
 
-    @property
-    def bounded_over_range(self) -> bool:
-        return True  # the observed supremum is attained inside the range
-
 
 def vb_scan(spec: FreeNilpotentSpec, act: NilpotentAction, j: int,
             m_max: int) -> ScanReport:

@@ -1,0 +1,89 @@
+"""Reference rational elimination for differential tests.
+
+Plain Gauss-Jordan and Gaussian elimination over ``Fraction`` entries,
+kept independent of the fraction-free kernel in :mod:`nilhom.linalg` so
+that tests and oracles can check that kernel against it.
+"""
+
+from fractions import Fraction
+
+from nilhom.linalg import RatMatrix
+
+
+def _gauss_jordan(work, nr, nc):
+    """Reduce ``work`` in place on its first nc columns; return the pivots."""
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(nr):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rank_kernel_image(m: RatMatrix):
+    """``(rank, kernel_basis, image_basis)`` as in :mod:`nilhom.linalg`."""
+    nr, nc = m.rows, m.cols
+    work = [[Fraction(x) for x in r] for r in m.entries]
+    pivots = _gauss_jordan(work, nr, nc)
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in (c for c in range(nc) if c not in pivot_set):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -work[ri][fc]
+        kernel.append(tuple(v))
+    image = [m.col(c) for c in pivots]
+    return len(pivots), kernel, image
+
+
+def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Solve A X = B with free variables zero; ValueError if inconsistent."""
+    if a.rows != b.rows:
+        raise ValueError("row mismatch in solve")
+    nr, nc, k = a.rows, a.cols, b.cols
+    work = [[Fraction(x) for x in ar + br] for ar, br in zip(a.entries, b.entries)]
+    pivots = _gauss_jordan(work, nr, nc)
+    for i in range(len(pivots), nr):
+        if any(work[i][nc + j] != 0 for j in range(k)):
+            raise ValueError("inconsistent linear system")
+    x = [[Fraction(0)] * k for _ in range(nc)]
+    for ri, pc in enumerate(pivots):
+        for j in range(k):
+            x[pc][j] = work[ri][nc + j]
+    return RatMatrix(x, nc, k)
+
+
+def det(m) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    work = [[Fraction(x) for x in r] for r in m.entries]
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            out = -out
+        pv = work[c][c]
+        out *= pv
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] / pv
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return out

@@ -23,6 +23,8 @@ from nilhom.spectral import (betti_free_nilpotent_c2, e2_page, e3_dimensions,
 from nilhom.vbscan import (QModuleFD, hirsch_bound, hypothesis_report,
                            koszul_homology, power_subgroup, vb_scan)
 
+import reference_linalg as ref
+
 ANOSOV = IntMatrix([[2, 1], [1, 1]])
 
 
@@ -36,9 +38,9 @@ def test_criterion_01_heisenberg_betti():
     betti = betti_free_nilpotent_c2(2)
     elapsed = time.monotonic() - t0
     # oracle: rank-nullity on the explicit degree-two differentials with the
-    # plain rational elimination, then Euler characteristic and duality
+    # reference Fraction elimination, then Euler characteristic and duality
     page = ks_page(2)
-    ranks = {pq: rank_kernel_image(d)[0] for pq, d in page.diffs.items()}
+    ranks = {pq: ref.rank_kernel_image(d)[0] for pq, d in page.diffs.items()}
     oracle = [1]
     for j in range(1, 4):
         total = 0

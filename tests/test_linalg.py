@@ -5,8 +5,11 @@ from math import comb, gcd
 import pytest
 
 from nilhom.linalg import (BasisIndex, IntMatrix, RatMatrix, det,
-                           exterior_power_map, kron, rank_kernel_image,
+                           exterior_power_map, image_matrix, kernel_matrix,
+                           kron, matrix_rank, rank_kernel_image,
                            smith_normal_form, solve, tensor_power_map)
+
+import reference_linalg as ref
 
 
 def rand_rat_matrix(rng, rows, cols, span=4):
@@ -53,6 +56,67 @@ def test_solve_roundtrip():
         assert a * x2 == b
     with pytest.raises(ValueError):
         solve(RatMatrix.zero(2, 2), RatMatrix([[1], [0]]))
+
+
+def _rand_rat_entries(rng, rows, cols, den):
+    return [[Fraction(0) if rng.random() < 0.3
+             else Fraction(rng.randint(-5, 5), rng.randint(1, den))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _differential_case(rng):
+    """A random rational matrix of shape up to 7 x 7: integral or not,
+    possibly rank-deficient, possibly with zeroed rows and columns."""
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    den = rng.choice((1, 1, 2, 6))
+    if rows and cols and rng.random() < 0.4:
+        k = rng.randint(0, min(rows, cols) - 1)
+        left = RatMatrix(_rand_rat_entries(rng, rows, k, den), rows, k)
+        right = RatMatrix(_rand_rat_entries(rng, k, cols, den), k, cols)
+        grid = [list(r) for r in (left * right).entries]
+    else:
+        grid = _rand_rat_entries(rng, rows, cols, den)
+    for i in range(rows):
+        if rng.random() < 0.15:
+            grid[i] = [Fraction(0)] * cols
+    for j in range(cols):
+        if rng.random() < 0.15:
+            for row in grid:
+                row[j] = Fraction(0)
+    return RatMatrix(grid, rows, cols)
+
+
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        m = _differential_case(rng)
+        rank, kernel, image = ref.rank_kernel_image(m)
+        assert rank_kernel_image(m) == (rank, kernel, image)
+        assert matrix_rank(m) == rank
+        assert kernel_matrix(m) == RatMatrix.from_cols(kernel, m.cols)
+        assert image_matrix(m) == RatMatrix.from_cols(image, m.rows)
+        if m.rows == m.cols:
+            assert det(m) == ref.det(m)
+        if all(x.denominator == 1 for row in m.entries for x in row):
+            assert m.to_int().rank() == rank
+            if m.rows == m.cols:
+                assert m.to_int().det() == ref.det(m)
+        k = rng.randint(0, 3)
+        x = RatMatrix(_rand_rat_entries(rng, m.cols, k, 3), m.cols, k)
+        arbitrary = RatMatrix(_rand_rat_entries(rng, m.rows, k, 2), m.rows, k)
+        for b in (m * x, arbitrary):
+            try:
+                want = ref.solve(m, b)
+            except ValueError:
+                outcomes[False] += 1
+                with pytest.raises(ValueError):
+                    solve(m, b)
+            else:
+                outcomes[True] += 1
+                assert solve(m, b) == want
+    # both consistent and inconsistent systems were exercised
+    assert min(outcomes.values()) > 50
 
 
 def test_snf_reorders_divisors():
