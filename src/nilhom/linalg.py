@@ -8,7 +8,10 @@ and safe to share between threads.
 
 Every dense rank, kernel, image, solve and determinant runs through one
 fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
-only the Smith normal form chooses its pivots by another rule.
+only the Smith normal form chooses its pivots by another rule.  Every
+matrix product, rational or integer, runs through ``_product``: the left
+rows and the right columns are scaled to integers, only nonzero entries
+are multiplied, and each entry is divided back exactly once.
 
 Graded bases are fixed once and for all: exterior bases are the strictly
 increasing index tuples, tensor bases the arbitrary index tuples, each
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 
 def as_fraction(x) -> Fraction:
@@ -117,10 +120,8 @@ class RatMatrix:
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = other.transpose().entries
-            return RatMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt]
-                 for row in self.entries], self.rows, other.cols)
+            return RatMatrix(_product(self.entries, other.entries, other.cols),
+                             self.rows, other.cols)
         return RatMatrix([[x * as_fraction(other) for x in row]
                           for row in self.entries], self.rows, self.cols)
 
@@ -202,10 +203,8 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = other.transpose().entries
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt]
-                 for row in self.entries], self.rows, other.cols)
+            return IntMatrix(_product(self.entries, other.entries, other.cols),
+                             self.rows, other.cols)
         return IntMatrix([[x * int(other) for x in row]
                           for row in self.entries], self.rows, self.cols)
 
@@ -279,14 +278,39 @@ class BasisIndex:
 
 def _integral_rows(entries):
     """Rows scaled to integers by the lcm of their denominators, and the
-    product of the scales.  Row scaling keeps the rank, the reduced row
-    echelon form and the solutions; it multiplies a determinant."""
-    rows, scale = [], 1
+    list of scales.  Row scaling keeps the rank, the reduced row echelon
+    form and the solutions; it multiplies a determinant by the scales."""
+    rows, scales = [], []
     for row in entries:
         s = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    return rows, scale
+        scales.append(s)
+    return rows, scales
+
+
+def _product(a, b, cols):
+    """Entries of the product of two grids of rationals or ints.
+
+    Row i of ``a`` is scaled to integers by s_i and column j of ``b`` by
+    t_j (``_integral_rows``), so only Python ints are multiplied, and
+    only where both factors are nonzero.  Entry (i, j) is divided back as
+    x / (s_i t_j) and stays an int when that denominator is 1; ``cols``
+    is the column count of ``b``, which an empty ``b`` does not carry.
+    """
+    right, t = _integral_rows(zip(*b)) if b else ([], [1] * cols)
+    # row k of the scaled b as its nonzero (column, entry) pairs
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in zip(*right)]
+    left, s = _integral_rows(a)
+    out = []
+    for row, si in zip(left, s):
+        acc = [0] * cols
+        for x, terms in zip(row, nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append([x if si * tj == 1 else Fraction(x, si * tj)
+                    for x, tj in zip(acc, t)])
+    return out
 
 
 def _eliminate(a):
@@ -387,11 +411,11 @@ def det(m) -> Fraction:
     """Determinant of a square rational or integer matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    a, scale = _integral_rows(m.entries)
+    a, scales = _integral_rows(m.entries)
     pivots, d, sign = _eliminate(a)
     if len(pivots) < m.rows:
         return Fraction(0)
-    return Fraction(sign * d, scale)
+    return Fraction(sign * d, prod(scales))
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -132,16 +132,19 @@ def vb_scan(spec: FreeNilpotentSpec, act: NilpotentAction, j: int,
         dim = mats[0].rows if mats else 0
         if dim:
             modules[q] = QModuleFD(dim, tuple(mats))
+    # powers[q] is module q restricted to the m-th power subgroup, kept
+    # only where the Koszul degree j - q can carry homology; each step
+    # multiplies every generator once more by its first power
+    powers = {q: mod for q, mod in modules.items() if j - q <= n}
     rows = []
     for m in range(1, m_max + 1):
-        by_p = []
-        for p in range(j + 1):
-            q = j - p
-            mod = modules.get(q)
-            if mod is None or p > n:
-                by_p.append(0)
-                continue
-            by_p.append(koszul_homology(power_subgroup(mod, m), p))
+        if m > 1:
+            powers = {q: QModuleFD(mod.dim, tuple(
+                          g * g1 for g, g1 in zip(mod.generators,
+                                                  modules[q].generators)))
+                      for q, mod in powers.items()}
+        by_p = [koszul_homology(powers[j - p], p) if j - p in powers else 0
+                for p in range(j + 1)]
         rows.append(ScanRow(m, tuple(by_p), sum(by_p)))
     sup = max(r.total for r in rows)
     return ScanReport(j, m_max, tuple(rows), sup)

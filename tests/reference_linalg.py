@@ -1,13 +1,25 @@
-"""Reference rational elimination for differential tests.
+"""Reference rational elimination and products for differential tests.
 
-Plain Gauss-Jordan and Gaussian elimination over ``Fraction`` entries,
-kept independent of the fraction-free kernel in :mod:`nilhom.linalg` so
-that tests and oracles can check that kernel against it.
+Plain Gauss-Jordan and Gaussian elimination and the dense triple-loop
+product over ``Fraction`` entries, kept independent of the fraction-free
+kernel and the sparse integer product in :mod:`nilhom.linalg` so that
+tests and oracles can check those against them.
 """
 
 from fractions import Fraction
 
 from nilhom.linalg import RatMatrix
+
+
+def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Dense product: every entry is a full sum of ``Fraction`` products."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    bt = [[Fraction(b.entries[i][j]) for i in range(b.rows)]
+          for j in range(b.cols)]
+    return RatMatrix([[sum((Fraction(x) * y for x, y in zip(row, col)),
+                           Fraction(0)) for col in bt]
+                      for row in a.entries], a.rows, b.cols)
 
 
 def _gauss_jordan(work, nr, nc):

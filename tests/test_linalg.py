@@ -119,6 +119,48 @@ def test_elimination_matches_fraction_reference():
     assert min(outcomes.values()) > 50
 
 
+BIG = 2 ** 64 + 13
+
+
+def _product_factor(rng, rows, cols, den_of):
+    """A rational matrix whose entry (i, j) has a denominator dividing
+    den_of(i, j), with zeros, negatives, entries above 2**64, and some
+    rows and columns zeroed."""
+    grid = [[Fraction(0) if rng.random() < 0.3
+             else Fraction(rng.choice((rng.randint(-9, 9), -BIG, BIG * 3)),
+                           rng.choice((1, den_of(i, j))))
+             for j in range(cols)] for i in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            grid[i] = [Fraction(0)] * cols
+    for j in range(cols):
+        if rng.random() < 0.15:
+            for row in grid:
+                row[j] = Fraction(0)
+    return RatMatrix(grid, rows, cols)
+
+
+def test_products_match_dense_fraction_reference():
+    rng = random.Random(2025)
+    dens = (1, 2, 3, 4, 6, 35, BIG)
+    for _ in range(200):
+        r, k, c = (rng.randint(0, 7) for _ in range(3))
+        # the left factor's denominators vary by row, the right's by column
+        row_den = [rng.choice(dens) for _ in range(r)]
+        col_den = [rng.choice(dens) for _ in range(c)]
+        a = _product_factor(rng, r, k, lambda i, j: row_den[i])
+        b = _product_factor(rng, k, c, lambda i, j: col_den[j])
+        assert a * b == ref.matmul(a, b)
+        ai = IntMatrix([[x.numerator for x in row] for row in a.entries], r, k)
+        bi = IntMatrix([[x.numerator for x in row] for row in b.entries], k, c)
+        assert ai * bi == ref.matmul(ai.to_rat(), bi.to_rat()).to_int()
+        g = _product_factor(rng, r, r, lambda i, j: rng.choice(dens))
+        want = RatMatrix.identity(r)
+        for e in range(4):
+            assert g ** e == want
+            want = ref.matmul(want, g)
+
+
 def test_snf_reorders_divisors():
     _, d, _ = smith_normal_form(IntMatrix([[3, 0], [0, 1]]))
     assert d.entries == ((1, 0), (0, 3))

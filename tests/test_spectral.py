@@ -7,9 +7,9 @@ import pytest
 from nilhom.groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                            NilpotentAction, heisenberg)
 from nilhom.linalg import IntMatrix, RatMatrix, rank_kernel_image
-from nilhom.spectral import (abelian_homology, betti_free_nilpotent_c2,
-                             d2_central, e2_page, e3_dimensions,
-                             equivariant_page, h2_class2,
+from nilhom.spectral import (EquivariantPage, Page, abelian_homology,
+                             betti_free_nilpotent_c2, d2_central, e2_page,
+                             e3_dimensions, equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
 
 import reference_linalg as ref
@@ -183,6 +183,40 @@ def test_h2_class2():
         assert f1 + f2 == homology_free_nilpotent_c2(r, 2).rational_dimension
     with pytest.raises(ValueError):
         h2_class2(FreeNilpotentSpec(2, 3))
+
+
+def test_page_rejects_differentials_that_do_not_compose_to_zero():
+    # pairing e0^e1 -> a0, e2^e3 -> a1 on Q^4; cell (4, 0) -> (2, 1) -> (0, 2)
+    ext = CentralExtension(AbelianFG(4), AbelianFG(2),
+                           IntMatrix([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]))
+    page = e2_page(ext)
+    nxt = page.diffs[(2, 1)]
+    k = next(i for i, x in enumerate(nxt.entries[0]) if x)
+    diffs = dict(page.diffs)
+    diffs[(4, 0)] = RatMatrix([[int(i == k)] for i in range(nxt.cols)])
+    Page(page.n, page.a, page.cells, page.diffs)
+    with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell \(4, 0\)"):
+        Page(page.n, page.a, page.cells, diffs)
+
+
+def test_page_rejects_differential_of_wrong_shape():
+    page = e2_page(heisenberg())
+    diffs = dict(page.diffs)
+    diffs[(2, 0)] = RatMatrix.zero(1, 2)
+    with pytest.raises(ValueError, match=r"at \(2, 0\) has shape \(1, 2\), "
+                                         r"expected \(1, 1\)"):
+        Page(page.n, page.a, page.cells, diffs)
+
+
+def test_equivariant_page_rejects_noncommuting_action():
+    # Anosov acts on the centre of the Heisenberg group by its determinant
+    # 1; claiming -1 for the second generator breaks d2 at cell (2, 0)
+    g = RatMatrix([[2, 1], [1, 1]])
+    page = e2_page(heisenberg())
+    EquivariantPage(page, [g, g], [RatMatrix([[1]]), RatMatrix([[1]])])
+    with pytest.raises(ValueError, match=r"cell \(2, 0\) fails to commute "
+                                         r"with generator 1"):
+        EquivariantPage(page, [g, g], [RatMatrix([[1]]), RatMatrix([[-1]])])
 
 
 def test_equivariant_identity_action():

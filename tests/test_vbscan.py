@@ -112,6 +112,36 @@ def test_vb_scan_root_of_unity_bounded_by_universal_power():
     assert report.observed_sup <= at_840 == 3
 
 
+def _padded(block, sign):
+    return IntMatrix([block[0] + [0], block[1] + [0], [0, 0, sign]])
+
+
+@pytest.mark.parametrize("spec, gens, m_max", [
+    (FreeNilpotentSpec(2, 2), (ANOSOV,), 40),
+    # commuting pair on rank 3: the square of a Fibonacci block padded by
+    # +1, and the block itself padded by -1
+    (FreeNilpotentSpec(3, 2),
+     (_padded([[2, 1], [1, 1]], 1), _padded([[1, 1], [1, 0]], -1)), 8),
+])
+def test_vb_scan_matches_power_subgroups_from_scratch(spec, gens, m_max):
+    from nilhom.filtration import induced_homology_action
+    act = NilpotentAction(spec, gens)
+    for j in (1, 2, 3):
+        modules = {}
+        for q in range(j + 1):
+            mats = induced_homology_action(spec, act, q)
+            if mats[0].rows:
+                modules[q] = QModuleFD(mats[0].rows, tuple(mats))
+        report = vb_scan(spec, act, j, m_max)
+        assert [row.m for row in report.rows] == list(range(1, m_max + 1))
+        for row in report.rows:
+            want = tuple(
+                koszul_homology(power_subgroup(modules[j - p], row.m), p)
+                if j - p in modules else 0 for p in range(j + 1))
+            assert row.by_p == want, (j, row.m)
+            assert row.total == sum(want)
+
+
 def test_vb_scan_rejects_class3():
     spec = FreeNilpotentSpec(2, 3)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
