@@ -154,6 +154,19 @@ def _cmd_sigma(args):
     return doc
 
 
+def _parse_cones(args, nvars):
+    """Parse --sigma-complement; nvars serves cones with no constraints.
+
+    An explicit --nvars must agree with the dimension of the cones.
+    """
+    sc = jsonio.parse_cones(_load_json(args.sigma_complement,
+                                       "--sigma-complement"), nvars=nvars)
+    if args.nvars is not None and args.nvars != sc.nvars:
+        raise InputError(f"--nvars {args.nvars} disagrees with the cones' "
+                         f"dimension {sc.nvars}")
+    return sc
+
+
 def _cmd_tame(args):
     if (args.module is None) == (args.sigma_complement is None):
         raise InputError("tame needs exactly one of --module or --sigma-complement")
@@ -165,9 +178,7 @@ def _cmd_tame(args):
             raise InputError(str(err)) from None
         config = {"module": jsonio.module_json(spec), "m": args.m}
     else:
-        sc = jsonio.parse_cones(_load_json(args.sigma_complement,
-                                           "--sigma-complement"),
-                                nvars=args.nvars)
+        sc = _parse_cones(args, args.nvars)
         config = {"sigma_complement": jsonio.cones_json(sc), "m": args.m}
     return _document("tame", config, {"tame": m_tame(sc, args.m)})
 
@@ -187,9 +198,7 @@ def _cmd_vbscan(args):
 
 
 def _cmd_report(args):
-    sc = jsonio.parse_cones(_load_json(args.sigma_complement,
-                                       "--sigma-complement"),
-                            nvars=args.nvars if args.nvars else args.n)
+    sc = _parse_cones(args, args.nvars if args.nvars else args.n)
     rep = hypothesis_report(args.c, args.n, sc)
     config = {"c": args.c, "n": args.n,
               "sigma_complement": jsonio.cones_json(sc)}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 
 def as_fraction(x) -> Fraction:
@@ -553,10 +553,3 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def vec_gcd(values) -> int:
-    g = 0
-    for x in values:
-        g = gcd(g, int(x))
-    return g

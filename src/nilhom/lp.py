@@ -1,14 +1,17 @@
 """Exact feasibility of affine constraint systems over the rationals.
 
-Two-phase simplex with Bland's rule over ``fractions.Fraction``: phase
-one drives artificial variables to zero, phase two maximises a slack
-lower-bounding the strict inequalities.  Termination is guaranteed by
-Bland's anticycling rule and every verdict is exact, so a True/False
-answer here is a proof, not an approximation.
+Phase one of the simplex method with Bland's rule over
+``fractions.Fraction``: one artificial variable per row, and the system
+is feasible exactly when their sum can be driven to zero.  Termination
+is guaranteed by Bland's anticycling rule and every verdict is exact, so
+a True/False answer here is a proof, not an approximation.
 
 A constraint is (coeffs, const, rel) meaning coeffs . x + const REL 0
-with rel one of ">=", ">", "==".  Variables are free (unrestricted in
-sign); they are split internally into nonnegative pairs.
+with rel one of ">=", "==".  There are no strict inequalities: on a cone
+"phi(v) > 0" is, after scaling v, the same as "phi(v) - 1 >= 0", which
+is how callers state that a point is nonzero.  Variables are free
+(unrestricted in sign); they are split internally into nonnegative
+pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 GE = ">="
-GT = ">"
 EQ = "=="
 
 _ZERO = Fraction(0)
@@ -29,31 +31,33 @@ def _pivot(tableau, basis, row, col):
     for i, tr in enumerate(tableau):
         if i != row and tr[col] != 0:
             f = tr[col]
-            tableau[i] = [a - f * b for a, b in zip(tr, tableau[row])]
+            tableau[i] = [a - f * b if b else a
+                          for a, b in zip(tr, tableau[row])]
     basis[row] = col
 
 
-def _maximise(tableau, basis, cost, banned):
+def _maximise(tableau, basis, cost):
     """Simplex loop: maximise cost over the tableau, Bland's rule.
 
-    Returns the objective value, or None when unbounded.  Columns in
-    ``banned`` never enter the basis.
+    Returns the optimal objective value.  Only phase one runs here, whose
+    objective (minus the sum of the artificials) is bounded above by 0,
+    so the ratio test always finds a leaving row.
     """
     m = len(tableau)
     ncols = len(tableau[0]) - 1
     while True:
-        cb = [cost[basis[i]] for i in range(m)]
+        costed = [(cost[basis[i]], tableau[i]) for i in range(m)
+                  if cost[basis[i]]]
         entering = None
         for j in range(ncols):
-            if j in banned or j in basis:
+            if j in basis:
                 continue
-            reduced = cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
+            reduced = cost[j] - sum(c * row[j] for c, row in costed)
             if reduced > 0:
                 entering = j
                 break
         if entering is None:
-            obj = sum(cb[i] * tableau[i][-1] for i in range(m))
-            return obj
+            return sum(c * row[-1] for c, row in costed)
         leaving = None
         best = None
         for i in range(m):
@@ -64,8 +68,6 @@ def _maximise(tableau, basis, cost, banned):
                         (ratio == best and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
-        if leaving is None:
-            return None
         _pivot(tableau, basis, leaving, entering)
 
 
@@ -73,39 +75,21 @@ def feasible(constraints, nvars: int) -> bool:
     """Decide whether the constraint system has a rational solution."""
     ge_rows = []
     eq_rows = []
-    strict = []
     for coeffs, const, rel in constraints:
         coeffs = [Fraction(c) for c in coeffs]
         const = Fraction(const)
         if len(coeffs) != nvars:
             raise ValueError("constraint arity mismatch")
+        if rel not in (GE, EQ):
+            raise ValueError(f"unknown relation {rel!r}")
         if all(c == 0 for c in coeffs):
-            if rel == EQ and const != 0:
-                return False
-            if rel == GE and const < 0:
-                return False
-            if rel == GT and const <= 0:
+            if const < 0 or (rel == EQ and const != 0):
                 return False
             continue
-        if rel == EQ:
-            eq_rows.append((coeffs, const))
-        elif rel == GE:
-            ge_rows.append((coeffs, const, False))
-        elif rel == GT:
-            ge_rows.append((coeffs, const, True))
-            strict.append(len(ge_rows) - 1)
-        else:
-            raise ValueError(f"unknown relation {rel!r}")
+        (ge_rows if rel == GE else eq_rows).append((coeffs, const))
 
-    # columns: split variables (2*nvars), then t, then one slack per
-    # inequality row plus the t <= 1 bound row
-    has_t = bool(strict)
-    t_col = 2 * nvars
-    nslack = len(ge_rows) + (1 if has_t else 0)
-    base_cols = 2 * nvars + (1 if has_t else 0)
-    total = base_cols + nslack
-
-    rows = []
+    # columns: split variables (2*nvars), then one slack per inequality row
+    total = 2 * nvars + len(ge_rows)
 
     def expand(coeffs):
         row = [_ZERO] * total
@@ -114,23 +98,14 @@ def feasible(constraints, nvars: int) -> bool:
             row[2 * k + 1] = -c
         return row
 
-    slack_at = base_cols
-    for coeffs, const, is_strict in ge_rows:
-        # coeffs . x + const - (t if strict) >= 0, rewritten with slack:
-        # coeffs . x - t - s = -const
+    rows = []
+    for s, (coeffs, const) in enumerate(ge_rows):
+        # coeffs . x + const >= 0, rewritten with slack: coeffs . x - s = -const
         row = expand(coeffs)
-        if is_strict:
-            row[t_col] = -_ONE
-        row[slack_at] = -_ONE
-        slack_at += 1
+        row[2 * nvars + s] = -_ONE
         rows.append((row, -const))
     for coeffs, const in eq_rows:
         rows.append((expand(coeffs), -const))
-    if has_t:
-        row = [_ZERO] * total
-        row[t_col] = _ONE
-        row[slack_at] = _ONE
-        rows.append((row, _ONE))
 
     if not rows:
         return True
@@ -147,27 +122,5 @@ def feasible(constraints, nvars: int) -> bool:
         basis.append(total + i)
     for i in range(m):
         tableau[i][total + i] = _ONE
-    width = total + m
-    phase1_cost = [_ZERO] * width
-    for j in range(total, width):
-        phase1_cost[j] = -_ONE
-    obj = _maximise(tableau, basis, phase1_cost, banned=frozenset())
-    if obj is None or obj < 0:
-        return False
-    if not has_t:
-        return True
-    # pivot lingering zero-valued artificials out, then drop their columns;
-    # rows stuck on an artificial are structurally zero and redundant
-    for i in range(m):
-        if basis[i] >= total:
-            entering = next((j for j in range(total) if tableau[i][j] != 0), None)
-            if entering is not None:
-                _pivot(tableau, basis, i, entering)
-    keep = [i for i in range(m) if basis[i] < total]
-    tableau = [tableau[i][:total] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    phase2_cost = [_ZERO] * total
-    phase2_cost[t_col] = _ONE
-    obj = _maximise(tableau, basis, phase2_cost, banned=frozenset())
-    # t is bounded by 1, so the optimum exists; strictness needs t > 0
-    return obj is not None and obj > 0
+    cost = [_ZERO] * total + [-_ONE] * m
+    return _maximise(tableau, basis, cost) == 0

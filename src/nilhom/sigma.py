@@ -7,14 +7,16 @@ monoid ring form a rational polyhedral set; for a principal ideal (f) it
 is cut out by the classical criterion: the minimum of v over the support
 of f is attained at two or more points.  Membership, m-tameness and the
 finite-generation semidecisions below are all decided in exact rational
-arithmetic.
+arithmetic.  m-tameness is one search over sets of at most n + 1
+distinct cones (conic Caratheodory), one non-strict LP per set, which
+also yields the least failing m for hypothesis reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import gcd
 
 from . import lp
@@ -184,10 +186,9 @@ class Cone:
     def has_nonzero_point(self) -> bool:
         if self.lineality_dim() > 0:
             return True
-        phi = self.positive_functional()
         cons = [(row, Fraction(0), lp.GE) for row in self.ineqs]
         cons += [(row, Fraction(0), lp.EQ) for row in self.eqs]
-        cons.append((phi, Fraction(0), lp.GT))
+        cons.append((self.positive_functional(), Fraction(-1), lp.GE))
         return lp.feasible(cons, self.nvars)
 
     def key(self):
@@ -398,49 +399,64 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     return None
 
 
-def m_tame(sc: ConeUnion, m: int) -> bool:
-    """Decide m-tameness against a polyhedral complement, exactly.
+def _least_failing_m(sc: ConeUnion, m_max: int):
+    """Least m <= m_max at which sc is not m-tame, or None.
 
     Not m-tame means: m nonzero vectors, each in some cone of the
-    complement, summing to zero.  A cone containing a whole line defeats
-    every m >= 2 at once (split a line point m-1 ways against its
-    opposite).  Otherwise all cones are pointed and each carries a
-    functional strictly positive away from the origin, so nonzeroness
-    becomes one strict inequality per vector and the whole question one
-    exact feasibility problem per multiset of cones.
+    complement, summing to zero.  A cone containing a whole line fails
+    at m = 2 (a line point against its opposite).  Otherwise every cone
+    is pointed: nonzero vectors of one cone add up to a nonzero vector
+    of it, so a failure depends only on the *set* of distinct cones
+    used, and failures are upward closed in m (halve one vector).  By
+    conic Caratheodory a minimal failing set has at most n + 1 cones.
+    So for k = 2 .. min(m_max, n + 1, #cones) and each set of k cones
+    one exact LP asks for one vector per cone with phi_c(v) - 1 >= 0
+    (phi_c is positive on the cone away from the origin) and the
+    vectors summing to zero.  The first feasible k is the least failing
+    m.
     """
-    if m < 2:
-        raise ValueError("tameness is defined for m >= 2")
     uniq = {}
     for c in sc.cones:
         canon = c.canonical()
         uniq[canon.key()] = canon
     cones = [c for _, c in sorted(uniq.items()) if c.has_nonzero_point()]
     if not cones:
-        return True
+        return None
     if any(c.lineality_dim() > 0 for c in cones):
-        return False
+        return 2
     n = sc.nvars
     phis = [c.positive_functional() for c in cones]
     zero = Fraction(0)
-    for choice in combinations_with_replacement(range(len(cones)), m):
-        nv = n * m
-        cons = []
-        for slot, ci in enumerate(choice):
-            off = slot * n
-            for row in cones[ci].ineqs:
-                cons.append((_embed(row, off, nv), zero, lp.GE))
-            for row in cones[ci].eqs:
-                cons.append((_embed(row, off, nv), zero, lp.EQ))
-            cons.append((_embed(phis[ci], off, nv), zero, lp.GT))
-        for coord in range(n):
-            row = [zero] * nv
-            for slot in range(m):
-                row[slot * n + coord] = Fraction(1)
-            cons.append((tuple(row), zero, lp.EQ))
-        if lp.feasible(cons, nv):
-            return False
-    return True
+    for k in range(2, min(m_max, n + 1, len(cones)) + 1):
+        nv = n * k
+        for choice in combinations(range(len(cones)), k):
+            cons = []
+            for slot, ci in enumerate(choice):
+                off = slot * n
+                for row in cones[ci].ineqs:
+                    cons.append((_embed(row, off, nv), zero, lp.GE))
+                for row in cones[ci].eqs:
+                    cons.append((_embed(row, off, nv), zero, lp.EQ))
+                cons.append((_embed(phis[ci], off, nv), Fraction(-1), lp.GE))
+            for coord in range(n):
+                row = [zero] * nv
+                for slot in range(k):
+                    row[slot * n + coord] = Fraction(1)
+                cons.append((tuple(row), zero, lp.EQ))
+            if lp.feasible(cons, nv):
+                return k
+    return None
+
+
+def m_tame(sc: ConeUnion, m: int) -> bool:
+    """Decide m-tameness against a polyhedral complement, exactly.
+
+    m-tame means that no m nonzero vectors, each in some cone of the
+    complement, sum to zero; see ``_least_failing_m`` for the search.
+    """
+    if m < 2:
+        raise ValueError("tameness is defined for m >= 2")
+    return _least_failing_m(sc, m) is None
 
 
 def _embed(row, offset, nvars):
@@ -452,6 +468,10 @@ def _embed(row, offset, nvars):
 
 def tame_requirement(c: int, n: int) -> int:
     """Tameness degree needed to bound the first n virtual Betti numbers.
+
+    The code uses 2(c(n-1)+1), twice ``tensor_degree_bound(c, n)``.  The
+    paper's abstract prints 2(c(n-1)-1), which is <= 0 for c = n = 1;
+    the formula here is kept as it stands.
 
     >>> tame_requirement(2, 2)
     6

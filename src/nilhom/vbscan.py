@@ -18,7 +18,7 @@ from itertools import combinations
 from .filtration import induced_homology_action
 from .groups import FreeNilpotentSpec, NilpotentAction
 from .linalg import RatMatrix, binomial, matrix_rank
-from .sigma import ConeUnion, m_tame, tame_requirement
+from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,7 @@ def hypothesis_report(c: int, n: int, sc: ConeUnion) -> HypothesisReport:
     is reported (failures are upward closed).
     """
     req = tame_requirement(c, n)
-    fails_at = None
-    for m in range(2, req + 1):
-        if not m_tame(sc, m):
-            fails_at = m
-            break
+    fails_at = _least_failing_m(sc, req)
     if fails_at is None:
         return HypothesisReport(c, n, req, True, None,
                                 f"vb_j finite for 0 <= j <= {n}")

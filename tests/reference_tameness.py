@@ -1,0 +1,233 @@
+"""Reference m-tameness decision and strict-inequality LP for differential tests.
+
+``m_tame`` enumerates every multiset of m cones and asks one exact LP
+per multiset, stating "v is nonzero" as a strict inequality; ``feasible``
+is the two-phase simplex that supports those strict inequalities (a
+slack t bounded by 1 is maximised in phase two).  Both are kept
+independent of :mod:`nilhom.lp` and of the subset search in
+:mod:`nilhom.sigma`, so tests can check those against them.  The only
+departures from a verbatim copy: ``m_tame`` calls this module's
+``feasible`` and ``has_nonzero_point`` instead of the package's.
+"""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
+GE = ">="
+GT = ">"
+EQ = "=="
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    for i, tr in enumerate(tableau):
+        if i != row and tr[col] != 0:
+            f = tr[col]
+            tableau[i] = [a - f * b for a, b in zip(tr, tableau[row])]
+    basis[row] = col
+
+
+def _maximise(tableau, basis, cost, banned):
+    """Simplex loop: maximise cost over the tableau, Bland's rule.
+
+    Returns the objective value, or None when unbounded.  Columns in
+    ``banned`` never enter the basis.
+    """
+    m = len(tableau)
+    ncols = len(tableau[0]) - 1
+    while True:
+        cb = [cost[basis[i]] for i in range(m)]
+        entering = None
+        for j in range(ncols):
+            if j in banned or j in basis:
+                continue
+            reduced = cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
+            if reduced > 0:
+                entering = j
+                break
+        if entering is None:
+            obj = sum(cb[i] * tableau[i][-1] for i in range(m))
+            return obj
+        leaving = None
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return None
+        _pivot(tableau, basis, leaving, entering)
+
+
+def feasible(constraints, nvars: int) -> bool:
+    """Decide whether the constraint system has a rational solution."""
+    ge_rows = []
+    eq_rows = []
+    strict = []
+    for coeffs, const, rel in constraints:
+        coeffs = [Fraction(c) for c in coeffs]
+        const = Fraction(const)
+        if len(coeffs) != nvars:
+            raise ValueError("constraint arity mismatch")
+        if all(c == 0 for c in coeffs):
+            if rel == EQ and const != 0:
+                return False
+            if rel == GE and const < 0:
+                return False
+            if rel == GT and const <= 0:
+                return False
+            continue
+        if rel == EQ:
+            eq_rows.append((coeffs, const))
+        elif rel == GE:
+            ge_rows.append((coeffs, const, False))
+        elif rel == GT:
+            ge_rows.append((coeffs, const, True))
+            strict.append(len(ge_rows) - 1)
+        else:
+            raise ValueError(f"unknown relation {rel!r}")
+
+    # columns: split variables (2*nvars), then t, then one slack per
+    # inequality row plus the t <= 1 bound row
+    has_t = bool(strict)
+    t_col = 2 * nvars
+    nslack = len(ge_rows) + (1 if has_t else 0)
+    base_cols = 2 * nvars + (1 if has_t else 0)
+    total = base_cols + nslack
+
+    rows = []
+
+    def expand(coeffs):
+        row = [_ZERO] * total
+        for k, c in enumerate(coeffs):
+            row[2 * k] = c
+            row[2 * k + 1] = -c
+        return row
+
+    slack_at = base_cols
+    for coeffs, const, is_strict in ge_rows:
+        # coeffs . x + const - (t if strict) >= 0, rewritten with slack:
+        # coeffs . x - t - s = -const
+        row = expand(coeffs)
+        if is_strict:
+            row[t_col] = -_ONE
+        row[slack_at] = -_ONE
+        slack_at += 1
+        rows.append((row, -const))
+    for coeffs, const in eq_rows:
+        rows.append((expand(coeffs), -const))
+    if has_t:
+        row = [_ZERO] * total
+        row[t_col] = _ONE
+        row[slack_at] = _ONE
+        rows.append((row, _ONE))
+
+    if not rows:
+        return True
+
+    # phase one: artificial basis, normalise right-hand sides to >= 0
+    m = len(rows)
+    tableau = []
+    basis = []
+    for i, (row, rhs) in enumerate(rows):
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        tableau.append(row + [_ZERO] * m + [rhs])
+        basis.append(total + i)
+    for i in range(m):
+        tableau[i][total + i] = _ONE
+    width = total + m
+    phase1_cost = [_ZERO] * width
+    for j in range(total, width):
+        phase1_cost[j] = -_ONE
+    obj = _maximise(tableau, basis, phase1_cost, banned=frozenset())
+    if obj is None or obj < 0:
+        return False
+    if not has_t:
+        return True
+    # pivot lingering zero-valued artificials out, then drop their columns;
+    # rows stuck on an artificial are structurally zero and redundant
+    for i in range(m):
+        if basis[i] >= total:
+            entering = next((j for j in range(total) if tableau[i][j] != 0), None)
+            if entering is not None:
+                _pivot(tableau, basis, i, entering)
+    keep = [i for i in range(m) if basis[i] < total]
+    tableau = [tableau[i][:total] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    phase2_cost = [_ZERO] * total
+    phase2_cost[t_col] = _ONE
+    obj = _maximise(tableau, basis, phase2_cost, banned=frozenset())
+    # t is bounded by 1, so the optimum exists; strictness needs t > 0
+    return obj is not None and obj > 0
+
+
+def has_nonzero_point(cone) -> bool:
+    if cone.lineality_dim() > 0:
+        return True
+    phi = cone.positive_functional()
+    cons = [(row, Fraction(0), GE) for row in cone.ineqs]
+    cons += [(row, Fraction(0), EQ) for row in cone.eqs]
+    cons.append((phi, Fraction(0), GT))
+    return feasible(cons, cone.nvars)
+
+
+def m_tame(sc, m: int) -> bool:
+    """Decide m-tameness against a polyhedral complement, exactly.
+
+    Not m-tame means: m nonzero vectors, each in some cone of the
+    complement, summing to zero.  A cone containing a whole line defeats
+    every m >= 2 at once (split a line point m-1 ways against its
+    opposite).  Otherwise all cones are pointed and each carries a
+    functional strictly positive away from the origin, so nonzeroness
+    becomes one strict inequality per vector and the whole question one
+    exact feasibility problem per multiset of cones.
+    """
+    if m < 2:
+        raise ValueError("tameness is defined for m >= 2")
+    uniq = {}
+    for c in sc.cones:
+        canon = c.canonical()
+        uniq[canon.key()] = canon
+    cones = [c for _, c in sorted(uniq.items()) if has_nonzero_point(c)]
+    if not cones:
+        return True
+    if any(c.lineality_dim() > 0 for c in cones):
+        return False
+    n = sc.nvars
+    phis = [c.positive_functional() for c in cones]
+    zero = Fraction(0)
+    for choice in combinations_with_replacement(range(len(cones)), m):
+        nv = n * m
+        cons = []
+        for slot, ci in enumerate(choice):
+            off = slot * n
+            for row in cones[ci].ineqs:
+                cons.append((_embed(row, off, nv), zero, GE))
+            for row in cones[ci].eqs:
+                cons.append((_embed(row, off, nv), zero, EQ))
+            cons.append((_embed(phis[ci], off, nv), zero, GT))
+        for coord in range(n):
+            row = [zero] * nv
+            for slot in range(m):
+                row[slot * n + coord] = Fraction(1)
+            cons.append((tuple(row), zero, EQ))
+        if feasible(cons, nv):
+            return False
+    return True
+
+
+def _embed(row, offset, nvars):
+    out = [Fraction(0)] * nvars
+    for i, x in enumerate(row):
+        out[offset + i] = Fraction(x)
+    return tuple(out)

@@ -77,6 +77,29 @@ def test_report_lamplighter(capsys):
     assert doc["fails_at_m"] == 2
 
 
+def test_explicit_nvars_must_match_the_cones(capsys):
+    rays = '[{"ineqs":[[1,0]],"eqs":[[0,1]]},{"ineqs":[[-1,0]],"eqs":[[0,1]]}]'
+    code, out, err = run_cli(capsys, "tame", "--sigma-complement", rays,
+                             "--nvars", "3", "--m", "2")
+    assert code == 2 and out == ""
+    assert "3" in err and "2" in err
+    code, out, err = run_cli(capsys, "report", "--c", "1", "--n", "1",
+                             "--sigma-complement", rays, "--nvars", "3")
+    assert code == 2 and out == ""
+    assert "3" in err and "2" in err
+    # a matching --nvars, or none, is accepted; report falls back to --n
+    # only for cones with no constraints
+    code, out, _ = run_cli(capsys, "tame", "--sigma-complement", rays,
+                           "--nvars", "2", "--m", "2")
+    assert code == 0 and json.loads(out)["tame"] is False
+    code, out, _ = run_cli(capsys, "report", "--c", "1", "--n", "1",
+                           "--sigma-complement", rays)
+    assert code == 0 and json.loads(out)["fails_at_m"] == 2
+    code, out, _ = run_cli(capsys, "tame", "--sigma-complement", "[{}]",
+                           "--nvars", "2", "--m", "2")
+    assert code == 0 and json.loads(out)["tame"] is False
+
+
 def test_filtration_verdict(capsys):
     code, out, _ = run_cli(capsys, "filtration", "--group", HEIS, "--j", "2")
     doc = json.loads(out)

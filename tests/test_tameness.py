@@ -1,0 +1,122 @@
+"""The m-tameness subset search against the multiset reference.
+
+``reference_tameness.m_tame`` asks one LP with strict inequalities per
+multiset of m cones; ``nilhom.sigma`` asks one LP with phi(v) - 1 >= 0
+per set of at most n + 1 distinct cones.  The seeded unions mix wedges
+(some with an equality row), rays and lines in one to three variables.
+"""
+
+import random
+from fractions import Fraction
+
+import reference_tameness as ref
+from nilhom import lp
+from nilhom.filtration import tensor_degree_bound
+from nilhom.sigma import Cone, ConeUnion, m_tame, tame_requirement
+from nilhom.vbscan import hypothesis_report
+
+
+def _ray_eqs(r):
+    """n - 1 independent rows orthogonal to the nonzero vector r."""
+    i0 = next(i for i, x in enumerate(r) if x)
+    return [[r[i0] if i == j else (-r[j] if i == i0 else 0)
+             for i in range(len(r))] for j in range(len(r)) if j != i0]
+
+
+def _ray(r):
+    return Cone(len(r), [r], _ray_eqs(r))
+
+
+def _random_cone(rng, n):
+    kind = rng.choice(["wedge", "ray", "ray", "line"])
+    if kind == "wedge":
+        ineqs = [[rng.randint(-2, 2) for _ in range(n)]
+                 for _ in range(rng.randint(1, 2))]
+        eqs = [[rng.randint(-1, 1) for _ in range(n)]
+               for _ in range(rng.randint(0, 1))]
+        return Cone(n, ineqs, eqs)
+    r = [0] * n
+    while not any(r):
+        r = [rng.randint(-1, 1) for _ in range(n)]
+    return _ray(r) if kind == "ray" else Cone(n, [], _ray_eqs(r))
+
+
+def _seeded_unions():
+    rng = random.Random(28)
+    unions = []
+    for _ in range(38):
+        n = rng.randint(1, 3)
+        unions.append(ConeUnion(n, [_random_cone(rng, n)
+                                    for _ in range(rng.randint(1, 3))]))
+    # failures at exactly n + 1: opposite rays on the line, and three
+    # planar rays spanning the plane positively
+    unions.append(ConeUnion(1, [_ray([1]), _ray([-1])]))
+    unions.append(ConeUnion(2, [_ray([1, 0]), _ray([0, 1]), _ray([-1, -1])]))
+    return unions
+
+
+UNIONS = _seeded_unions()
+
+
+def test_subset_search_matches_multiset_reference():
+    least_seen = set()
+    for sc in UNIONS:
+        verdicts = {m: ref.m_tame(sc, m) for m in range(2, 6)}
+        assert {m: m_tame(sc, m) for m in range(2, 6)} == verdicts, sc.cones
+        # The reference runs for m <= 5 only: each further m costs seconds
+        # on a tame union in three variables.  Every union has n + 1 < 5,
+        # so m = 5 checks against the reference that the verdict is flat
+        # past n + 1, which is what the reports with requirement > 5 use.
+        least = next((m for m in range(2, 6) if not verdicts[m]), None)
+        least_seen.add((sc.nvars, least))
+        for c in (1, 2):
+            for n in (1, 2, 3):
+                req = tame_requirement(c, n)
+                rep = hypothesis_report(c, n, sc)
+                want = least if least is not None and least <= req else None
+                assert rep.fails_at_m == want, (sc.cones, c, n)
+                assert rep.holds == (want is None)
+    # tame unions and failures at m = 2 in every dimension, and at m = 3
+    assert {(n, least) for n in (1, 2, 3) for least in (None, 2)} <= least_seen
+    assert (2, 3) in least_seen
+
+
+def test_tameness_flat_past_n_plus_one():
+    for sc in UNIONS:
+        flat = m_tame(sc, sc.nvars + 1)
+        for m in range(sc.nvars + 2, sc.nvars + 5):
+            assert m_tame(sc, m) == flat
+
+
+def test_four_rays_fail_exactly_at_four():
+    # any three of the rays are linearly independent, all four sum to 0
+    sc = ConeUnion(3, [_ray(list(r)) for r in
+                       [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]])
+    assert m_tame(sc, 2) and m_tame(sc, 3)
+    for m in range(4, 9):
+        assert not m_tame(sc, m)
+    rep = hypothesis_report(2, 2, sc)
+    assert rep.requirement == 6 and not rep.holds and rep.fails_at_m == 4
+
+
+def test_ge_eq_systems_match_reference_lp():
+    rng = random.Random(7)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [Fraction(rng.randint(-3, 3)) if rng.random() < 0.7
+                      else Fraction(0) for _ in range(nvars)]
+            cons.append((coeffs, Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                         rng.choice([lp.GE, lp.GE, lp.EQ])))
+        want = ref.feasible(cons, nvars)
+        assert lp.feasible(cons, nvars) == want, cons
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 50
+
+
+def test_tame_requirement_is_twice_the_tensor_degree_bound():
+    for c in range(1, 5):
+        for n in range(1, 5):
+            assert tame_requirement(c, n) == 2 * tensor_degree_bound(c, n)
