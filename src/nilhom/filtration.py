@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (RatMatrix, binomial, block_diag, image_matrix,
                      rank_kernel_image, solve)
-from .spectral import _ks_data, equivariant_page
+from .spectral import _class2_e3, equivariant_page
 
 
 def tensor_degree_bound(c: int, j: int) -> int:
@@ -77,7 +77,7 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
         layers = (Layer(j, dim, ()),) if dim else ()
         exact = True
     elif c == 2:
-        _, e3 = _ks_data(r)
+        e3 = _class2_e3(r)
         layers = []
         for i in range(1, j + 1):
             d = e3.get((i, j - i), 0)

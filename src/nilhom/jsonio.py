@@ -109,21 +109,25 @@ def laurent_json(f: LaurentPoly):
 
 
 def parse_cones(doc, nvars=None) -> ConeUnion:
-    cones = []
-    for c in doc:
-        ineqs = [[parse_frac(x) for x in row] for row in c.get("ineqs", [])]
-        eqs = [[parse_frac(x) for x in row] for row in c.get("eqs", [])]
-        dims = [len(r) for r in ineqs + eqs]
-        n = dims[0] if dims else nvars
-        if n is None:
+    """Cone union from its JSON list.
+
+    The rows of any cone fix the dimension, and a cone with no rows takes
+    it; ``nvars`` serves only when no cone has a row.  Cones whose rows
+    disagree raise ValueError.
+    """
+    parsed = [([[parse_frac(x) for x in row] for row in c.get("ineqs", [])],
+               [[parse_frac(x) for x in row] for row in c.get("eqs", [])])
+              for c in doc]
+    first = next((row for ineqs, eqs in parsed for row in ineqs + eqs), None)
+    if first is not None:
+        nvars = len(first)
+    if nvars is None:
+        if parsed:
             raise ValueError("cannot infer cone dimension, supply constraints "
                              "or an ambient dimension")
-        cones.append(Cone(n, ineqs, eqs))
-    if cones:
-        nvars = cones[0].nvars
-    if nvars is None:
         raise ValueError("empty cone list needs an explicit ambient dimension")
-    return ConeUnion(nvars, cones)
+    return ConeUnion(nvars, [Cone(len((ineqs + eqs)[0]) if ineqs + eqs else nvars,
+                                  ineqs, eqs) for ineqs, eqs in parsed])
 
 
 def cones_json(cu: ConeUnion):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 
 def as_fraction(x) -> Fraction:
@@ -547,6 +547,28 @@ def smith_normal_form(m: IntMatrix):
     return (IntMatrix(u, nr, nr),
             IntMatrix(a, nr, nc),
             IntMatrix(v, nc, nc))
+
+
+def merge_invariant_factors(chain, factors):
+    """Invariant factors of Z/d_1 + ... + Z/d_k + Z/f_1 + ... + Z/f_m.
+
+    ``chain`` is a divisibility chain d_1 | ... | d_k of factors above 1;
+    each f is inserted by replacing (d, f) with (lcm, gcd) from the top of
+    the chain down, since Z/d + Z/f is Z/lcm(d, f) + Z/gcd(d, f).  The
+    result is again a chain with the factors 1 dropped.
+
+    >>> merge_invariant_factors((2,), (3,))
+    (6,)
+    >>> merge_invariant_factors((2, 4), (2,))
+    (2, 2, 4)
+    """
+    out = list(chain)
+    for f in factors:
+        for i in range(len(out) - 1, -1, -1):
+            out[i], f = lcm(out[i], f), gcd(out[i], f)
+        if f > 1:
+            out.insert(0, f)
+    return tuple(out)
 
 
 def binomial(n: int, k: int) -> int:

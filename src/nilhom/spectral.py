@@ -12,21 +12,31 @@ free nilpotent group of class two the page degenerates at the third page
 and assembles the full rational (and integral) homology; for a general
 central extension the third page is reported as an upper bound only,
 since no closed-form higher differential is available.
+
+The free class-two page is graded by content, the multidegree in Z^r of
+a label, and d2 keeps it, so its Betti numbers and integral invariant
+factors are computed block by block: one block per content up to the
+permutations of the generators, whose rank or Smith form counts once
+for every content in its orbit.  Rank 5 takes well under a second, with
+blocks at most 70 wide against cells up to 2520 wide.  ``e2_page`` and
+``ks_page`` still build the dense page, for ``pages``, for equivariant
+pages and as the reference the blocks are tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 
 from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                      NilpotentAction, central_extension_of_class2,
                      induced_action_on_quotient)
 from .linalg import (BasisIndex, IntMatrix, RatMatrix, binomial,
                      exterior_power_map, kron, matrix_rank,
-                     smith_normal_form, solve)
+                     merge_invariant_factors, smith_normal_form, solve)
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,42 @@ def abelian_homology(group: AbelianFG, j: int) -> HomologyResult:
     return HomologyResult(j, dim, ((j, 0, dim),) if dim else ())
 
 
+def _pair_images(ext: CentralExtension):
+    """Each pair (i, j), i < j, of base generators mapped to the nonzero
+    (alpha, value) terms of its commutator in the centre."""
+    P = ext.pairing.entries
+    return {pair: [(alpha, P[alpha][pc]) for alpha in range(ext.a.rank)
+                   if P[alpha][pc]]
+            for pc, pair in enumerate(combinations(range(ext.q.rank), 2))}
+
+
+def _d2_rows(src, tgt, images):
+    """Integer entries of d2 from the labels ``src`` to the labels ``tgt``.
+
+    ``images`` is the commutator pairing as ``_pair_images`` gives it.  The
+    (k, l) contraction of (I, J) drops I[k] and I[l] and wedges alpha onto
+    J, with the sign (-1)^(k+l-1) (positions 1-based) times the sign of
+    moving alpha past the smaller entries of J.  ``tgt`` must hold every
+    label a term lands on.
+    """
+    pos = {lab: i for i, lab in enumerate(tgt)}
+    mat = [[0] * len(src) for _ in tgt]
+    for col, (I, J) in enumerate(src):
+        p = len(I)
+        for k in range(p):
+            for l in range(k + 1, p):
+                sgn = 1 if (k + l) % 2 == 1 else -1
+                I2 = I[:k] + I[k + 1:l] + I[l + 1:]
+                for alpha, cval in images[(I[k], I[l])]:
+                    if alpha in J:
+                        continue
+                    before = sum(1 for jj in J if jj < alpha)
+                    J2 = tuple(sorted(J + (alpha,)))
+                    wedge_sgn = -1 if before % 2 else 1
+                    mat[pos[(I2, J2)]][col] += sgn * wedge_sgn * cval
+    return mat
+
+
 def d2_central(ext: CentralExtension, p: int, q: int) -> RatMatrix:
     """Degree-2 differential of the page of a central extension.
 
@@ -124,27 +170,7 @@ def d2_central(ext: CentralExtension, p: int, q: int) -> RatMatrix:
     n, a = ext.q.rank, ext.a.rank
     src = _cell_labels(n, a, p, q)
     tgt = _cell_labels(n, a, p - 2, q + 1)
-    mat = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-    if p >= 2 and tgt and src:
-        tgt_pos = {lab: i for i, lab in enumerate(tgt)}
-        pair_pos = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-        P = ext.pairing.entries
-        for col, (I, J) in enumerate(src):
-            for k in range(p):
-                for l in range(k + 1, p):
-                    sgn = 1 if (k + l) % 2 == 1 else -1
-                    I2 = I[:k] + I[k + 1:l] + I[l + 1:]
-                    pc = pair_pos[(I[k], I[l])]
-                    for alpha in range(a):
-                        cval = P[alpha][pc]
-                        if cval == 0 or alpha in J:
-                            continue
-                        before = sum(1 for jj in J if jj < alpha)
-                        J2 = tuple(sorted(J + (alpha,)))
-                        row = tgt_pos[(I2, J2)]
-                        wedge_sgn = -1 if before % 2 else 1
-                        mat[row][col] += sgn * wedge_sgn * cval
-    return RatMatrix(mat, len(tgt), len(src))
+    return RatMatrix(_d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
 
 
 def e2_page(ext: CentralExtension) -> Page:
@@ -162,14 +188,9 @@ def e2_page(ext: CentralExtension) -> Page:
 
 
 @lru_cache(maxsize=None)
-def _ks_data(r: int):
-    page = e2_page(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
-    return page, e3_dimensions(page)
-
-
 def ks_page(r: int) -> Page:
-    """Cached class-two page of rank r."""
-    return _ks_data(r)[0]
+    """Cached dense class-two page of rank r."""
+    return e2_page(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
 
 
 def e3_dimensions(page: Page):
@@ -183,24 +204,140 @@ def e3_dimensions(page: Page):
             for (p, q), cell in page.cells.items()}
 
 
-def _integral_cell(page: Page, p: int, q: int):
-    """Free rank and torsion of the integral ker/im at one cell."""
-    d_out = page.diff(p, q).to_int()
-    d_in = page.diff(p + 2, q - 1).to_int()
+@dataclass(frozen=True)
+class ContentBlock:
+    """The part of the free class-two page of one weakly decreasing content.
+
+    ``labels[(p, q)]`` lists the labels of bidegree (p, q) with this
+    content, in the order of the dense cell, and ``diffs[(p, q)]`` is d2
+    on them as an integer matrix (only where source and target are both
+    nonempty).  ``orbit`` counts the distinct permutations of the content:
+    each is the content of an isomorphic block.
+    """
+
+    content: tuple
+    orbit: int
+    labels: dict
+    diffs: dict
+
+    def diff(self, p, q) -> IntMatrix:
+        d = self.diffs.get((p, q))
+        if d is None:
+            return IntMatrix.zero(len(self.labels.get((p - 2, q + 1), ())),
+                                  len(self.labels.get((p, q), ())))
+        return d
+
+
+def _orbit_size(content) -> int:
+    """Number of distinct rearrangements, r! / prod(multiplicity!)."""
+    return factorial(len(content)) // prod(
+        factorial(m) for m in Counter(content).values())
+
+
+@lru_cache(maxsize=None)
+def _class2_blocks(r: int):
+    """The free class-two page of rank r, one block per S_r orbit of content.
+
+    The content of a label (I, J) counts generator i once for each time
+    it lies in I and once for each commutator pair of J containing it.
+    Contracting a pair of I into the commutator it spans keeps the
+    content, so d2 is block-diagonal by content; permuting generators
+    carries each block onto the block of the permuted content by a
+    signed permutation, so only weakly decreasing contents are kept.
+    Consecutive differentials of each block are checked to compose to
+    zero, exactly.
+    """
+    # the pairing is the identity: centre generator alpha is [x_i, x_j]
+    # for the alpha-th pair (i, j)
+    pairs = list(combinations(range(r), 2))
+    images = _pair_images(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
+    subsets = [(I, [int(i in I) for i in range(r)])
+               for p in range(r + 1) for I in combinations(range(r), p)]
+    groups = {}
+    for q in range(len(pairs) + 1):
+        for J in combinations(range(len(pairs)), q):
+            base = [0] * r
+            for alpha in J:
+                i, j = pairs[alpha]
+                base[i] += 1
+                base[j] += 1
+            # adding 0 or 1 per generator cannot repair a larger step
+            if any(y > x + 1 for x, y in zip(base, base[1:])):
+                continue
+            for I, ind in subsets:
+                c = tuple(x + y for x, y in zip(base, ind))
+                if all(x >= y for x, y in zip(c, c[1:])):
+                    groups.setdefault(c, {}).setdefault((len(I), q), []).append((I, J))
+    blocks = []
+    for content in sorted(groups, reverse=True):
+        labels = {pq: sorted(labs) for pq, labs in groups[content].items()}
+        diffs = {}
+        for (p, q), src in labels.items():
+            tgt = labels.get((p - 2, q + 1))
+            if tgt:
+                diffs[(p, q)] = IntMatrix(_d2_rows(src, tgt, images),
+                                          len(tgt), len(src))
+        for (p, q), d in diffs.items():
+            nxt = diffs.get((p - 2, q + 1))
+            if nxt is not None and not (nxt * d).is_zero():
+                raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)} "
+                                 f"in content {content}")
+        blocks.append(ContentBlock(content, _orbit_size(content), labels, diffs))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _class2_e3(r: int):
+    """Third-page dimensions of the free class-two page, from block ranks.
+
+    Same keys and values as ``e3_dimensions(ks_page(r))``; each block's
+    rank counts once per content in its orbit.
+    """
+    ranks = {}
+    for blk in _class2_blocks(r):
+        for pq, d in blk.diffs.items():
+            ranks[pq] = ranks.get(pq, 0) + blk.orbit * matrix_rank(d)
+    a = binomial(r, 2)
+    return {(p, q): binomial(r, p) * binomial(a, q) - ranks.get((p, q), 0)
+            - ranks.get((p + 2, q - 1), 0)
+            for p in range(r + 1) for q in range(a + 1)}
+
+
+def _integral_homology(d_out: IntMatrix, d_in: IntMatrix):
+    """Free rank and torsion of ker(d_out) / im(d_in) over the integers.
+
+    The columns of V past the rank of the Smith form U d_out V span the
+    integral kernel; the torsion is the Smith form of im(d_in) in that
+    basis, its factors above 1 in divisibility order.
+    """
     _, dd, vv = smith_normal_form(d_out)
     rank_out = sum(1 for i in range(min(dd.rows, dd.cols))
                    if dd.entries[i][i] != 0)
-    kernel_cols = [vv.col(j) for j in range(rank_out, d_out.cols)]
-    k = len(kernel_cols)
+    k = d_out.cols - rank_out
     if k == 0:
         return 0, ()
-    kmat = RatMatrix.from_cols(kernel_cols, d_out.cols)
+    kmat = RatMatrix.from_cols([vv.col(j) for j in range(rank_out, d_out.cols)],
+                               d_out.cols)
     x = solve(kmat, d_in.to_rat()).to_int()
     _, dx, _ = smith_normal_form(x)
     diag = [dx.entries[i][i] for i in range(min(dx.rows, dx.cols))]
     rank_in = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return k - rank_in, torsion
+    return k - rank_in, tuple(d for d in diag if d > 1)
+
+
+def _integral_cell(r: int, p: int, q: int):
+    """Free rank and invariant factors of the integral cell (p, q).
+
+    A block's Smith form carries over to every block of its orbit (a
+    signed permutation is unimodular), and the cell is their direct sum.
+    """
+    free, torsion = 0, ()
+    for blk in _class2_blocks(r):
+        if (p, q) in blk.labels:
+            f, t = _integral_homology(blk.diff(p, q), blk.diff(p + 2, q - 1))
+            free += blk.orbit * f
+            torsion = merge_invariant_factors(torsion, t * blk.orbit)
+    return free, torsion
 
 
 def homology_free_nilpotent_c2(r: int, j: int, integral: bool = False) -> HomologyResult:
@@ -208,13 +345,14 @@ def homology_free_nilpotent_c2(r: int, j: int, integral: bool = False) -> Homolo
 
     Dimensions are assembled from the third-page cells, which carry the
     whole answer here (the page degenerates); the corner cells (0, j) die
-    because the degree-(2, q) differential is onto.  With ``integral``
-    set, invariant factors are computed per cell by Smith reduction, and
-    for the whole degree whenever only one cell is nonzero.
+    because the degree-(2, q) differential is onto.  Ranks and Smith
+    forms are taken block by block (``_class2_blocks``).  With
+    ``integral`` set, invariant factors are computed per cell, and for
+    the whole degree whenever only one cell is nonzero.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    page, e3 = _ks_data(r)
+    e3 = _class2_e3(r)
     if j == 0:
         return HomologyResult(0, 1, ((0, 0, 1),), (0,) if integral else None,
                               (((0, 0), 1, ()),) if integral else None)
@@ -224,19 +362,16 @@ def homology_free_nilpotent_c2(r: int, j: int, integral: bool = False) -> Homolo
     factors = None
     integral_cells = None
     if integral:
-        integral_cells = []
-        for (p, q) in cells:
-            if (p, q) not in page.cells or page.cell_dim(p, q) == 0:
-                continue
-            free, torsion = _integral_cell(page, p, q)
-            integral_cells.append(((p, q), free, torsion))
+        a = binomial(r, 2)
+        integral_cells = tuple(((p, q),) + _integral_cell(r, p, q)
+                               for (p, q) in cells
+                               if binomial(r, p) * binomial(a, q))
         nontrivial = [c for c in integral_cells if c[1] > 0 or c[2]]
         if len(nontrivial) == 0:
             factors = ()
         elif len(nontrivial) == 1:
             _, free, torsion = nontrivial[0]
             factors = torsion + (0,) * free
-        integral_cells = tuple(integral_cells)
     return HomologyResult(j, dim, prov, factors, integral_cells)
 
 
@@ -256,7 +391,7 @@ def h2_class2(spec: FreeNilpotentSpec):
     """
     if spec.nil_class != 2:
         raise ValueError("only class two carries this two-step filtration")
-    _, e3 = _ks_data(spec.rank)
+    e3 = _class2_e3(spec.rank)
     return e3[(1, 1)], e3[(2, 0)]
 
 

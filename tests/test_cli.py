@@ -100,6 +100,31 @@ def test_explicit_nvars_must_match_the_cones(capsys):
     assert code == 0 and json.loads(out)["tame"] is False
 
 
+def test_a_cone_with_no_rows_takes_the_dimension_of_any_cone(capsys):
+    # the rows of the second cone fix n = 2 for the empty one, in either order
+    docs = {}
+    for sc in ('[{}, {"ineqs":[[1,0]]}]', '[{"ineqs":[[1,0]]}, {}]'):
+        for argv in (("tame", "--m", "2"), ("report", "--c", "1", "--n", "1")):
+            code, out, err = run_cli(capsys, *argv, "--sigma-complement", sc)
+            assert code == 0, err
+            docs.setdefault(argv[0], set()).add(out)
+    assert {k: len(v) for k, v in docs.items()} == {"tame": 1, "report": 1}
+    assert json.loads(docs["tame"].pop())["tame"] is False
+    assert json.loads(docs["report"].pop())["fails_at_m"] == 2
+    # cones with rows that disagree still exit 2
+    code, out, err = run_cli(capsys, "tame", "--m", "2", "--sigma-complement",
+                             '[{}, {"ineqs":[[1]]}, {"ineqs":[[1,0]]}]')
+    assert code == 2 and out == "" and "mismatch" in err
+
+
+def test_betti_rank5(capsys):
+    code, out, _ = run_cli(capsys, "betti", "--group",
+                           '{"type":"free_nilpotent","rank":5,"class":2}')
+    assert code == 0
+    assert json.loads(out)["betti"] == [1, 5, 40, 176, 440, 835, 1423, 1980,
+                                        1980, 1423, 835, 440, 176, 40, 5, 1]
+
+
 def test_filtration_verdict(capsys):
     code, out, _ = run_cli(capsys, "filtration", "--group", HEIS, "--j", "2")
     doc = json.loads(out)

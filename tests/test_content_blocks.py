@@ -1,0 +1,151 @@
+"""The content-graded class-two page against two independent oracles.
+
+The block path (``_class2_blocks``) must agree with the dense page
+(``e3_dimensions`` and the dense Smith reduction in
+``reference_spectral``) for r <= 4, and with Sigg's closed form for the
+Betti numbers of free two-step nilpotent groups for r <= 5.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial, prod
+
+import pytest
+
+import nilhom.spectral as spectral
+from nilhom.spectral import (_class2_blocks, _class2_e3, _integral_cell,
+                             betti_free_nilpotent_c2, e3_dimensions,
+                             homology_free_nilpotent_c2, ks_page)
+
+import reference_spectral as ref
+
+
+def content(label, r):
+    pairs = list(combinations(range(r), 2))
+    c = Counter(label[0])
+    for alpha in label[1]:
+        c.update(pairs[alpha])
+    return tuple(c[i] for i in range(r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_block_third_page_equals_dense_page(r):
+    assert _class2_e3(r) == e3_dimensions(ks_page(r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_block_integral_cells_equal_dense_reference(r):
+    page = ks_page(r)
+    torsion = {}
+    for (p, q) in page.cells:
+        if page.cell_dim(p, q):
+            got = _integral_cell(r, p, q)
+            assert got == ref.integral_cell(page, p, q), (p, q)
+            if got[1]:
+                torsion[(p, q)] = got[1]
+    assert torsion == ({(1, 3): (3, 3, 3, 3), (1, 4): (3, 3, 3, 3)}
+                       if r == 4 else {})
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_blocks_are_the_dense_differential_restricted(r):
+    page = ks_page(r)
+    pos = {pq: {lab: i for i, lab in enumerate(cell.basis.labels)}
+           for pq, cell in page.cells.items()}
+    # d2 never joins labels of different content
+    for (p, q), d in page.diffs.items():
+        if d.rows and d.cols:
+            src = page.cells[(p, q)].basis.labels
+            tgt = page.cells[(p - 2, q + 1)].basis.labels
+            for row, tgt_label in zip(d.entries, tgt):
+                for x, src_label in zip(row, src):
+                    assert not x or content(tgt_label, r) == content(src_label, r)
+    covered = Counter()
+    for blk in _class2_blocks(r):
+        assert list(blk.content) == sorted(blk.content, reverse=True)
+        assert blk.orbit == factorial(r) // prod(
+            factorial(m) for m in Counter(blk.content).values())
+        for (p, q), labels in blk.labels.items():
+            assert all(content(lab, r) == blk.content for lab in labels)
+            covered[(p, q)] += blk.orbit * len(labels)
+            d = blk.diff(p, q)
+            dense = page.diff(p, q).entries
+            rows = [pos[(p - 2, q + 1)][lab]
+                    for lab in blk.labels.get((p - 2, q + 1), ())]
+            cols = [pos[(p, q)][lab] for lab in labels]
+            assert d.entries == tuple(tuple(int(dense[i][j]) for j in cols)
+                                      for i in rows)
+    assert covered == {pq: cell.dim for pq, cell in page.cells.items()
+                       if cell.dim}
+
+
+def test_blocks_check_that_d2_composes_to_zero(monkeypatch):
+    # rank 4 is the least with composable d2 (cell (4, 0) to (0, 2)); an
+    # all-ones "differential" on every block cannot square to zero
+    monkeypatch.setattr(spectral, "_d2_rows",
+                        lambda src, tgt, images: [[1] * len(src) for _ in tgt])
+    _class2_blocks.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell"):
+            _class2_blocks(4)
+    finally:
+        _class2_blocks.cache_clear()
+
+
+def self_conjugate_partitions(r):
+    """Self-conjugate partitions with at most r rows, as tuples of parts."""
+    out = []
+
+    def extend(parts, largest):
+        lam = tuple(parts)
+        if conjugate(lam) == lam:
+            out.append(lam)
+        if len(parts) < r:
+            for x in range(1, largest + 1):
+                extend(parts + [x], x)
+
+    extend([], r)
+    return out
+
+
+def conjugate(lam):
+    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0] if lam else 0))
+
+
+def weyl_dimension(lam, r):
+    """dim S_lam(Q^r) by the hook-content formula."""
+    lamc = conjugate(lam)
+    return int(prod((Fraction(r + j - i, lam[i] - j + lamc[j] - i - 1)
+                     for i in range(len(lam)) for j in range(lam[i])),
+                    start=Fraction(1)))
+
+
+def sigg_betti(r):
+    """Sigg (J. Algebra 185, 1996): b_j sums dim S_lam(Q^r) over the
+    self-conjugate lam with at most r rows and (|lam| + Durfee rank)/2 = j."""
+    betti = [0] * (r + comb(r, 2) + 1)
+    for lam in self_conjugate_partitions(r):
+        durfee = sum(1 for i, x in enumerate(lam) if x > i)
+        betti[(sum(lam) + durfee) // 2] += weyl_dimension(lam, r)
+    return betti
+
+
+def test_sigg_closed_form_sanity():
+    assert weyl_dimension((2, 1), 3) == 8
+    assert sigg_betti(2) == [1, 2, 2, 1]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_betti_numbers_equal_sigg_closed_form(r):
+    assert betti_free_nilpotent_c2(r) == sigg_betti(r)
+
+
+def test_rank5_integral_free_ranks_equal_rational_cells():
+    for j in range(5 + comb(5, 2) + 1):
+        res = homology_free_nilpotent_c2(5, j, integral=True)
+        by_cell = {(p, q): d for p, q, d in res.provenance}
+        for cell, free, torsion in res.integral_cells:
+            assert free == by_cell[cell]
+            assert all(t > 1 for t in torsion)
+            assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))

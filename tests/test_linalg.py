@@ -6,8 +6,9 @@ import pytest
 
 from nilhom.linalg import (BasisIndex, IntMatrix, RatMatrix, det,
                            exterior_power_map, image_matrix, kernel_matrix,
-                           kron, matrix_rank, rank_kernel_image,
-                           smith_normal_form, solve, tensor_power_map)
+                           kron, matrix_rank, merge_invariant_factors,
+                           rank_kernel_image, smith_normal_form, solve,
+                           tensor_power_map)
 
 import reference_linalg as ref
 
@@ -288,3 +289,34 @@ def test_matrix_power():
     g = RatMatrix([[2, 1], [1, 1]])
     assert g ** 0 == RatMatrix.identity(2)
     assert g ** 3 == g * g * g
+
+
+MERGES = [((2,), (3,), (6,)),
+          ((2, 4), (2,), (2, 2, 4)),
+          ((3, 3), (3,), (3, 3, 3)),
+          ((), (), ())]
+
+
+@pytest.mark.parametrize("chain,factors,want", MERGES)
+def test_merge_invariant_factors(chain, factors, want):
+    assert merge_invariant_factors(chain, factors) == want
+
+
+def test_merge_cases_reject_sorted_concatenation():
+    # (2) + (3) is Z/6: concatenating and sorting the factors is wrong
+    assert any(tuple(sorted(a + b)) != want for a, b, want in MERGES)
+
+
+def test_merge_matches_smith_form_of_the_diagonal():
+    rng = random.Random(55)
+    for _ in range(200):
+        factors = [rng.choice([2, 3, 4, 5, 6, 8, 9, 12, 18])
+                   for _ in range(rng.randint(0, 5))]
+        cut = rng.randint(0, len(factors))
+        chain = merge_invariant_factors((), factors[:cut])
+        n = len(factors)
+        diag = IntMatrix([[factors[i] if i == j else 0 for j in range(n)]
+                          for i in range(n)], n, n)
+        _, d, _ = smith_normal_form(diag)
+        want = tuple(d.entries[i][i] for i in range(n) if d.entries[i][i] > 1)
+        assert merge_invariant_factors(chain, factors[cut:]) == want, factors
