@@ -1,8 +1,14 @@
 """Exact feasibility of affine constraint systems over the rationals.
 
-Phase one of the simplex method with Bland's rule over
-``fractions.Fraction``: one artificial variable per row, and the system
-is feasible exactly when their sum can be driven to zero.  Termination
+Phase one of the simplex method with Bland's rule on a fraction-free
+integer tableau: one artificial variable per row, and the system is
+feasible exactly when their sum can be driven to zero.  Each input row
+is scaled by the lcm of its denominators, so every entry is an integer
+from then on.  A tableau row is kept only up to a positive factor (the
+true row is the stored one divided by its basic variable's
+coefficient): a pivot replaces row i by p*row_i - f*row_r and divides it
+by its content, and the ratio test compares right-hand side over pivot
+entry by cross-multiplication, where those factors cancel.  Termination
 is guaranteed by Bland's anticycling rule and every verdict is exact, so
 a True/False answer here is a proof, not an approximation.
 
@@ -17,58 +23,61 @@ pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 GE = ">="
 EQ = "=="
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _reduce(row):
+    """row divided by the gcd of its entries (all entries integers)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i, tr in enumerate(tableau):
-        if i != row and tr[col] != 0:
-            f = tr[col]
-            tableau[i] = [a - f * b if b else a
-                          for a, b in zip(tr, tableau[row])]
-    basis[row] = col
+def _phase_one(rows, ncols):
+    """Maximise minus the sum of the artificials over integer rows.
 
-
-def _maximise(tableau, basis, cost):
-    """Simplex loop: maximise cost over the tableau, Bland's rule.
-
-    Returns the optimal objective value.  Only phase one runs here, whose
-    objective (minus the sum of the artificials) is bounded above by 0,
-    so the ratio test always finds a leaving row.
+    ``rows`` hold ncols integer coefficients and a right-hand side >= 0;
+    row i starts with its artificial variable basic (index ncols + i).
+    The artificial columns are not stored: an artificial that leaves the
+    basis stays at 0, which does not change whether the system is
+    feasible.  ``cost`` is the phase-one reduced-cost row over the real
+    columns, up to a positive factor, and a column enters while its
+    reduced cost is positive (first such column, Bland).  The objective
+    is bounded above by 0, so the ratio test always finds a leaving row.
+    Returns True exactly when the optimum is 0, i.e. when every basic
+    artificial ends at right-hand side 0.
     """
-    m = len(tableau)
-    ncols = len(tableau[0]) - 1
+    m = len(rows)
+    basis = [ncols + i for i in range(m)]
+    cost = _reduce([sum(col) for col in zip(*rows)][:ncols])
     while True:
-        costed = [(cost[basis[i]], tableau[i]) for i in range(m)
-                  if cost[basis[i]]]
-        entering = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            reduced = cost[j] - sum(c * row[j] for c, row in costed)
-            if reduced > 0:
-                entering = j
-                break
+        if not any(rows[i][-1] for i in range(m) if basis[i] >= ncols):
+            return True
+        entering = next((j for j, c in enumerate(cost) if c > 0), None)
         if entering is None:
-            return sum(c * row[-1] for c, row in costed)
+            return False
         leaving = None
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        _pivot(tableau, basis, leaving, entering)
+        for i, row in enumerate(rows):
+            a = row[entering]
+            if a <= 0:
+                continue
+            if leaving is not None:
+                # row[-1] / a against the best ratio; Bland's rule on ties
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                    continue
+            leaving, best_a, best_b = i, a, row[-1]
+        prow = rows[leaving]
+        p = prow[entering]
+        for i, row in enumerate(rows):
+            f = row[entering]
+            if i != leaving and f:
+                rows[i] = _reduce([p * x - f * y for x, y in zip(row, prow)])
+        f = cost[entering]
+        cost = _reduce([p * x - f * y for x, y in zip(cost, prow)])
+        basis[leaving] = entering
 
 
 def feasible(constraints, nvars: int) -> bool:
@@ -86,41 +95,24 @@ def feasible(constraints, nvars: int) -> bool:
             if const < 0 or (rel == EQ and const != 0):
                 return False
             continue
-        (ge_rows if rel == GE else eq_rows).append((coeffs, const))
+        scale = lcm(const.denominator, *(c.denominator for c in coeffs))
+        row = ([c.numerator * (scale // c.denominator) for c in coeffs],
+               const.numerator * (scale // const.denominator))
+        (ge_rows if rel == GE else eq_rows).append(row)
 
-    # columns: split variables (2*nvars), then one slack per inequality row
+    # columns: split variables (2*nvars), then one slack per inequality
+    # row, then the right-hand side
     total = 2 * nvars + len(ge_rows)
-
-    def expand(coeffs):
-        row = [_ZERO] * total
-        for k, c in enumerate(coeffs):
-            row[2 * k] = c
-            row[2 * k + 1] = -c
-        return row
-
     rows = []
-    for s, (coeffs, const) in enumerate(ge_rows):
-        # coeffs . x + const >= 0, rewritten with slack: coeffs . x - s = -const
-        row = expand(coeffs)
-        row[2 * nvars + s] = -_ONE
-        rows.append((row, -const))
-    for coeffs, const in eq_rows:
-        rows.append((expand(coeffs), -const))
-
-    if not rows:
-        return True
-
-    # phase one: artificial basis, normalise right-hand sides to >= 0
-    m = len(rows)
-    tableau = []
-    basis = []
-    for i, (row, rhs) in enumerate(rows):
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        tableau.append(row + [_ZERO] * m + [rhs])
-        basis.append(total + i)
-    for i in range(m):
-        tableau[i][total + i] = _ONE
-    cost = [_ZERO] * total + [-_ONE] * m
-    return _maximise(tableau, basis, cost) == 0
+    for k, (coeffs, const) in enumerate(ge_rows + eq_rows):
+        # coeffs . x + const >= 0, with slack: coeffs . x - s = -const
+        row = [0] * (total + 1)
+        for j, c in enumerate(coeffs):
+            row[2 * j] = c
+            row[2 * j + 1] = -c
+        if k < len(ge_rows):
+            row[2 * nvars + k] = -1
+        row[-1] = -const
+        # right-hand sides >= 0, so the artificial basis is feasible
+        rows.append(_reduce([-x for x in row] if const > 0 else row))
+    return _phase_one(rows, total)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from . import lp
 from .linalg import RatMatrix, as_fraction, det, matrix_rank
@@ -345,57 +345,60 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
                          degree_bound: int = 8):
     """Search for a finite-generation witness in the given direction.
 
-    Considers the span of the generators shifted by monomials with sup
-    norm at most ``degree_bound``, row-reduces it against the monomial
-    order (v-value, lexicographic), and returns any element whose minimal
-    v-value is attained at a single support point.  Returns None when the
-    bounded search is inconclusive.
+    Runs through the generators shifted by monomials of sup norm at most
+    ``degree_bound``, generator by generator and, within one, in shells
+    of growing sup norm (lexicographic inside a shell).  Each row is
+    reduced against the pivots so far under the monomial order
+    (v-value, lexicographic); a row that keeps a new leading monomial
+    becomes a pivot and never changes again.  Returns the first pivot,
+    in row order, whose minimal v-value is attained at a single support
+    point, and stops there; the remaining shifts are never built.
+    Returns None when the bounded search is inconclusive.
     """
     if len(v.v) != spec.nvars:
         raise ValueError("direction arity mismatch")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
     if not spec.ideal:
         return None
     n = spec.nvars
-    shifts = sorted(product(range(-degree_bound, degree_bound + 1), repeat=n),
-                    key=lambda s: (max((abs(x) for x in s), default=0), s))
-    rows = []
-    for gi, g in enumerate(spec.ideal):
-        for sh in shifts:
-            terms = {tuple(e + s for e, s in zip(exp, sh)): c
-                     for exp, c in g.terms.items()}
-            rows.append((terms, (gi, sh)))
-    monomials = sorted({m for terms, _ in rows for m in terms},
-                       key=lambda m: (v.pair(m), m))
-    pos = {m: i for i, m in enumerate(monomials)}
+    # v scaled by the lcm of its denominators orders monomials in integers
+    scale = lcm(*(x.denominator for x in v.v))
+    weights = [x.numerator * (scale // x.denominator) for x in v.v]
+
+    def key(m):
+        return sum(a * b for a, b in zip(weights, m)), m
+
     # sparse Gauss-Jordan on (coefficient dict, combination dict) pairs
     pivots = {}
-    order = []
-    for terms, tag in rows:
-        vec = dict(terms)
-        combo = {tag: Fraction(1)}
-        while vec:
-            lead = min(vec, key=lambda m: pos[m])
-            if lead not in pivots:
-                c = vec[lead]
-                vec = {m: x / c for m, x in vec.items()}
-                combo = {t: x / c for t, x in combo.items()}
-                pivots[lead] = (vec, combo)
-                order.append(lead)
-                break
-            pvec, pcombo = pivots[lead]
-            f = vec[lead]
-            for m, x in pvec.items():
-                vec[m] = vec.get(m, Fraction(0)) - f * x
-            for t, x in pcombo.items():
-                combo[t] = combo.get(t, Fraction(0)) - f * x
-            vec = {m: x for m, x in vec.items() if x != 0}
-            combo = {t: x for t, x in combo.items() if x != 0}
-    for lead in order:
-        vec, combo = pivots[lead]
-        lead_val = v.pair(lead)
-        if all(v.pair(m) > lead_val for m in vec if m != lead):
-            poly = LaurentPoly(n, vec)
-            return Witness(poly, tuple(sorted(combo.items())), lead)
+    for gi, g in enumerate(spec.ideal):
+        for r in range(degree_bound + 1):
+            for sh in product(range(-r, r + 1), repeat=n):
+                if max(map(abs, sh), default=0) != r:
+                    continue
+                vec = {tuple(e + s for e, s in zip(exp, sh)): c
+                       for exp, c in g.terms.items()}
+                combo = {(gi, sh): Fraction(1)}
+                while vec:
+                    lead = min(vec, key=key)
+                    if lead not in pivots:
+                        c = vec[lead]
+                        vec = {m: x / c for m, x in vec.items()}
+                        combo = {t: x / c for t, x in combo.items()}
+                        pivots[lead] = (vec, combo)
+                        lead_val = key(lead)[0]
+                        if all(key(m)[0] > lead_val for m in vec if m != lead):
+                            return Witness(LaurentPoly(n, vec),
+                                           tuple(sorted(combo.items())), lead)
+                        break
+                    pvec, pcombo = pivots[lead]
+                    f = vec[lead]
+                    for m, x in pvec.items():
+                        vec[m] = vec.get(m, Fraction(0)) - f * x
+                    for t, x in pcombo.items():
+                        combo[t] = combo.get(t, Fraction(0)) - f * x
+                    vec = {m: x for m, x in vec.items() if x != 0}
+                    combo = {t: x for t, x in combo.items() if x != 0}
     return None
 
 
@@ -590,6 +593,8 @@ def tensor_power_fg_check(spec: CyclicModuleSpec, m: int,
     """
     if m < 2:
         raise ValueError("tensor power check needs m >= 2")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
     if len(spec.ideal) <= 1:
         sc = sigma_complement(spec)
         if not m_tame(sc, m):

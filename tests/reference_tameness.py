@@ -1,17 +1,23 @@
-"""Reference m-tameness decision and strict-inequality LP for differential tests.
+"""Reference m-tameness, strict-inequality LP and witness search for tests.
 
 ``m_tame`` enumerates every multiset of m cones and asks one exact LP
 per multiset, stating "v is nonzero" as a strict inequality; ``feasible``
-is the two-phase simplex that supports those strict inequalities (a
-slack t bounded by 1 is maximised in phase two).  Both are kept
-independent of :mod:`nilhom.lp` and of the subset search in
-:mod:`nilhom.sigma`, so tests can check those against them.  The only
-departures from a verbatim copy: ``m_tame`` calls this module's
-``feasible`` and ``has_nonzero_point`` instead of the package's.
+is the two-phase simplex over ``Fraction`` that supports those strict
+inequalities (a slack t bounded by 1 is maximised in phase two);
+``sigma_witness_search`` reduces every shifted generator, with the
+monomials sorted up front by their ``Fraction`` v-value, before it tests
+any pivot.  They are kept independent of :mod:`nilhom.lp`, of the subset
+search and of the early-exit witness search in :mod:`nilhom.sigma`, so
+tests can check those against them.  The only departures from a
+verbatim copy: ``m_tame`` calls this module's ``feasible`` and
+``has_nonzero_point`` instead of the package's.  The witness search is
+verbatim and shares only the package's data classes.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+
+from nilhom.sigma import CyclicModuleSpec, LaurentPoly, ValuationVector, Witness
 
 GE = ">="
 GT = ">"
@@ -231,3 +237,61 @@ def _embed(row, offset, nvars):
     for i, x in enumerate(row):
         out[offset + i] = Fraction(x)
     return tuple(out)
+
+
+def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
+                         degree_bound: int = 8):
+    """Search for a finite-generation witness in the given direction.
+
+    Considers the span of the generators shifted by monomials with sup
+    norm at most ``degree_bound``, row-reduces it against the monomial
+    order (v-value, lexicographic), and returns any element whose minimal
+    v-value is attained at a single support point.  Returns None when the
+    bounded search is inconclusive.
+    """
+    if len(v.v) != spec.nvars:
+        raise ValueError("direction arity mismatch")
+    if not spec.ideal:
+        return None
+    n = spec.nvars
+    shifts = sorted(product(range(-degree_bound, degree_bound + 1), repeat=n),
+                    key=lambda s: (max((abs(x) for x in s), default=0), s))
+    rows = []
+    for gi, g in enumerate(spec.ideal):
+        for sh in shifts:
+            terms = {tuple(e + s for e, s in zip(exp, sh)): c
+                     for exp, c in g.terms.items()}
+            rows.append((terms, (gi, sh)))
+    monomials = sorted({m for terms, _ in rows for m in terms},
+                       key=lambda m: (v.pair(m), m))
+    pos = {m: i for i, m in enumerate(monomials)}
+    # sparse Gauss-Jordan on (coefficient dict, combination dict) pairs
+    pivots = {}
+    order = []
+    for terms, tag in rows:
+        vec = dict(terms)
+        combo = {tag: Fraction(1)}
+        while vec:
+            lead = min(vec, key=lambda m: pos[m])
+            if lead not in pivots:
+                c = vec[lead]
+                vec = {m: x / c for m, x in vec.items()}
+                combo = {t: x / c for t, x in combo.items()}
+                pivots[lead] = (vec, combo)
+                order.append(lead)
+                break
+            pvec, pcombo = pivots[lead]
+            f = vec[lead]
+            for m, x in pvec.items():
+                vec[m] = vec.get(m, Fraction(0)) - f * x
+            for t, x in pcombo.items():
+                combo[t] = combo.get(t, Fraction(0)) - f * x
+            vec = {m: x for m, x in vec.items() if x != 0}
+            combo = {t: x for t, x in combo.items() if x != 0}
+    for lead in order:
+        vec, combo = pivots[lead]
+        lead_val = v.pair(lead)
+        if all(v.pair(m) > lead_val for m in vec if m != lead):
+            poly = LaurentPoly(n, vec)
+            return Witness(poly, tuple(sorted(combo.items())), lead)
+    return None

@@ -193,6 +193,17 @@ def test_sigma_witness_and_strict(capsys):
     assert json.loads(out)["witness"] != "unknown"
 
 
+def test_sigma_witness_rejects_a_negative_degree_bound(capsys):
+    # a bound below 0 searches nothing, so "unknown" would be a false verdict
+    for mod in ('{"nvars":1,"ideal":[]}',
+                '{"nvars":1,"ideal":[[{"coeff":"1","exp":[1]},'
+                '{"coeff":"-2","exp":[0]}]]}'):
+        code, out, err = run_cli(capsys, "sigma", "--module", mod,
+                                 "--witness", "[1]", "--degree-bound", "-1")
+        assert code == 2 and out == ""
+        assert "degree bound" in err
+
+
 def test_sigma_output_feeds_tame_input(capsys):
     # round-trip: the emitted cone union re-parses as tame input
     mod = json.dumps({"nvars": 2, "ideal": [

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_tameness as ref
 from nilhom.sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
                           ValuationVector, finite_dimensional_is_fully_tame,
                           full_sphere, m_tame, newton_polytope,
@@ -125,6 +126,105 @@ def test_witness_combination_reassembles():
     assert rebuilt == w.poly
 
 
+def _direction(rng, n):
+    v = (0,) * n
+    while not any(v):
+        v = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+                  for _ in range(n))
+    return ValuationVector(v)
+
+
+def _point(rng, n):
+    return tuple(rng.randint(-2, 2) for _ in range(n))
+
+
+def _coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+
+def _tied_pair(rng, v):
+    """Two exponents a, a + w with <v, a> = <v, a + w>, w != 0."""
+    n = len(v.v)
+    i, j = rng.sample(range(n), 2)
+    if not (v.v[i] or v.v[j]):
+        i = next(k for k, x in enumerate(v.v) if x)
+    scale = v.v[i].denominator * v.v[j].denominator
+    w = [0] * n
+    w[i], w[j] = int(v.v[j] * scale), -int(v.v[i] * scale)
+    a = _point(rng, n)
+    return a, tuple(x + y for x, y in zip(a, w))
+
+
+def _random_witness_case(rng):
+    """(spec, direction, degree bound); a share can have no witness at all.
+
+    The free module and a principal ideal whose generator attains its
+    minimal v-value twice (a direction inside the complement) have no
+    witness at any bound.  Generators that share one tied pair of terms
+    need a combination of rows before a witness appears.  Generators in
+    two variables whose least terms lie on one line x = x0, with v along
+    the x axis, often find their first witness only in a shifted row,
+    so the order of the shifts inside a shell decides which one.  The
+    rest are 1-3 random generators with rational coefficients.
+    """
+    n = rng.randint(1, 3)
+    v = _direction(rng, n)
+    bound = rng.randint(0, 2 if n < 3 else 1)
+    kind = rng.random()
+    if kind < 0.2:
+        v = ValuationVector((_coeff(rng) ** 2, 0))
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            x0 = rng.randint(-1, 1)
+            terms = {(x0, rng.randint(-1, 1)): _coeff(rng) for _ in range(3)}
+            for _ in range(rng.randint(0, 2)):
+                terms[(x0 + rng.randint(1, 2), rng.randint(-1, 1))] = _coeff(rng)
+            gens.append(LaurentPoly(2, terms))
+        return CyclicModuleSpec(2, tuple(gens)), v, rng.randint(1, 2)
+    if kind < 0.3:
+        return CyclicModuleSpec(n, ()), v, bound
+    if kind < 0.7 and n >= 2:
+        a, b = _tied_pair(rng, v)
+        ca, cb = _coeff(rng), _coeff(rng)
+        gens = []
+        for _ in range(1 if kind < 0.45 else rng.randint(2, 3)):
+            terms = {a: ca, b: cb}
+            for _ in range(rng.randint(0, 2)):
+                p = _point(rng, n)
+                if v.pair(p) > v.pair(a):
+                    terms[p] = _coeff(rng)
+            gens.append(LaurentPoly(n, terms))
+        return CyclicModuleSpec(n, tuple(gens)), v, bound
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {_point(rng, n): _coeff(rng) for _ in range(rng.randint(1, 4))}
+        gens.append(LaurentPoly(n, terms))
+    return CyclicModuleSpec(n, tuple(gens)), v, bound
+
+
+def test_witness_search_matches_full_elimination_reference():
+    rng = random.Random(41)
+    outcomes = {True: 0, False: 0}
+    for _ in range(360):
+        spec, v, bound = _random_witness_case(rng)
+        want = ref.sigma_witness_search(spec, v, bound)
+        assert sigma_witness_search(spec, v, bound) == want, (spec, v, bound)
+        outcomes[want is not None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_witness_search_stops_in_the_first_shell():
+    # 2 + x - y + z has its unique v-minimum 0 at the origin for v = (1, 2, 3),
+    # so the generator at shift 0 is the witness; the 121^3 shifts of bound 60
+    # must never be built
+    f = poly(3, {(0, 0, 0): 2, (1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1})
+    spec = CyclicModuleSpec(3, (f,))
+    v = ValuationVector((1, 2, 3))
+    w = sigma_witness_search(spec, v, 0)
+    assert w is not None and w.minimal_exponent == (0, 0, 0)
+    assert sigma_witness_search(spec, v, 60) == w
+
+
 def test_m_tame_empty_union():
     empty = ConeUnion(2, ())
     for m in range(2, 7):
@@ -207,6 +307,12 @@ def test_tensor_power_fg_unknown_is_honest():
     # 2-tame but the bounded closure box is too small to certify
     tri = CyclicModuleSpec(2, (TRIANGLE,))
     assert tensor_power_fg_check(tri, 2, 0) == "unknown"
+
+
+def test_tensor_power_fg_rejects_a_negative_degree_bound():
+    # an empty search box would read as an inconclusive "unknown"
+    with pytest.raises(ValueError, match="degree bound"):
+        tensor_power_fg_check(CyclicModuleSpec(2, (TRIANGLE,)), 2, -1)
 
 
 def test_finite_dimensional_certificates():

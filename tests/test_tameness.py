@@ -99,9 +99,7 @@ def test_four_rays_fail_exactly_at_four():
     assert rep.requirement == 6 and not rep.holds and rep.fails_at_m == 4
 
 
-def test_ge_eq_systems_match_reference_lp():
-    rng = random.Random(7)
-    outcomes = {True: 0, False: 0}
+def _integer_systems(rng):
     for _ in range(300):
         nvars = rng.randint(1, 4)
         cons = []
@@ -110,10 +108,116 @@ def test_ge_eq_systems_match_reference_lp():
                       else Fraction(0) for _ in range(nvars)]
             cons.append((coeffs, Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                          rng.choice([lp.GE, lp.GE, lp.EQ])))
-        want = ref.feasible(cons, nvars)
-        assert lp.feasible(cons, nvars) == want, cons
-        outcomes[want] += 1
-    assert min(outcomes.values()) > 50
+        yield cons, nvars
+
+
+def _fraction(rng, denominators=(2, 3, 6)):
+    return Fraction(rng.randint(-6, 6), rng.choice(denominators))
+
+
+def _rational_systems(rng):
+    # denominators 2, 3 and 6 on >= rows: each row is scaled by its own lcm,
+    # and the slack column stays -1 after the scaling
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [_fraction(rng) if rng.random() < 0.7 else Fraction(0)
+                      for _ in range(nvars)]
+            cons.append((coeffs, _fraction(rng),
+                         rng.choice([lp.GE, lp.GE, lp.GE, lp.EQ])))
+        yield cons, nvars
+
+
+def _degenerate_systems(rng):
+    # repeated rows, opposite rows and zero constants: ties in the ratio
+    # test and artificials that stay basic at 0
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 6)):
+            if cons and rng.random() < 0.4:
+                coeffs, const, rel = rng.choice(cons)
+                if rng.random() < 0.5:
+                    coeffs, const = [-c for c in coeffs], -const
+                cons.append((coeffs, const, rel))
+                continue
+            coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
+            const = Fraction(0) if rng.random() < 0.6 else _fraction(rng, (1, 2))
+            cons.append((coeffs, const, rng.choice([lp.GE, lp.GE, lp.EQ])))
+        yield cons, nvars
+
+
+def _cone_set_systems(rng):
+    # up to 12 variables and about 20 rows, as for a set of four cones in
+    # three variables: sparse homogeneous rows per block of variables, one
+    # phi(v) - 1 >= 0 row per block, and the blocks summing to zero
+    n = 3
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        nvars = n * k
+        cons = []
+        for slot in range(k):
+            for _ in range(rng.randint(2, 3)):
+                row = [Fraction(0)] * nvars
+                for i in range(n):
+                    row[slot * n + i] = Fraction(rng.randint(-2, 2))
+                cons.append((row, Fraction(0), rng.choice([lp.GE, lp.GE, lp.EQ])))
+            phi = [Fraction(0)] * nvars
+            for i in range(n):
+                phi[slot * n + i] = _fraction(rng, (1, 2, 3))
+            cons.append((phi, Fraction(-1), lp.GE))
+        for i in range(n):
+            row = [Fraction(0)] * nvars
+            for slot in range(k):
+                row[slot * n + i] = Fraction(1)
+            cons.append((row, Fraction(0), lp.EQ))
+        yield cons, nvars
+
+
+def test_ge_eq_systems_match_reference_lp():
+    # family, seed, and a count that each verdict must exceed
+    for family, seed, least in ((_integer_systems, 7, 50),
+                                (_rational_systems, 11, 49),
+                                (_degenerate_systems, 12, 29),
+                                (_cone_set_systems, 13, 9)):
+        outcomes = {True: 0, False: 0}
+        for cons, nvars in family(random.Random(seed)):
+            want = ref.feasible(cons, nvars)
+            assert lp.feasible(cons, nvars) == want, cons
+            outcomes[want] += 1
+        assert min(outcomes.values()) > least, (family.__name__, outcomes)
+
+
+# Beale's cycling example as a phase-one tableau, columns reordered: the
+# first two rows are its degenerate constraints (right-hand side 0) and
+# the third, the only row with a positive right-hand side, is its
+# objective.  Breaking ratio ties by the largest basic index instead of
+# the smallest cycles here through six degenerate pivots.
+_BEALE_ROWS = ((0, 36, 4, -32, 1, -4, 0),
+               (2, 6, 0, -24, 1, -1, 0),
+               (0, -24, 0, -80, 3, 2, 4))
+
+
+def test_blands_leaving_rule_ends_a_cycling_tableau(monkeypatch):
+    calls = 0
+    reduce = lp._reduce
+
+    def counted(row):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "phase one is cycling"
+        return reduce(row)
+
+    monkeypatch.setattr(lp, "_reduce", counted)
+    # the same system as constraints: rows . x = rhs with x >= 0
+    cons = [([Fraction(c) for c in row[:-1]], Fraction(-row[-1]), lp.EQ)
+            for row in _BEALE_ROWS]
+    cons += [([Fraction(int(i == j)) for i in range(6)], Fraction(0), lp.GE)
+             for j in range(6)]
+    want = ref.feasible(cons, 6)
+    assert want
+    assert lp._phase_one([list(row) for row in _BEALE_ROWS], 6) == want
 
 
 def test_tame_requirement_is_twice_the_tensor_degree_bound():
