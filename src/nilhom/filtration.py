@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
-from .linalg import (RatMatrix, binomial, block_diag, image_matrix,
-                     rank_kernel_image, solve)
+from .linalg import (IntMatrix, RatMatrix, binomial, block_diag,
+                     image_matrix, rank_kernel_image, solve)
 from .spectral import _class2_e3, equivariant_page
 
 
@@ -154,7 +154,7 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
     return ActionNilpotencyReport(ops, True, max(len(dims) - 1, 1), tuple(dims))
 
 
-def _subquotient_action(d_out: RatMatrix, d_in: RatMatrix, act: RatMatrix) -> RatMatrix:
+def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, act: RatMatrix) -> RatMatrix:
     """Action induced on ker(d_out) / im(d_in) by a compatible operator."""
     kernel = rank_kernel_image(d_out)[1]
     image = rank_kernel_image(d_in)[2]

@@ -175,6 +175,8 @@ class CentralExtension:
     pairing: IntMatrix
 
     def __post_init__(self):
+        if not isinstance(self.pairing, IntMatrix):
+            raise ValueError("the pairing must be an integer matrix")
         want = (self.a.rank, binomial(self.q.rank, 2))
         if self.pairing.shape != want:
             raise ValueError(

@@ -3,7 +3,9 @@
 All rationals travel as strings "p/q" (integers as "p"); every document
 produced for the command line carries a schema version field "v1".
 Ordering of keys and list elements is fixed so repeated runs are
-byte-identical.
+byte-identical.  Integer fields and integer matrix entries may be given
+as JSON numbers or strings, but must be integral: "1/2" or 2.9 is
+rejected, never truncated.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .filtration import FiltrationCertificate
 from .groups import AbelianFG, CentralExtension, FreeNilpotentSpec, NilpotentAction
-from .linalg import IntMatrix, RatMatrix
+from .linalg import IntMatrix
 from .sigma import Cone, ConeUnion, CyclicModuleSpec, LaurentPoly
 from .spectral import Page
 from .vbscan import HypothesisReport, ScanReport
@@ -26,26 +28,26 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(s if isinstance(s, int) else str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def rat_matrix_json(m: RatMatrix):
-    return [[frac_str(x) for x in row] for row in m.entries]
+def _integer(x) -> int:
+    """An int from a JSON number or string, ValueError unless integral."""
+    f = parse_frac(x)
+    if f.denominator != 1 or isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return f.numerator
 
 
 def int_matrix_json(m: IntMatrix):
     return [[str(x) for x in row] for row in m.entries]
 
 
-def parse_rat_matrix(grid, rows=None, cols=None) -> RatMatrix:
-    return RatMatrix([[parse_frac(x) for x in row] for row in grid], rows, cols)
-
-
 def parse_int_matrix(grid, rows=None, cols=None) -> IntMatrix:
-    return IntMatrix([[int(parse_frac(x)) for x in row] for row in grid],
-                     rows, cols)
+    return IntMatrix([[_integer(x) for x in row] for row in grid], rows, cols)
 
 
 def parse_group(doc):
@@ -54,10 +56,10 @@ def parse_group(doc):
         raise ValueError("group spec must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "free_nilpotent":
-        return FreeNilpotentSpec(int(doc["rank"]), int(doc["class"]))
+        return FreeNilpotentSpec(_integer(doc["rank"]), _integer(doc["class"]))
     if kind == "central_extension":
-        q_rank = int(doc["q_rank"])
-        a_rank = int(doc["a_rank"])
+        q_rank = _integer(doc["q_rank"])
+        a_rank = _integer(doc["a_rank"])
         pairing = parse_int_matrix(doc["pairing"], a_rank, None)
         return CentralExtension(AbelianFG(q_rank), AbelianFG(a_rank), pairing)
     if kind == "action":
@@ -84,14 +86,11 @@ def group_json(obj):
 def parse_module(doc) -> CyclicModuleSpec:
     if not isinstance(doc, dict) or "nvars" not in doc:
         raise ValueError("module spec must be an object with 'nvars' and 'ideal'")
-    n = int(doc["nvars"])
+    n = _integer(doc["nvars"])
     gens = []
     for g in doc.get("ideal", []):
-        if isinstance(g, dict):
-            terms = {tuple(int(x) for x in g["exp"]): parse_frac(g["coeff"])}
-        else:
-            terms = {tuple(int(x) for x in t["exp"]): parse_frac(t["coeff"])
-                     for t in g}
+        terms = {tuple(_integer(x) for x in t["exp"]): parse_frac(t["coeff"])
+                 for t in ([g] if isinstance(g, dict) else g)}
         gens.append(LaurentPoly(n, terms))
     return CyclicModuleSpec(n, tuple(gens))
 
@@ -149,7 +148,7 @@ def page_json(page: Page):
     for (p, q) in sorted(page.diffs):
         d = page.diffs[(p, q)]
         if d.rows and d.cols and not d.is_zero():
-            diffs.append({"p": p, "q": q, "matrix": rat_matrix_json(d)})
+            diffs.append({"p": p, "q": q, "matrix": int_matrix_json(d)})
     return {"cells": cells, "differentials": diffs}
 
 

@@ -8,10 +8,13 @@ and safe to share between threads.
 
 Every dense rank, kernel, image, solve and determinant runs through one
 fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
-only the Smith normal form chooses its pivots by another rule.  Every
-matrix product, rational or integer, runs through ``_product``: the left
-rows and the right columns are scaled to integers, only nonzero entries
-are multiplied, and each entry is divided back exactly once.
+only the Smith normal form chooses its pivots by another rule, and it
+returns the invariant factors alone, with no unimodular transforms.
+Every matrix product runs through ``_product``: the left rows and the
+right columns are scaled to integers, only nonzero entries are
+multiplied, and each entry is divided back exactly once.  Factors of
+either type mix: a product of two integer matrices is an integer
+matrix, and a product with a rational factor is a rational matrix.
 
 Graded bases are fixed once and for all: exterior bases are the strictly
 increasing index tuples, tensor bases the arbitrary index tuples, each
@@ -117,11 +120,8 @@ class RatMatrix:
                          self.rows, self.cols)
 
     def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            return RatMatrix(_product(self.entries, other.entries, other.cols),
-                             self.rows, other.cols)
+        if isinstance(other, (RatMatrix, IntMatrix)):
+            return _matmul(self, other)
         return RatMatrix([[x * as_fraction(other) for x in row]
                           for row in self.entries], self.rows, self.cols)
 
@@ -200,11 +200,8 @@ class IntMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            return IntMatrix(_product(self.entries, other.entries, other.cols),
-                             self.rows, other.cols)
+        if isinstance(other, (RatMatrix, IntMatrix)):
+            return _matmul(self, other)
         return IntMatrix([[x * int(other) for x in row]
                           for row in self.entries], self.rows, self.cols)
 
@@ -311,6 +308,15 @@ def _product(a, b, cols):
         out.append([x if si * tj == 1 else Fraction(x, si * tj)
                     for x, tj in zip(acc, t)])
     return out
+
+
+def _matmul(a, b):
+    """Product of two matrices, integer when both factors are."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    kind = IntMatrix if isinstance(a, IntMatrix) and isinstance(b, IntMatrix) \
+        else RatMatrix
+    return kind(_product(a.entries, b.entries, b.cols), a.rows, b.cols)
 
 
 def _eliminate(a):
@@ -479,74 +485,52 @@ def tensor_power_map(m: RatMatrix, s: int) -> RatMatrix:
     return out
 
 
-def smith_normal_form(m: IntMatrix):
-    """Smith normal form with unimodular transforms: U * M * V = D.
+def smith_normal_form(m: IntMatrix) -> tuple:
+    """Invariant factors of an integer matrix.
 
-    D is diagonal with nonnegative entries in a divisibility chain
-    d1 | d2 | ... ; U and V have determinant +-1.
+    The nonzero diagonal d1 | d2 | ... of the Smith normal form, each
+    positive, so its length is the rank.  Pivots are entries of least
+    absolute value; rows and columns are reduced modulo the pivot until
+    it divides its whole row, column and remaining block.
+
+    >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
+    (2, 4)
     """
     nr, nc = m.rows, m.cols
     a = [list(r) for r in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):
-        for rr in range(nr):
-            a[rr][i] -= q * a[rr][j]
-        for rr in range(nc):
-            v[rr][i] -= q * v[rr][j]
-
     t = 0
     while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+        best = min(((abs(a[i][j]), i, j) for i in range(t, nr)
+                    for j in range(t, nc) if a[i][j]), default=None)
         if best is None:
             break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            for rr in range(nr):
-                a[rr][t], a[rr][bj] = a[rr][bj], a[rr][t]
-            for rr in range(nc):
-                v[rr][t], v[rr][bj] = v[rr][bj], v[rr][t]
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        for row in a:
+            row[t], row[bj] = row[bj], row[t]
+        p = a[t][t]
         dirty = False
         for i in range(t + 1, nr):
-            if a[i][t] != 0:
-                row_op(i, t, a[i][t] // a[t][t])
-                if a[i][t] != 0:
-                    dirty = True
+            if a[i][t]:
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, nc):
-            if a[t][j] != 0:
-                col_op(j, t, a[t][j] // a[t][t])
-                if a[t][j] != 0:
-                    dirty = True
+            if a[t][j]:
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+                dirty = dirty or a[t][j] != 0
         if dirty:
             continue
-        viol = None
-        for i in range(t + 1, nr):
-            if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, nc)):
-                viol = i
-                break
+        viol = next((i for i in range(t + 1, nr)
+                     if any(a[i][j] % p for j in range(t + 1, nc))), None)
         if viol is not None:
-            row_op(t, viol, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[viol])]
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+        a[t][t] = abs(p)
         t += 1
-    return (IntMatrix(u, nr, nr),
-            IntMatrix(a, nr, nc),
-            IntMatrix(v, nc, nc))
+    return tuple(a[i][i] for i in range(t))
 
 
 def merge_invariant_factors(chain, factors):

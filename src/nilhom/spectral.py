@@ -1,4 +1,4 @@
-"""Homology spectral sequence pages for central extensions over Q.
+"""Homology spectral sequence pages for central extensions.
 
 The second page of the extension A -> G -> Q with A central has cells
 H_p(Q) tensor Lambda^q(A tensor Q); the degree-2 differential is the cap
@@ -21,6 +21,10 @@ for every content in its orbit.  Rank 5 takes well under a second, with
 blocks at most 70 wide against cells up to 2520 wide.  ``e2_page`` and
 ``ks_page`` still build the dense page, for ``pages``, for equivariant
 pages and as the reference the blocks are tested against.
+
+The pairing is an integer matrix, so every d2 is one too: pages and
+blocks hold ``IntMatrix`` differentials, and only the equivariant check
+multiplies them by rational actions.
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ class Page:
         cell = self.cells.get((p, q))
         return cell.dim if cell else 0
 
-    def diff(self, p, q) -> RatMatrix:
+    def diff(self, p, q) -> IntMatrix:
         d = self.diffs.get((p, q))
         if d is None:
-            return RatMatrix.zero(self.cell_dim(p - 2, q + 1), self.cell_dim(p, q))
+            return IntMatrix.zero(self.cell_dim(p - 2, q + 1), self.cell_dim(p, q))
         return d
 
     def _validate(self):
@@ -160,7 +164,7 @@ def _d2_rows(src, tgt, images):
     return mat
 
 
-def d2_central(ext: CentralExtension, p: int, q: int) -> RatMatrix:
+def d2_central(ext: CentralExtension, p: int, q: int) -> IntMatrix:
     """Degree-2 differential of the page of a central extension.
 
     The matrix is stated in the canonical (subset, subset) bases.  For
@@ -170,7 +174,7 @@ def d2_central(ext: CentralExtension, p: int, q: int) -> RatMatrix:
     n, a = ext.q.rank, ext.a.rank
     src = _cell_labels(n, a, p, q)
     tgt = _cell_labels(n, a, p - 2, q + 1)
-    return RatMatrix(_d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
+    return IntMatrix(_d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
 
 
 def e2_page(ext: CentralExtension) -> Page:
@@ -306,23 +310,16 @@ def _class2_e3(r: int):
 def _integral_homology(d_out: IntMatrix, d_in: IntMatrix):
     """Free rank and torsion of ker(d_out) / im(d_in) over the integers.
 
-    The columns of V past the rank of the Smith form U d_out V span the
-    integral kernel; the torsion is the Smith form of im(d_in) in that
-    basis, its factors above 1 in divisibility order.
+    C / ker(d_out) is isomorphic to im(d_out), a submodule of a free
+    module, so it is free and ker(d_out) is a direct summand of C, with a
+    free complement F.  As im(d_in) lies in ker(d_out), C / im(d_in) is
+    ker(d_out) / im(d_in) plus F, and the two have the same torsion: the
+    Smith diagonal of d_in above 1, in divisibility order.  The free rank
+    is dim C - rank d_out - rank d_in.
     """
-    _, dd, vv = smith_normal_form(d_out)
-    rank_out = sum(1 for i in range(min(dd.rows, dd.cols))
-                   if dd.entries[i][i] != 0)
-    k = d_out.cols - rank_out
-    if k == 0:
-        return 0, ()
-    kmat = RatMatrix.from_cols([vv.col(j) for j in range(rank_out, d_out.cols)],
-                               d_out.cols)
-    x = solve(kmat, d_in.to_rat()).to_int()
-    _, dx, _ = smith_normal_form(x)
-    diag = [dx.entries[i][i] for i in range(min(dx.rows, dx.cols))]
-    rank_in = sum(1 for d in diag if d != 0)
-    return k - rank_in, tuple(d for d in diag if d > 1)
+    factors = smith_normal_form(d_in)
+    return (d_out.cols - matrix_rank(d_out) - len(factors),
+            tuple(d for d in factors if d > 1))
 
 
 def _integral_cell(r: int, p: int, q: int):

@@ -1,14 +1,16 @@
-"""Reference rational elimination and products for differential tests.
+"""Reference rational elimination, products and Smith form for tests.
 
 Plain Gauss-Jordan and Gaussian elimination and the dense triple-loop
 product over ``Fraction`` entries, kept independent of the fraction-free
 kernel and the sparse integer product in :mod:`nilhom.linalg` so that
-tests and oracles can check those against them.
+tests and oracles can check those against them.  ``smith_normal_form``
+is the library's former Smith reduction with its unimodular transforms,
+the oracle for the diagonal-only routine that replaced it.
 """
 
 from fractions import Fraction
 
-from nilhom.linalg import RatMatrix
+from nilhom.linalg import IntMatrix, RatMatrix
 
 
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -99,3 +101,73 @@ def det(m) -> Fraction:
                 f = work[i][c] / pv
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return out
+
+
+def smith_normal_form(m: IntMatrix):
+    """Smith normal form with unimodular transforms: U * M * V = D.
+
+    D is diagonal with nonnegative entries in a divisibility chain
+    d1 | d2 | ... ; U and V have determinant +-1.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        for rr in range(nr):
+            a[rr][i] -= q * a[rr][j]
+        for rr in range(nc):
+            v[rr][i] -= q * v[rr][j]
+
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None
+                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            for rr in range(nr):
+                a[rr][t], a[rr][bj] = a[rr][bj], a[rr][t]
+            for rr in range(nc):
+                v[rr][t], v[rr][bj] = v[rr][bj], v[rr][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                row_op(i, t, a[i][t] // a[t][t])
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                col_op(j, t, a[t][j] // a[t][t])
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        viol = None
+        for i in range(t + 1, nr):
+            if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, nc)):
+                viol = i
+                break
+        if viol is not None:
+            row_op(t, viol, -1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return (IntMatrix(u, nr, nr),
+            IntMatrix(a, nr, nc),
+            IntMatrix(v, nc, nc))

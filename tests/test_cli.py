@@ -219,6 +219,37 @@ def test_sigma_output_feeds_tame_input(capsys):
     assert code == 0 and json.loads(out3)["tame"] is False
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["pages", "--group", '{"type":"central_extension","q_rank":2,'
+                          '"a_rank":1,"pairing":[["1/2"]]}'], "'1/2'"),
+    (["vbscan", "--group", json.dumps({
+        "type": "action", "group": {"type": "free_nilpotent", "rank": 2,
+                                    "class": 2},
+        "generators": [[["1", "1/2"], ["0", "1"]]]}), "--j", "1"], "'1/2'"),
+    (["betti", "--group", '{"type":"free_nilpotent","rank":2.9,"class":2}'],
+     "2.9"),
+    (["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":"1","exp":[1.5]},'
+                           '{"coeff":"-2","exp":[0]}]]}'], "1.5"),
+    (["betti", "--group", '{"type":"free_nilpotent","rank":2,"class":true}'],
+     "True"),
+], ids=["pairing", "generator", "rank", "exponent", "boolean"])
+def test_non_integral_integer_fields_exit_2(capsys, argv, value):
+    # truncating them would compute on another group or module
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"expected an integer, got {value}" in err
+
+
+def test_zero_denominator_exit_2(capsys):
+    for argv in (["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":"1/0",'
+                                       '"exp":[1]}]]}'],
+                 ["tame", "--sigma-complement", '[{"ineqs":[["1/0"]]}]',
+                  "--m", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "zero denominator in '1/0'" in err
+
+
 def test_malformed_json_exit_2(capsys):
     code, _, err = run_cli(capsys, "betti", "--group", '{"type": oops')
     assert code == 2

@@ -6,7 +6,7 @@ from nilhom.groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                            NilpotentAction, central_extension_of_class2,
                            hall_basis, heisenberg, induced_action_on_quotient,
                            lower_central_quotients, moebius, witt_number)
-from nilhom.linalg import IntMatrix
+from nilhom.linalg import IntMatrix, RatMatrix
 
 
 def witt_oracle(r, w):
@@ -133,6 +133,14 @@ def test_heisenberg_matches_class2_extraction():
 def test_central_extension_shape_validation():
     with pytest.raises(ValueError):
         CentralExtension(AbelianFG(2), AbelianFG(1), IntMatrix([[1, 0]]))
+
+
+def test_central_extension_rejects_a_rational_pairing():
+    # d2 is built as an integer matrix, so a pairing entry 1/2 would be
+    # truncated; a rational matrix is refused even with integral entries
+    for entries in ([["1/2"]], [[1]]):
+        with pytest.raises(ValueError, match="integer matrix"):
+            CentralExtension(AbelianFG(2), AbelianFG(1), RatMatrix(entries))
 
 
 def test_moebius():

@@ -155,6 +155,9 @@ def test_products_match_dense_fraction_reference():
         ai = IntMatrix([[x.numerator for x in row] for row in a.entries], r, k)
         bi = IntMatrix([[x.numerator for x in row] for row in b.entries], k, c)
         assert ai * bi == ref.matmul(ai.to_rat(), bi.to_rat()).to_int()
+        # mixed factors give a rational product
+        assert ai * b == ref.matmul(ai.to_rat(), b)
+        assert a * bi == ref.matmul(a, bi.to_rat())
         g = _product_factor(rng, r, r, lambda i, j: rng.choice(dens))
         want = RatMatrix.identity(r)
         for e in range(4):
@@ -163,36 +166,50 @@ def test_products_match_dense_fraction_reference():
 
 
 def test_snf_reorders_divisors():
-    _, d, _ = smith_normal_form(IntMatrix([[3, 0], [0, 1]]))
+    m = IntMatrix([[3, 0], [0, 1]])
+    assert smith_normal_form(m) == (1, 3)
+    _, d, _ = ref.smith_normal_form(m)
     assert d.entries == ((1, 0), (0, 3))
 
 
 def test_snf_minor_gcd_oracle():
     m = IntMatrix([[2, 4], [6, 8]])
-    u, d, v = smith_normal_form(m)
+    d = smith_normal_form(m)
     # independent oracle: d1 is the gcd of the entries, d1*d2 = |det|
     g = 0
     for row in m.entries:
         for x in row:
             g = gcd(g, abs(x))
-    assert d.entries[0][0] == g == 2
-    assert d.entries[0][0] * d.entries[1][1] == abs(m.det()) == 8
+    assert d[0] == g == 2
+    assert d[0] * d[1] == abs(m.det()) == 8
 
 
 def test_snf_zero_matrix():
-    u, d, v = smith_normal_form(IntMatrix.zero(2, 3))
+    assert smith_normal_form(IntMatrix.zero(2, 3)) == ()
+    assert smith_normal_form(IntMatrix.zero(0, 3)) == ()
+    u, d, v = ref.smith_normal_form(IntMatrix.zero(2, 3))
     assert d.is_zero()
     assert u == IntMatrix.identity(2)
     assert v == IntMatrix.identity(3)
 
 
 def test_snf_random_properties():
+    # the transform version (reference) satisfies U M V = D with U, V
+    # unimodular; the library's factors are its nonzero diagonal
     rng = random.Random(2)
-    for _ in range(30):
+    for trial in range(60):
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-6, 6) for _ in range(nc)]
                        for _ in range(nr)])
-        u, d, v = smith_normal_form(m)
+        if trial >= 30:
+            # a product through a narrow middle: low rank, larger factors
+            k = rng.randint(1, 3)
+            left = IntMatrix([[rng.randint(-3, 3) for _ in range(k)]
+                              for _ in range(nr)])
+            right = IntMatrix([[rng.randint(-3, 3) * rng.choice((1, 2, 3))
+                                for _ in range(nc)] for _ in range(k)])
+            m = left * right
+        u, d, v = ref.smith_normal_form(m)
         assert u * m * v == d
         assert abs(u.det()) == 1 and abs(v.det()) == 1
         diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
@@ -204,6 +221,9 @@ def test_snf_random_properties():
             for j in range(d.cols):
                 if i != j:
                     assert d.entries[i][j] == 0
+        factors = smith_normal_form(m)
+        assert factors == tuple(x for x in diag if x)
+        assert len(factors) == matrix_rank(m)
 
 
 def test_exterior_top_is_determinant():
@@ -317,6 +337,5 @@ def test_merge_matches_smith_form_of_the_diagonal():
         n = len(factors)
         diag = IntMatrix([[factors[i] if i == j else 0 for j in range(n)]
                           for i in range(n)], n, n)
-        _, d, _ = smith_normal_form(diag)
-        want = tuple(d.entries[i][i] for i in range(n) if d.entries[i][i] > 1)
+        want = tuple(x for x in smith_normal_form(diag) if x > 1)
         assert merge_invariant_factors(chain, factors[cut:]) == want, factors

@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from nilhom.groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                            NilpotentAction, heisenberg)
+from nilhom.jsonio import frac_str, page_json
 from nilhom.linalg import IntMatrix, RatMatrix, rank_kernel_image
-from nilhom.spectral import (EquivariantPage, Page, abelian_homology,
-                             betti_free_nilpotent_c2, d2_central, e2_page,
-                             e3_dimensions, equivariant_page, h2_class2,
+from nilhom.spectral import (EquivariantPage, Page, _integral_homology,
+                             abelian_homology, betti_free_nilpotent_c2,
+                             d2_central, e2_page, e3_dimensions,
+                             equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
 
 import reference_linalg as ref
+import reference_spectral as ref_spectral
 
 
 def random_extension(rng, n_max=4, a_max=3):
@@ -258,3 +261,71 @@ def test_provenance_sums_to_dimension():
         for j in range(r + comb(r, 2) + 1):
             res = homology_free_nilpotent_c2(r, j)
             assert sum(d for _, _, d in res.provenance) == res.rational_dimension
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n matrix and its inverse, from elementary
+    row operations (and the matching column operations on the inverse)."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    pinv = [row[:] for row in p]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j or rng.random() < 0.2:
+            # negate row i of P, and column i of its inverse
+            p[i] = [-x for x in p[i]]
+            for row in pinv:
+                row[i] = -row[i]
+            continue
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in pinv:
+            row[j] -= c * row[i]
+    return IntMatrix(p, n, n), IntMatrix(pinv, n, n)
+
+
+def test_integral_homology_matches_kernel_basis_reference():
+    # Z^a -> Z^n -> Z^b with d_out d_in = 0: ker d_out is spanned by the
+    # first k basis vectors, d_in hits them with chosen diagonal factors,
+    # d_out is injective on the rest; all three modules then change basis
+    rng = random.Random(707)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        a, b = rng.randint(1, 6), rng.randint(n - k, n - k + 2)
+        t = min(k, a)
+        factors = [rng.choice((0, 1, 2, 3, 4, 6, 12)) for _ in range(t)]
+        d_in = [[factors[i] if i == j and i < t else 0 for j in range(a)]
+                for i in range(n)]
+        d_out = [[0] * n for _ in range(b)]
+        for i in range(n - k):
+            d_out[i][k + i] = rng.choice((1, 1, 2, 5))
+            for j in range(k + i + 1, n):
+                d_out[i][j] = rng.randint(-3, 3)
+        p, pinv = _unimodular(rng, n)
+        assert p * pinv == IntMatrix.identity(n)
+        d_in = p * IntMatrix(d_in, n, a) * _unimodular(rng, a)[0]
+        d_out = _unimodular(rng, b)[0] * IntMatrix(d_out, b, n) * pinv
+        assert (d_out * d_in).is_zero()
+        got = _integral_homology(d_out, d_in)
+        assert got == ref_spectral.integral_homology(d_out, d_in)
+        torsion = [f for f in factors if f > 1]
+        assert got[0] == k - sum(1 for f in factors if f)
+        assert prod(got[1]) == prod(torsion)
+        seen.update(got[1])
+    # torsion well beyond the 3-torsion of the free class-two pages
+    assert {2, 4, 12} <= seen
+
+
+def test_page_json_writes_integer_differentials_as_before():
+    pairing = IntMatrix([[1, -2, 0, 3, -1, 0], [0, 2, -3, 0, 1, -1]])
+    ext = CentralExtension(AbelianFG(4), AbelianFG(2), pairing)
+    page = e2_page(ext)
+    assert all(isinstance(d, IntMatrix) for d in page.diffs.values())
+    want = [{"p": p, "q": q,
+             "matrix": [[frac_str(x) for x in row] for row in d.to_rat().entries]}
+            for (p, q), d in sorted(page.diffs.items())
+            if d.rows and d.cols and not d.is_zero()]
+    got = page_json(page)["differentials"]
+    assert got == want
+    assert any(x.startswith("-") for d in got for row in d["matrix"] for x in row)
