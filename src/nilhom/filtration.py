@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (IntMatrix, RatMatrix, binomial, block_diag,
-                     image_matrix, rank_kernel_image, solve)
+                     image_matrix, rank_kernel_image, require_commuting, solve)
 from .spectral import _class2_e3, equivariant_page
 
 
@@ -133,10 +133,7 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
     for g in ops:
         if not isinstance(g, RatMatrix) or g.shape != (n, n):
             raise ValueError("operators must be square matrices of equal size")
-    for i in range(len(ops)):
-        for k in range(i + 1, len(ops)):
-            if ops[i] * ops[k] != ops[k] * ops[i]:
-                raise ValueError("operators must pairwise commute")
+    require_commuting(ops, "operators")
     shifted = [g - RatMatrix.identity(n) for g in ops]
     span = RatMatrix.identity(n)
     dims = [n]
@@ -145,8 +142,7 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
         for t in shifted:
             prod = t * span
             stacked_cols.extend(prod.col(j) for j in range(prod.cols))
-        nxt = image_matrix(RatMatrix.from_cols(stacked_cols, n)) if stacked_cols \
-            else RatMatrix.zero(n, 0)
+        nxt = image_matrix(RatMatrix.from_cols(stacked_cols, n))
         if nxt.cols == dims[-1]:
             return ActionNilpotencyReport(ops, False, None, tuple(dims))
         span = nxt

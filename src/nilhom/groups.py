@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .linalg import IntMatrix, RatMatrix, binomial, solve, tensor_power_map
+from .linalg import (IntMatrix, RatMatrix, binomial, require_commuting, solve,
+                     tensor_power_map)
 
 
 def moebius(n: int) -> int:
@@ -227,10 +228,7 @@ class NilpotentAction:
                 raise ValueError(f"generators must be {r} x {r} integer matrices")
             if g.det() not in (1, -1):
                 raise ValueError("generators must have determinant +-1")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if gens[i] * gens[j] != gens[j] * gens[i]:
-                    raise ValueError("generator matrices must pairwise commute")
+        require_commuting(gens, "generator matrices")
 
 
 def _tensor_expansion(tree):
@@ -278,6 +276,6 @@ def induced_action_on_quotient(act: NilpotentAction, w: int):
     emb = _layer_embedding(spec.rank, spec.nil_class, w)
     out = []
     for g in act.generators:
-        big = tensor_power_map(g.to_rat(), w)
+        big = tensor_power_map(g, w)
         out.append(solve(emb, big * emb).to_int())
     return out

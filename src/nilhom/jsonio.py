@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .filtration import FiltrationCertificate
 from .groups import AbelianFG, CentralExtension, FreeNilpotentSpec, NilpotentAction
-from .linalg import IntMatrix
+from .linalg import IntMatrix, binomial
 from .sigma import Cone, ConeUnion, CyclicModuleSpec, LaurentPoly
 from .spectral import Page
 from .vbscan import HypothesisReport, ScanReport
@@ -60,7 +60,9 @@ def parse_group(doc):
     if kind == "central_extension":
         q_rank = _integer(doc["q_rank"])
         a_rank = _integer(doc["a_rank"])
-        pairing = parse_int_matrix(doc["pairing"], a_rank, None)
+        # an empty pairing carries no column count: it is C(q_rank, 2)
+        pairing = parse_int_matrix(doc["pairing"], a_rank,
+                                   None if doc["pairing"] else binomial(q_rank, 2))
         return CentralExtension(AbelianFG(q_rank), AbelianFG(a_rank), pairing)
     if kind == "action":
         group = parse_group(doc["group"])
@@ -89,22 +91,21 @@ def parse_module(doc) -> CyclicModuleSpec:
     n = _integer(doc["nvars"])
     gens = []
     for g in doc.get("ideal", []):
-        terms = {tuple(_integer(x) for x in t["exp"]): parse_frac(t["coeff"])
-                 for t in ([g] if isinstance(g, dict) else g)}
+        terms = {}
+        for t in ([g] if isinstance(g, dict) else g):
+            e = tuple(_integer(x) for x in t["exp"])
+            terms[e] = terms.get(e, 0) + parse_frac(t["coeff"])
         gens.append(LaurentPoly(n, terms))
     return CyclicModuleSpec(n, tuple(gens))
-
-
-def module_json(spec: CyclicModuleSpec):
-    return {"nvars": spec.nvars,
-            "ideal": [[{"coeff": frac_str(c), "exp": list(e)}
-                       for e, c in sorted(g.terms.items())]
-                      for g in spec.ideal]}
 
 
 def laurent_json(f: LaurentPoly):
     return [{"coeff": frac_str(c), "exp": list(e)}
             for e, c in sorted(f.terms.items())]
+
+
+def module_json(spec: CyclicModuleSpec):
+    return {"nvars": spec.nvars, "ideal": [laurent_json(g) for g in spec.ideal]}
 
 
 def parse_cones(doc, nvars=None) -> ConeUnion:

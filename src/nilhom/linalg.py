@@ -2,9 +2,11 @@
 
 Everything downstream (spectral differentials, Koszul complexes, cone
 feasibility) reduces to the routines in this module, so it stays small,
-dense and exact.  Rational matrices hold ``fractions.Fraction`` entries,
-integer matrices hold Python ints; both are immutable after construction
-and safe to share between threads.
+dense and exact.  ``RatMatrix`` and ``IntMatrix`` share one body and
+differ only in how an entry is coerced: rational matrices hold
+``fractions.Fraction`` entries, integer matrices hold Python ints and
+raise on a ``Fraction`` or float rather than truncate it.  Both are
+immutable after construction and safe to share between threads.
 
 Every dense rank, kernel, image, solve and determinant runs through one
 fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
@@ -12,9 +14,9 @@ only the Smith normal form chooses its pivots by another rule, and it
 returns the invariant factors alone, with no unimodular transforms.
 Every matrix product runs through ``_product``: the left rows and the
 right columns are scaled to integers, only nonzero entries are
-multiplied, and each entry is divided back exactly once.  Factors of
-either type mix: a product of two integer matrices is an integer
-matrix, and a product with a rational factor is a rational matrix.
+multiplied, and each entry is divided back exactly once.  Operands of
+either type mix: integer with integer gives an integer matrix (so
+integer powers stay integral), and a rational operand a rational one.
 
 Graded bases are fixed once and for all: exterior bases are the strictly
 increasing index tuples, tensor bases the arbitrary index tuples, each
@@ -27,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, lcm, prod
+from operator import index
 
 
 def as_fraction(x) -> Fraction:
@@ -40,23 +43,20 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-class RatMatrix:
-    """Immutable dense matrix over the rationals.
+class _Matrix:
+    """Immutable dense matrix over an exact ring, fixed by the subclass.
 
     A matrix with ``rows`` rows and ``cols`` columns represents a linear
-    map Q^cols -> Q^rows acting on column vectors.  Degenerate shapes
-    (zero rows or columns) are legal and show up constantly as empty
-    spectral-sequence cells.
-
-    >>> m = RatMatrix([[1, 2], [3, "4/2"]])
-    >>> (m * m).entries[0][1]
-    Fraction(6, 1)
+    map on column vectors.  Degenerate shapes (zero rows or columns) are
+    legal and show up constantly as empty spectral-sequence cells.  The
+    subclass's ``_entry`` coerces every entry into its ring and raises
+    when an entry lies outside it.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, rows=None, cols=None):
-        grid = tuple(tuple(as_fraction(x) for x in row) for row in entries)
+        grid = tuple([tuple(map(self._entry, row)) for row in entries])
         if rows is None:
             rows = len(grid)
         if cols is None:
@@ -68,17 +68,17 @@ class RatMatrix:
         self.entries = grid
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+    def identity(cls, n: int):
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], rows, cols)
+    def zero(cls, rows: int, cols: int):
+        return cls([[0] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
-    def from_cols(cls, cols_list, nrows: int) -> "RatMatrix":
+    def from_cols(cls, cols_list, nrows: int):
         """Assemble a matrix from an iterable of column vectors."""
-        cols_list = [tuple(as_fraction(x) for x in c) for c in cols_list]
+        cols_list = [tuple(c) for c in cols_list]
         if any(len(c) != nrows for c in cols_list):
             raise ValueError("column length mismatch")
         return cls([[c[i] for c in cols_list] for i in range(nrows)],
@@ -91,15 +91,15 @@ class RatMatrix:
     def col(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], self.cols, self.rows)
+    def transpose(self):
+        return type(self)([[row[j] for row in self.entries]
+                           for j in range(self.cols)], self.cols, self.rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
     def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.shape == other.shape
+        return (type(other) is type(self) and self.shape == other.shape
                 and self.entries == other.entries)
 
     def __hash__(self):
@@ -108,22 +108,23 @@ class RatMatrix:
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                         self.rows, self.cols)
+        return _kind(self, other)([[a + b for a, b in zip(r1, r2)]
+                                   for r1, r2 in zip(self.entries, other.entries)],
+                                  self.rows, self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RatMatrix([[-x for x in row] for row in self.entries],
-                         self.rows, self.cols)
+        return type(self)([[-x for x in row] for row in self.entries],
+                          self.rows, self.cols)
 
     def __mul__(self, other):
-        if isinstance(other, (RatMatrix, IntMatrix)):
+        if isinstance(other, _Matrix):
             return _matmul(self, other)
-        return RatMatrix([[x * as_fraction(other) for x in row]
-                          for row in self.entries], self.rows, self.cols)
+        c = self._entry(other)
+        return type(self)([[x * c for x in row] for row in self.entries],
+                          self.rows, self.cols)
 
     def __rmul__(self, other):
         return self * other
@@ -131,14 +132,30 @@ class RatMatrix:
     def __pow__(self, k: int):
         if self.rows != self.cols or k < 0:
             raise ValueError("power needs a square matrix and k >= 0")
-        out = RatMatrix.identity(self.rows)
+        out = self.identity(self.rows)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
+
+
+class RatMatrix(_Matrix):
+    """Immutable dense matrix over the rationals (``Fraction`` entries).
+
+    >>> m = RatMatrix([[1, 2], [3, "4/2"]])
+    >>> (m * m).entries[0][1]
+    Fraction(6, 1)
+    """
+
+    __slots__ = ()
+    _entry = staticmethod(as_fraction)
+    # each class owns its product and power, so they can be wrapped per class
+    __mul__ = _Matrix.__mul__
+    __pow__ = _Matrix.__pow__
 
     def to_int(self) -> "IntMatrix":
         if any(x.denominator != 1 for row in self.entries for x in row):
@@ -150,63 +167,20 @@ class RatMatrix:
         return f"RatMatrix({[[str(x) for x in row] for row in self.entries]})"
 
 
-class IntMatrix:
-    """Immutable dense matrix over the integers (arbitrary precision)."""
+class IntMatrix(_Matrix):
+    """Immutable dense matrix over the integers (arbitrary precision).
 
-    __slots__ = ("rows", "cols", "entries")
+    Entries must be integers: a ``Fraction``, float or string raises
+    TypeError rather than being truncated.
+    """
 
-    def __init__(self, entries, rows=None, cols=None):
-        grid = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows is None:
-            rows = len(grid)
-        if cols is None:
-            cols = len(grid[0]) if grid else 0
-        if len(grid) != rows or any(len(r) != cols for r in grid):
-            raise ValueError("entry grid does not match declared dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.entries = grid
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def col(self, j: int):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+    __slots__ = ()
+    _entry = staticmethod(index)
+    __mul__ = _Matrix.__mul__
+    __pow__ = _Matrix.__pow__
 
     def to_rat(self) -> RatMatrix:
         return RatMatrix(self.entries, self.rows, self.cols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], self.cols, self.rows)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __mul__(self, other):
-        if isinstance(other, (RatMatrix, IntMatrix)):
-            return _matmul(self, other)
-        return IntMatrix([[x * int(other) for x in row]
-                          for row in self.entries], self.rows, self.cols)
-
-    def __pow__(self, k: int):
-        return (self.to_rat() ** k).to_int()
 
     def det(self) -> int:
         """Determinant by fraction-free elimination."""
@@ -218,6 +192,20 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(row) for row in self.entries]})"
+
+
+def _kind(a, b):
+    """Type of a sum or product: integer when both operands are."""
+    return IntMatrix if isinstance(a, IntMatrix) and isinstance(b, IntMatrix) \
+        else RatMatrix
+
+
+def require_commuting(mats, what: str):
+    """Raise ValueError ("<what> must pairwise commute") unless the
+    matrices commute pairwise; pairs are tried in lexicographic order."""
+    for a, b in combinations(mats, 2):
+        if a * b != b * a:
+            raise ValueError(f"{what} must pairwise commute")
 
 
 class BasisIndex:
@@ -314,9 +302,7 @@ def _matmul(a, b):
     """Product of two matrices, integer when both factors are."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in product")
-    kind = IntMatrix if isinstance(a, IntMatrix) and isinstance(b, IntMatrix) \
-        else RatMatrix
-    return kind(_product(a.entries, b.entries, b.cols), a.rows, b.cols)
+    return _kind(a, b)(_product(a.entries, b.entries, b.cols), a.rows, b.cols)
 
 
 def _eliminate(a):

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from . import lp
-from .linalg import RatMatrix, as_fraction, det, matrix_rank
+from .linalg import RatMatrix, as_fraction, det, matrix_rank, require_commuting
 
 
 class LaurentPoly:
@@ -120,16 +120,10 @@ class ValuationVector:
 
 def _primitive(vec):
     fracs = [as_fraction(x) for x in vec]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 class Cone:
@@ -211,6 +205,8 @@ class ConeUnion:
     __slots__ = ("nvars", "cones")
 
     def __init__(self, nvars, cones=()):
+        if nvars < 0:
+            raise ValueError(f"nvars must be nonnegative, got {nvars}")
         self.cones = tuple(cones)
         self.nvars = nvars
         for c in self.cones:
@@ -248,6 +244,8 @@ class CyclicModuleSpec:
     ideal: tuple
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise ValueError(f"nvars must be nonnegative, got {self.nvars}")
         gens = tuple(self.ideal)
         object.__setattr__(self, "ideal", gens)
         for g in gens:
@@ -498,10 +496,7 @@ def finite_dimensional_is_fully_tame(dim: int, ops) -> ConeUnion:
     for g in ops:
         if g.shape != (dim, dim):
             raise ValueError("operators must be dim x dim")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if ops[i] * ops[j] != ops[j] * ops[i]:
-                raise ValueError("operators must pairwise commute")
+    require_commuting(ops, "operators")
     for g in ops:
         if det(g) == 0:
             raise ValueError("singular action matrix, no monic witness with "

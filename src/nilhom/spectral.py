@@ -22,9 +22,10 @@ blocks at most 70 wide against cells up to 2520 wide.  ``e2_page`` and
 ``ks_page`` still build the dense page, for ``pages``, for equivariant
 pages and as the reference the blocks are tested against.
 
-The pairing is an integer matrix, so every d2 is one too: pages and
-blocks hold ``IntMatrix`` differentials, and only the equivariant check
-multiplies them by rational actions.
+Each block is a ``Page`` on the labels of its content, so the dense
+page's shape and d2 o d2 = 0 checks and ``e3_dimensions`` serve it.  The
+pairing is an integer matrix, so every d2 is one too, and only the
+equivariant check multiplies differentials by rational actions.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class Page:
         self.a = a
         self.cells = dict(cells)
         self.diffs = dict(diffs)
-        self.degree_bound = n + a
         self._validate()
 
     def cell_dim(self, p, q) -> int:
@@ -208,30 +208,6 @@ def e3_dimensions(page: Page):
             for (p, q), cell in page.cells.items()}
 
 
-@dataclass(frozen=True)
-class ContentBlock:
-    """The part of the free class-two page of one weakly decreasing content.
-
-    ``labels[(p, q)]`` lists the labels of bidegree (p, q) with this
-    content, in the order of the dense cell, and ``diffs[(p, q)]`` is d2
-    on them as an integer matrix (only where source and target are both
-    nonempty).  ``orbit`` counts the distinct permutations of the content:
-    each is the content of an isomorphic block.
-    """
-
-    content: tuple
-    orbit: int
-    labels: dict
-    diffs: dict
-
-    def diff(self, p, q) -> IntMatrix:
-        d = self.diffs.get((p, q))
-        if d is None:
-            return IntMatrix.zero(len(self.labels.get((p - 2, q + 1), ())),
-                                  len(self.labels.get((p, q), ())))
-        return d
-
-
 def _orbit_size(content) -> int:
     """Number of distinct rearrangements, r! / prod(multiplicity!)."""
     return factorial(len(content)) // prod(
@@ -248,8 +224,9 @@ def _class2_blocks(r: int):
     content, so d2 is block-diagonal by content; permuting generators
     carries each block onto the block of the permuted content by a
     signed permutation, so only weakly decreasing contents are kept.
-    Consecutive differentials of each block are checked to compose to
-    zero, exactly.
+    Returns (content, orbit, page) triples: ``page`` is the ``Page`` (so
+    d2 o d2 = 0 is checked) on the labels of that content, in dense cell
+    order, and ``orbit`` counts the distinct permutations of the content.
     """
     # the pairing is the identity: centre generator alpha is [x_i, x_j]
     # for the alpha-th pair (i, j)
@@ -274,37 +251,29 @@ def _class2_blocks(r: int):
                     groups.setdefault(c, {}).setdefault((len(I), q), []).append((I, J))
     blocks = []
     for content in sorted(groups, reverse=True):
-        labels = {pq: sorted(labs) for pq, labs in groups[content].items()}
-        diffs = {}
-        for (p, q), src in labels.items():
-            tgt = labels.get((p - 2, q + 1))
-            if tgt:
-                diffs[(p, q)] = IntMatrix(_d2_rows(src, tgt, images),
-                                          len(tgt), len(src))
-        for (p, q), d in diffs.items():
-            nxt = diffs.get((p - 2, q + 1))
-            if nxt is not None and not (nxt * d).is_zero():
-                raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)} "
-                                 f"in content {content}")
-        blocks.append(ContentBlock(content, _orbit_size(content), labels, diffs))
+        cells = {pq: Cell(*pq, len(labs), BasisIndex("pair", sorted(labs)))
+                 for pq, labs in groups[content].items()}
+        diffs = {pq: IntMatrix(_d2_rows(src.basis.labels, tgt.basis.labels,
+                                        images), tgt.dim, src.dim)
+                 for pq, src in cells.items()
+                 if (tgt := cells.get((pq[0] - 2, pq[1] + 1)))}
+        blocks.append((content, _orbit_size(content),
+                       Page(r, len(pairs), cells, diffs)))
     return tuple(blocks)
 
 
 @lru_cache(maxsize=None)
 def _class2_e3(r: int):
-    """Third-page dimensions of the free class-two page, from block ranks.
+    """Third-page dimensions of the free class-two page, from the blocks.
 
     Same keys and values as ``e3_dimensions(ks_page(r))``; each block's
-    rank counts once per content in its orbit.
+    third page counts once per content in its orbit.
     """
-    ranks = {}
-    for blk in _class2_blocks(r):
-        for pq, d in blk.diffs.items():
-            ranks[pq] = ranks.get(pq, 0) + blk.orbit * matrix_rank(d)
-    a = binomial(r, 2)
-    return {(p, q): binomial(r, p) * binomial(a, q) - ranks.get((p, q), 0)
-            - ranks.get((p + 2, q - 1), 0)
-            for p in range(r + 1) for q in range(a + 1)}
+    e3 = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
+    for _, orbit, page in _class2_blocks(r):
+        for pq, dim in e3_dimensions(page).items():
+            e3[pq] += orbit * dim
+    return e3
 
 
 def _integral_homology(d_out: IntMatrix, d_in: IntMatrix):
@@ -329,11 +298,11 @@ def _integral_cell(r: int, p: int, q: int):
     signed permutation is unimodular), and the cell is their direct sum.
     """
     free, torsion = 0, ()
-    for blk in _class2_blocks(r):
-        if (p, q) in blk.labels:
-            f, t = _integral_homology(blk.diff(p, q), blk.diff(p + 2, q - 1))
-            free += blk.orbit * f
-            torsion = merge_invariant_factors(torsion, t * blk.orbit)
+    for _, orbit, page in _class2_blocks(r):
+        if (p, q) in page.cells:
+            f, t = _integral_homology(page.diff(p, q), page.diff(p + 2, q - 1))
+            free += orbit * f
+            torsion = merge_invariant_factors(torsion, t * orbit)
     return free, torsion
 
 
@@ -427,7 +396,7 @@ class EquivariantPage:
 
 def _action_on_centre(ext: CentralExtension, gens):
     """Solve for the centre action forced by pairing equivariance."""
-    pairing = ext.pairing.to_rat()
+    pairing = ext.pairing
     if matrix_rank(pairing) < ext.a.rank:
         raise ValueError(
             "pairing is not rationally surjective, the induced action "
@@ -456,19 +425,16 @@ def equivariant_page(source, act) -> EquivariantPage:
         if not isinstance(act, NilpotentAction) or act.target != source:
             act = NilpotentAction(source, tuple(gens))
         ext = central_extension_of_class2(source)
-        v_act = [g.to_rat() for g in act.generators]
+        v_act = list(act.generators)
         if source.nil_class == 2:
-            w_act = [g.to_rat() for g in induced_action_on_quotient(act, 2)]
+            w_act = induced_action_on_quotient(act, 2)
         else:
             w_act = [RatMatrix.zero(0, 0) for _ in v_act]
     elif isinstance(source, CentralExtension):
         ext = source
-        v_act = []
-        for g in gens:
-            gr = g.to_rat() if isinstance(g, IntMatrix) else g
-            if gr.shape != (ext.q.rank, ext.q.rank):
-                raise ValueError("action matrices must act on the base")
-            v_act.append(gr)
+        v_act = list(gens)
+        if any(g.shape != (ext.q.rank, ext.q.rank) for g in v_act):
+            raise ValueError("action matrices must act on the base")
         w_act = _action_on_centre(ext, v_act)
     else:
         raise TypeError("source must be a FreeNilpotentSpec or CentralExtension")

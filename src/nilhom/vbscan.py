@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .filtration import induced_homology_action
 from .groups import FreeNilpotentSpec, NilpotentAction
-from .linalg import RatMatrix, binomial, matrix_rank
+from .linalg import RatMatrix, binomial, matrix_rank, require_commuting
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
 
@@ -40,10 +40,7 @@ class QModuleFD:
                 raise ValueError("generators must be square of the module dimension")
             if matrix_rank(g) != self.dim:
                 raise ValueError("generators must be invertible")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if gens[i] * gens[j] != gens[j] * gens[i]:
-                    raise ValueError("generators must pairwise commute")
+        require_commuting(gens, "generators")
 
     @property
     def n(self) -> int:

@@ -250,6 +250,49 @@ def test_zero_denominator_exit_2(capsys):
         assert "zero denominator in '1/0'" in err
 
 
+def test_repeated_exponents_add_up(capsys):
+    # t + t - 2 is the generator 2t - 2, so the witness is 1 - t
+    mod = ('{"nvars":1,"ideal":[[{"coeff":"1","exp":[1]},'
+           '{"coeff":"1","exp":[1]},{"coeff":"-2","exp":[0]}]]}')
+    code, out, _ = run_cli(capsys, "sigma", "--module", mod, "--witness", "[1]")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["config"]["module"]["ideal"] == [[{"coeff": "-2", "exp": [0]},
+                                                 {"coeff": "2", "exp": [1]}]]
+    assert doc["witness"]["poly"] == [{"coeff": "1", "exp": [0]},
+                                      {"coeff": "-1", "exp": [1]}]
+    # t - t is the zero generator
+    code, out, err = run_cli(capsys, "sigma", "--module",
+                             '{"nvars":1,"ideal":[[{"coeff":"1","exp":[1]},'
+                             '{"coeff":"-1","exp":[1]}]]}')
+    assert code == 2 and out == ""
+    assert "ideal generators must be nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--module", '{"nvars":-1,"ideal":[]}'],
+    ["tame", "--sigma-complement", "[]", "--nvars", "-3", "--m", "2"],
+    ["report", "--c", "1", "--n", "1", "--sigma-complement", "[]",
+     "--nvars", "-3"],
+    ["tame", "--module", '{"nvars":-1,"ideal":[]}', "--m", "2"],
+], ids=["sigma", "tame-cones", "report", "tame-module"])
+def test_negative_nvars_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "nvars must be nonnegative" in err
+
+
+def test_pages_of_an_extension_with_trivial_centre(capsys):
+    # an empty pairing has C(q_rank, 2) columns and no rows
+    ext = '{"type":"central_extension","q_rank":3,"a_rank":0,"pairing":[]}'
+    code, out, _ = run_cli(capsys, "pages", "--group", ext)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["config"]["group"]["pairing"] == []
+    assert [c["dim"] for c in doc["page"]["cells"]] == [1, 3, 3, 1]
+    assert doc["page"]["differentials"] == []
+
+
 def test_malformed_json_exit_2(capsys):
     code, _, err = run_cli(capsys, "betti", "--group", '{"type": oops')
     assert code == 2

@@ -15,8 +15,9 @@ import pytest
 
 import nilhom.spectral as spectral
 from nilhom.spectral import (_class2_blocks, _class2_e3, _integral_cell,
-                             betti_free_nilpotent_c2, e3_dimensions,
-                             homology_free_nilpotent_c2, ks_page)
+                             _integral_homology, betti_free_nilpotent_c2,
+                             e3_dimensions, homology_free_nilpotent_c2,
+                             ks_page)
 
 import reference_spectral as ref
 
@@ -49,6 +50,15 @@ def test_block_integral_cells_equal_dense_reference(r):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
+def test_block_page_integral_cells_equal_dense_reference(r):
+    # each block's own cells, before the orbit sum and the merge of factors
+    for _, _, blk in _class2_blocks(r):
+        for (p, q) in blk.cells:
+            got = _integral_homology(blk.diff(p, q), blk.diff(p + 2, q - 1))
+            assert got == ref.integral_cell(blk, p, q), (p, q)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_blocks_are_the_dense_differential_restricted(r):
     page = ks_page(r)
     pos = {pq: {lab: i for i, lab in enumerate(cell.basis.labels)}
@@ -62,17 +72,18 @@ def test_blocks_are_the_dense_differential_restricted(r):
                 for x, src_label in zip(row, src):
                     assert not x or content(tgt_label, r) == content(src_label, r)
     covered = Counter()
-    for blk in _class2_blocks(r):
-        assert list(blk.content) == sorted(blk.content, reverse=True)
-        assert blk.orbit == factorial(r) // prod(
-            factorial(m) for m in Counter(blk.content).values())
-        for (p, q), labels in blk.labels.items():
-            assert all(content(lab, r) == blk.content for lab in labels)
-            covered[(p, q)] += blk.orbit * len(labels)
+    for blk_content, orbit, blk in _class2_blocks(r):
+        assert list(blk_content) == sorted(blk_content, reverse=True)
+        assert orbit == factorial(r) // prod(
+            factorial(m) for m in Counter(blk_content).values())
+        labels_at = {pq: cell.basis.labels for pq, cell in blk.cells.items()}
+        for (p, q), labels in labels_at.items():
+            assert all(content(lab, r) == blk_content for lab in labels)
+            covered[(p, q)] += orbit * len(labels)
             d = blk.diff(p, q)
             dense = page.diff(p, q).entries
             rows = [pos[(p - 2, q + 1)][lab]
-                    for lab in blk.labels.get((p - 2, q + 1), ())]
+                    for lab in labels_at.get((p - 2, q + 1), ())]
             cols = [pos[(p, q)][lab] for lab in labels]
             assert d.entries == tuple(tuple(int(dense[i][j]) for j in cols)
                                       for i in rows)

@@ -6,6 +6,7 @@ from nilhom.groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                            NilpotentAction, central_extension_of_class2,
                            hall_basis, heisenberg, induced_action_on_quotient,
                            lower_central_quotients, moebius, witt_number)
+from nilhom.jsonio import group_json, parse_group
 from nilhom.linalg import IntMatrix, RatMatrix
 
 
@@ -141,6 +142,19 @@ def test_central_extension_rejects_a_rational_pairing():
     for entries in ([["1/2"]], [[1]]):
         with pytest.raises(ValueError, match="integer matrix"):
             CentralExtension(AbelianFG(2), AbelianFG(1), RatMatrix(entries))
+
+
+def test_central_extension_json_round_trip():
+    # an empty pairing (trivial centre) carries no column count in JSON
+    exts = [central_extension_of_class2(FreeNilpotentSpec(r, c))
+            for r in (1, 2, 3, 4) for c in (1, 2)]
+    exts.append(CentralExtension(AbelianFG(3), AbelianFG(1),
+                                 IntMatrix([[2, 0, -1]])))
+    for ext in exts:
+        assert parse_group(group_json(ext)) == ext
+    with pytest.raises(ValueError, match=r"pairing must be 1 x 3, got \(1, 2\)"):
+        parse_group({"type": "central_extension", "q_rank": 3, "a_rank": 1,
+                     "pairing": [["1", "0"]]})
 
 
 def test_moebius():

@@ -4,11 +4,15 @@ from math import comb, gcd
 
 import pytest
 
+from nilhom.filtration import is_nilpotent_action
+from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import (BasisIndex, IntMatrix, RatMatrix, det,
                            exterior_power_map, image_matrix, kernel_matrix,
                            kron, matrix_rank, merge_invariant_factors,
-                           rank_kernel_image, smith_normal_form, solve,
-                           tensor_power_map)
+                           rank_kernel_image, require_commuting,
+                           smith_normal_form, solve, tensor_power_map)
+from nilhom.sigma import finite_dimensional_is_fully_tame
+from nilhom.vbscan import QModuleFD
 
 import reference_linalg as ref
 
@@ -339,3 +343,89 @@ def test_merge_matches_smith_form_of_the_diagonal():
                           for i in range(n)], n, n)
         want = tuple(x for x in smith_normal_form(diag) if x > 1)
         assert merge_invariant_factors(chain, factors[cut:]) == want, factors
+
+
+@pytest.mark.parametrize("kind", [RatMatrix, IntMatrix])
+def test_constructors_and_transpose_keep_the_type(kind):
+    ring = Fraction if kind is RatMatrix else int
+    i3 = kind.identity(3)
+    assert type(i3) is kind
+    assert i3.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert kind.identity(0).shape == (0, 0)
+    z = kind.zero(2, 3)
+    assert type(z) is kind and z.is_zero() and z.shape == (2, 3)
+    assert kind.zero(2, 0).entries == ((), ())
+    m = kind.from_cols([(1, 2), (3, 4), (5, 6)], 2)
+    assert type(m) is kind and m.entries == ((1, 3, 5), (2, 4, 6))
+    assert all(type(x) is ring for row in m.entries for x in row)
+    assert kind.from_cols([], 2).shape == (2, 0)
+    with pytest.raises(ValueError, match="column length mismatch"):
+        kind.from_cols([(1,)], 2)
+    t = m.transpose()
+    assert type(t) is kind and t.entries == ((1, 2), (3, 4), (5, 6))
+    assert t.transpose() == m
+    assert kind.zero(0, 3).transpose().shape == (3, 0)
+
+
+def test_matrix_types_are_distinct_and_hashable():
+    r, i = RatMatrix([[1]]), IntMatrix([[1]])
+    assert r != i and i != r
+    assert len({r, i, RatMatrix([["2/2"]]), IntMatrix([[1]])}) == 2
+    assert r == i.to_rat() and i == r.to_int()
+
+
+def test_scalar_products_and_sums_keep_the_type():
+    m = IntMatrix([[1, -2]])
+    assert 3 * m == m * 3 == IntMatrix([[3, -6]])
+    assert RatMatrix([[1, -2]]) * Fraction(1, 2) == RatMatrix([["1/2", -1]])
+    assert type(2 * RatMatrix([[1]])) is RatMatrix
+    with pytest.raises(TypeError):
+        m * Fraction(1, 2)
+    assert m + m == IntMatrix([[2, -4]]) and -m == IntMatrix([[-1, 2]])
+    assert m - m == IntMatrix.zero(1, 2)
+    # a rational operand makes the sum rational, as in products
+    assert m + m.to_rat() == m.to_rat() + m == RatMatrix([[2, -4]])
+
+
+def test_integer_powers_stay_integral(monkeypatch):
+    rng = random.Random(88)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)],
+                      n, n)
+        cases.append((m, [(m.to_rat() ** k).to_int() for k in range(6)]))
+
+    def no_round_trip(self):
+        raise AssertionError("integer power went through the rationals")
+    monkeypatch.setattr(IntMatrix, "to_rat", no_round_trip)
+    for m, want in cases:
+        for k in range(6):
+            got = m ** k
+            assert type(got) is IntMatrix and got == want[k]
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]) ** 2
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9])
+def test_integer_matrix_refuses_non_integers(bad):
+    # int() would truncate these to 0 and 2
+    with pytest.raises(TypeError):
+        IntMatrix([[bad, 2]])
+
+
+def test_commutation_check_keeps_each_callers_wording():
+    a = IntMatrix([[1, 1], [0, 1]])
+    b = IntMatrix([[1, 0], [1, 1]])
+    require_commuting([a, a * a, IntMatrix.identity(2)], "these")
+    with pytest.raises(ValueError, match="^these must pairwise commute$"):
+        require_commuting([a, IntMatrix.identity(2), b], "these")
+    ra, rb = a.to_rat(), b.to_rat()
+    for build, what in [
+            (lambda: NilpotentAction(FreeNilpotentSpec(2, 2), (a, b)),
+             "generator matrices"),
+            (lambda: QModuleFD(2, (ra, rb)), "generators"),
+            (lambda: is_nilpotent_action([ra, rb]), "operators"),
+            (lambda: finite_dimensional_is_fully_tame(2, [ra, rb]), "operators")]:
+        with pytest.raises(ValueError, match=f"^{what} must pairwise commute$"):
+            build()

@@ -344,3 +344,21 @@ def test_cyclic_module_validation():
         CyclicModuleSpec(1, (LaurentPoly(1, {}),))
     with pytest.raises(ValueError):
         CyclicModuleSpec(2, (T_MINUS_2,))
+
+
+def test_negative_nvars_is_refused():
+    with pytest.raises(ValueError, match="nvars must be nonnegative, got -1"):
+        CyclicModuleSpec(-1, ())
+    with pytest.raises(ValueError, match="nvars must be nonnegative, got -3"):
+        ConeUnion(-3, ())
+    # no variables is a legal, if degenerate, module and sphere
+    assert CyclicModuleSpec(0, ()).nvars == 0
+    assert ConeUnion(0, ()).is_empty_set()
+
+
+def test_canonical_rows_are_primitive_integer_vectors():
+    cone = Cone(3, [[2, 4, 0], ["1/2", "1/3", "-5/6"], [0, 0, 0]],
+                [[-6, 3, 0], [0, 0, "7/2"]]).canonical()
+    assert cone.ineqs == ((1, 2, 0), (3, 2, -5))
+    # an equation and its negative are one row, the lesser one kept
+    assert cone.eqs == ((-2, 1, 0), (0, 0, -1))
