@@ -150,8 +150,8 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
     return ActionNilpotencyReport(ops, True, max(len(dims) - 1, 1), tuple(dims))
 
 
-def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, act: RatMatrix) -> RatMatrix:
-    """Action induced on ker(d_out) / im(d_in) by a compatible operator."""
+def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, acts) -> list:
+    """Actions induced on ker(d_out) / im(d_in) by compatible operators."""
     kernel = rank_kernel_image(d_out)[1]
     image = rank_kernel_image(d_in)[2]
     # extend the image basis to a basis of the kernel: the image columns
@@ -159,36 +159,47 @@ def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, act: RatMatrix) -> Ra
     basis = rank_kernel_image(RatMatrix.from_cols(image + kernel, d_out.cols))[2]
     extension = basis[len(image):]
     if not extension:
-        return RatMatrix.zero(0, 0)
+        return [RatMatrix.zero(0, 0) for _ in acts]
     cmat = RatMatrix.from_cols(extension, d_out.cols)
-    coords = solve(RatMatrix.from_cols(basis, d_out.cols), act * cmat)
-    return RatMatrix(coords.entries[len(image):])
+    # one solve for every operator: their images sit side by side
+    images = [(act * cmat).entries for act in acts]
+    k = len(extension)
+    coords = solve(RatMatrix.from_cols(basis, d_out.cols),
+                   RatMatrix([sum((img[r] for img in images), ())
+                              for r in range(d_out.cols)],
+                             d_out.cols, k * len(acts)))
+    return [RatMatrix([row[t * k:(t + 1) * k] for row in coords.entries[len(image):]])
+            for t in range(len(acts))]
 
 
 def induced_homology_action(spec: FreeNilpotentSpec, act: NilpotentAction, j: int):
-    """Matrices of the action induced on degree-j rational homology.
+    """Matrices of the action induced on rational homology in degrees 0..j.
 
-    Computed on the third-page cells of the equivariant page, which is
-    the whole homology for class <= 2.  Degree zero always gives the
-    identity on a line.
+    Entry q of the returned list holds one matrix per generator, acting
+    on degree-q homology.  All degrees are computed on the third-page
+    cells of one equivariant page, which is the whole homology for
+    class <= 2.  Degree zero always gives the identity on a line.
     """
     if spec.nil_class > 2:
         raise ValueError("induced homology actions need class <= 2")
     if j < 0:
         raise ValueError("degree must be nonnegative")
     ngens = len(act.generators)
+    out = [[RatMatrix.identity(1) for _ in range(ngens)]]
     if j == 0:
-        return [RatMatrix.identity(1) for _ in range(ngens)]
+        return out
     epage = equivariant_page(spec, act)
     page = epage.page
-    blocks = [[] for _ in range(ngens)]
-    for i in range(1, j + 1):
-        q = j - i
-        if page.cell_dim(i, q) == 0:
-            continue
-        d_out = page.diff(i, q)
-        d_in = page.diff(i + 2, q - 1)
-        for gi in range(ngens):
-            blk = _subquotient_action(d_out, d_in, epage.actions[(i, q)][gi])
-            blocks[gi].append(blk)
-    return [block_diag(bl) if bl else RatMatrix.zero(0, 0) for bl in blocks]
+    for deg in range(1, j + 1):
+        blocks = [[] for _ in range(ngens)]
+        for i in range(1, deg + 1):
+            q = deg - i
+            if page.cell_dim(i, q) == 0:
+                continue
+            cell = _subquotient_action(page.diff(i, q), page.diff(i + 2, q - 1),
+                                       epage.actions[(i, q)])
+            for gi, blk in enumerate(cell):
+                blocks[gi].append(blk)
+        out.append([block_diag(bl) if bl else RatMatrix.zero(0, 0)
+                    for bl in blocks])
+    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import index
 
 from .linalg import (IntMatrix, RatMatrix, binomial, require_commuting, solve,
                      tensor_power_map)
@@ -56,8 +57,9 @@ class AbelianFG:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", index(self.rank))
         object.__setattr__(self, "invariant_factors",
-                           tuple(int(d) for d in self.invariant_factors))
+                           tuple(map(index, self.invariant_factors)))
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         facs = self.invariant_factors

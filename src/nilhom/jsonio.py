@@ -89,6 +89,9 @@ def parse_module(doc) -> CyclicModuleSpec:
     if not isinstance(doc, dict) or "nvars" not in doc:
         raise ValueError("module spec must be an object with 'nvars' and 'ideal'")
     n = _integer(doc["nvars"])
+    # before any generator is read, whose exponents would fail on arity
+    if n < 0:
+        raise ValueError(f"nvars must be nonnegative, got {n}")
     gens = []
     for g in doc.get("ideal", []):
         terms = {}

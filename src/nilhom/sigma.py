@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import index
 
 from . import lp
 from .linalg import RatMatrix, as_fraction, det, matrix_rank, require_commuting
@@ -36,7 +37,7 @@ class LaurentPoly:
     def __init__(self, nvars: int, terms):
         clean = {}
         for e, c in dict(terms).items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(index, e))
             if len(e) != nvars:
                 raise ValueError("exponent arity mismatch")
             c = as_fraction(c)

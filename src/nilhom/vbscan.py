@@ -7,6 +7,18 @@ by its m-th power, and the per-degree totals reproduce, at desk scale,
 the boundedness phenomenon behind finite virtual Betti numbers.  All
 dimensions are exact; reports state the observed supremum over the
 scanned range, never a mathematical supremum.
+
+A scan needs the homology only at the divisors of one period.  Split a
+module over the algebraic closure into joint generalised eigenspaces.
+Where some eigenvalue lambda_i has lambda_i^m != 1, g_i^m - 1 is
+invertible and the Koszul complex there is exact.  Otherwise every
+g_i^m - 1 is N_i times a unit commuting with everything, N_i nilpotent,
+and the homology does not depend on m.  So row m equals row gcd(m, L),
+where L is the lcm of the root-of-unity orders of the eigenvalues; an
+order d shows as the cyclotomic polynomial Phi_d dividing a
+characteristic polynomial.  Orders above the scanned range divide no
+scanned m and are left out of L.  Rows and the observed supremum still
+cover m = 1..m_max and power subgroups only.
 """
 
 from __future__ import annotations
@@ -14,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .filtration import induced_homology_action
 from .groups import FreeNilpotentSpec, NilpotentAction
-from .linalg import RatMatrix, binomial, matrix_rank, require_commuting
+from .linalg import IntMatrix, RatMatrix, binomial, det, matrix_rank, require_commuting
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
 
@@ -91,6 +104,79 @@ def power_subgroup(module: QModuleFD, m: int) -> QModuleFD:
     return QModuleFD(module.dim, tuple(g ** m for g in module.generators))
 
 
+def _poly_divmod(num, den):
+    """Quotient and remainder of ``num`` by the monic ``den``; polynomials
+    are coefficient lists, lowest degree first."""
+    num = list(num)
+    k = len(den) - 1
+    quo = [0] * max(len(num) - k, 0)
+    for top in range(len(num) - 1, k - 1, -1):
+        c = quo[top - k] = num[top]
+        if c:
+            for i, x in enumerate(den):
+                num[top - k + i] -= c * x
+    return quo, num[:k]
+
+
+def _cyclotomics(limit: int, dim: int) -> dict:
+    """Cyclotomic polynomials Phi_d for every d <= limit with phi(d) <= dim.
+
+    Phi_d is x^d - 1 divided exactly by Phi_e for the proper divisors e
+    of d; phi(e) <= phi(d), so those are already in the table.
+    """
+    out = {}
+    for d in range(1, limit + 1):
+        if sum(gcd(k, d) == 1 for k in range(d)) > dim:
+            continue
+        phi = [-1] + [0] * (d - 1) + [1]
+        for e, cyc in out.items():
+            if d % e == 0:
+                phi = _poly_divmod(phi, cyc)[0]
+        out[d] = phi
+    return out
+
+
+def _charpoly(g: RatMatrix) -> list:
+    """Coefficients of det(kI - g), lowest degree first.
+
+    With s the common denominator of g, det(yI - sg) is evaluated at
+    y = 0..dim, one integer determinant each, and interpolated by
+    Newton's divided differences on those nodes; the coefficient of y^i
+    is s^(dim - i) times that of k^i.
+    """
+    dim = g.rows
+    s = lcm(*(x.denominator for row in g.entries for x in row))
+    h = [[x.numerator * (s // x.denominator) for x in row] for row in g.entries]
+    c = [det(IntMatrix([[y - x if i == t else -x for t, x in enumerate(row)]
+                        for i, row in enumerate(h)], dim, dim))
+         for y in range(dim + 1)]
+    for level in range(1, dim + 1):
+        for i in range(dim, level - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / level
+    poly = [c[dim]]
+    for i in range(dim - 1, -1, -1):
+        # poly * (y - i) + c[i]
+        poly = ([c[i] - i * poly[0]]
+                + [lo - i * hi for hi, lo in zip(poly[1:], poly)] + [poly[-1]])
+    return [a / s ** (dim - i) for i, a in enumerate(poly)]
+
+
+def _scan_period(modules, m_max: int) -> int:
+    """Least common multiple of the root-of-unity orders d <= m_max of
+    the generators' eigenvalues.
+
+    An order d shows as Phi_d dividing a characteristic polynomial, and
+    phi(d) <= dim bounds the candidates, as does d <= 2 dim^2 + 2 (since
+    phi(d) >= sqrt(d / 2)).  Orders above m_max divide no scanned m and
+    are left out.
+    """
+    dim = max((mod.dim for mod in modules), default=0)
+    cyclo = _cyclotomics(min(m_max, 2 * dim * dim + 2), dim)
+    polys = [_charpoly(g) for mod in modules for g in mod.generators]
+    return lcm(1, *(d for d, phi in cyclo.items()
+                    if any(not any(_poly_divmod(f, phi)[1]) for f in polys)))
+
+
 @dataclass(frozen=True)
 class ScanRow:
     m: int
@@ -100,12 +186,17 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Per-m table of total twisted homology dimensions in one degree."""
+    """Per-m table of total twisted homology dimensions in one degree.
+
+    ``period`` is the L of the module docstring: every row m equals row
+    gcd(m, L).  It is not part of the JSON report.
+    """
 
     j: int
     m_max: int
     rows: tuple
     observed_sup: int
+    period: int
 
 
 def vb_scan(spec: FreeNilpotentSpec, act: NilpotentAction, j: int,
@@ -115,6 +206,8 @@ def vb_scan(spec: FreeNilpotentSpec, act: NilpotentAction, j: int,
     Needs class <= 2 so the coefficient modules and their actions are
     computable from the degenerate page.  Only power subgroups are
     scanned; the report records the observed supremum over the range.
+    Row m is computed at gcd(m, L), once per distinct value, where L is
+    the period of the module docstring (``ScanReport.period``).
     """
     if spec.nil_class > 2:
         raise ValueError("scans need class <= 2")
@@ -124,27 +217,25 @@ def vb_scan(spec: FreeNilpotentSpec, act: NilpotentAction, j: int,
         raise ValueError("scan needs at least one acting generator")
     n = len(act.generators)
     modules = {}
-    for q in range(j + 1):
-        mats = induced_homology_action(spec, act, q)
-        dim = mats[0].rows if mats else 0
+    for q, mats in enumerate(induced_homology_action(spec, act, j)):
+        dim = mats[0].rows
         if dim:
             modules[q] = QModuleFD(dim, tuple(mats))
-    # powers[q] is module q restricted to the m-th power subgroup, kept
-    # only where the Koszul degree j - q can carry homology; each step
-    # multiplies every generator once more by its first power
-    powers = {q: mod for q, mod in modules.items() if j - q <= n}
+    # only degrees whose Koszul degree j - q can carry homology
+    used = {q: mod for q, mod in modules.items() if j - q <= n}
+    period = _scan_period(used.values(), m_max)
+    by_gcd = {}
     rows = []
     for m in range(1, m_max + 1):
-        if m > 1:
-            powers = {q: QModuleFD(mod.dim, tuple(
-                          g * g1 for g, g1 in zip(mod.generators,
-                                                  modules[q].generators)))
-                      for q, mod in powers.items()}
-        by_p = [koszul_homology(powers[j - p], p) if j - p in powers else 0
-                for p in range(j + 1)]
-        rows.append(ScanRow(m, tuple(by_p), sum(by_p)))
+        g = gcd(m, period)
+        if g not in by_gcd:
+            by_gcd[g] = tuple(
+                koszul_homology(power_subgroup(used[j - p], g), p)
+                if j - p in used else 0 for p in range(j + 1))
+        by_p = by_gcd[g]
+        rows.append(ScanRow(m, by_p, sum(by_p)))
     sup = max(r.total for r in rows)
-    return ScanReport(j, m_max, tuple(rows), sup)
+    return ScanReport(j, m_max, tuple(rows), sup, period)
 
 
 def hirsch_bound(h: int, j: int) -> int:

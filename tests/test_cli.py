@@ -275,7 +275,11 @@ def test_repeated_exponents_add_up(capsys):
     ["report", "--c", "1", "--n", "1", "--sigma-complement", "[]",
      "--nvars", "-3"],
     ["tame", "--module", '{"nvars":-1,"ideal":[]}', "--m", "2"],
-], ids=["sigma", "tame-cones", "report", "tame-module"])
+    # a generator is present: nvars is named, not the exponent arity
+    ["tame", "--module", '{"nvars":-1,"ideal":[[{"coeff":"1","exp":[1]}]]}',
+     "--m", "2"],
+], ids=["sigma", "tame-cones", "report", "tame-module",
+        "tame-module-generator"])
 def test_negative_nvars_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

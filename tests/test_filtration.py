@@ -6,7 +6,8 @@ from nilhom.filtration import (filtration_certificate, induced_homology_action,
                                is_nilpotent_action, tensor_degree_bound)
 from nilhom.groups import AbelianFG, FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix
-from nilhom.spectral import abelian_homology, homology_free_nilpotent_c2
+from nilhom.spectral import (abelian_homology, equivariant_page,
+                             homology_free_nilpotent_c2)
 
 
 def test_bound_values():
@@ -127,8 +128,7 @@ def test_is_nilpotent_validates_input():
 def test_induced_homology_identity():
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    for j in range(4):
-        (m,) = induced_homology_action(spec, act, j)
+    for j, (m,) in enumerate(induced_homology_action(spec, act, 3)):
         dim = homology_free_nilpotent_c2(2, j).rational_dimension
         assert m == RatMatrix.identity(dim)
 
@@ -137,7 +137,7 @@ def test_induced_homology_degree_one_is_abelianisation():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (g,))
-    (m,) = induced_homology_action(spec, act, 1)
+    (m,) = induced_homology_action(spec, act, 1)[1]
     assert m == g.to_rat()
 
 
@@ -145,8 +145,30 @@ def test_induced_homology_degree_three_heisenberg():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (g,))
-    (m,) = induced_homology_action(spec, act, 3)
+    (m,) = induced_homology_action(spec, act, 3)[3]
     assert m == RatMatrix([[1]])
+
+
+def test_induced_homology_all_degrees_from_one_page(monkeypatch):
+    import nilhom.filtration as filtration
+    pages = []
+
+    def counted(spec, act):
+        pages.append(spec)
+        return equivariant_page(spec, act)
+    monkeypatch.setattr(filtration, "equivariant_page", counted)
+    g = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
+    spec = FreeNilpotentSpec(3, 2)
+    act = NilpotentAction(spec, (g, IntMatrix.identity(3)))
+    by_degree = induced_homology_action(spec, act, 3)
+    assert len(pages) == 1
+    assert [mats[0].rows for mats in by_degree] == [
+        homology_free_nilpotent_c2(3, j).rational_dimension for j in range(4)]
+    # each list extends the one of the degree below
+    assert induced_homology_action(spec, act, 2) == by_degree[:3]
+    assert by_degree[1] == [g.to_rat(), RatMatrix.identity(3)]
+    assert all(m == RatMatrix.identity(m.rows) for m in
+               (mats[1] for mats in by_degree))
 
 
 def test_induced_homology_rejects_class3():
@@ -190,8 +212,7 @@ def test_unipotent_actions_act_nilpotently_on_homology():
         c = rng.choice([1, 2])
         spec = FreeNilpotentSpec(r, c)
         act = NilpotentAction(spec, tuple(_random_unipotent_family(rng, r, 2)))
-        for j in range(4):
-            mats = induced_homology_action(spec, act, j)
+        for j, mats in enumerate(induced_homology_action(spec, act, 3)):
             if mats[0].rows == 0:
                 continue
             assert is_nilpotent_action(mats).nilpotent, (r, c, j)

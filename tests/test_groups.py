@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +68,15 @@ def test_abelianfg_validation():
         AbelianFG(1, (1,))
     with pytest.raises(ValueError):
         AbelianFG(-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), 2.9])
+def test_abelianfg_refuses_non_integers(bad):
+    # int() would truncate: 2.9 to the factor 2, Fraction(1, 2) to rank 0
+    with pytest.raises(TypeError):
+        AbelianFG(1, (bad,))
+    with pytest.raises(TypeError):
+        AbelianFG(bad)
 
 
 def test_induced_action_weight_one_is_input():

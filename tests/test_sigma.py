@@ -30,6 +30,13 @@ def test_laurent_arithmetic():
     assert (u * f).support == ((5,), (6,))
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), 2.9])
+def test_laurent_exponents_refuse_non_integers(bad):
+    # int() would truncate the exponent to 1, 0 or 2
+    with pytest.raises(TypeError):
+        LaurentPoly(1, {(bad,): 1})
+
+
 def test_newton_polytope():
     assert newton_polytope(LaurentPoly.monomial(2, (3, -1))) == [(3, -1)]
     assert sorted(newton_polytope(TRIANGLE)) == [(0, 0), (0, 1), (1, 0)]

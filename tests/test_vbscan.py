@@ -4,11 +4,13 @@ from math import comb
 
 import pytest
 
+import reference_vbscan as ref
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix, det
 from nilhom.sigma import Cone, ConeUnion, full_sphere
-from nilhom.vbscan import (QModuleFD, hirsch_bound, hypothesis_report,
-                           koszul_homology, power_subgroup, vb_scan)
+from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics, hirsch_bound,
+                           hypothesis_report, koszul_homology, power_subgroup,
+                           vb_scan)
 
 ANOSOV = IntMatrix([[2, 1], [1, 1]])
 
@@ -106,7 +108,7 @@ def test_vb_scan_root_of_unity_bounded_by_universal_power():
     assert all(t == (3 if row.m % 4 == 0 else 1)
                for t, row in zip(totals, report.rows))
     from nilhom.filtration import induced_homology_action
-    mats = induced_homology_action(spec, act, 1)
+    mats = induced_homology_action(spec, act, 1)[1]
     mod = QModuleFD(2, tuple(mats))
     at_840 = koszul_homology(power_subgroup(mod, 840), 0) + 1
     assert report.observed_sup <= at_840 == 3
@@ -128,8 +130,7 @@ def test_vb_scan_matches_power_subgroups_from_scratch(spec, gens, m_max):
     act = NilpotentAction(spec, gens)
     for j in (1, 2, 3):
         modules = {}
-        for q in range(j + 1):
-            mats = induced_homology_action(spec, act, q)
+        for q, mats in enumerate(induced_homology_action(spec, act, j)):
             if mats[0].rows:
                 modules[q] = QModuleFD(mats[0].rows, tuple(mats))
         report = vb_scan(spec, act, j, m_max)
@@ -140,6 +141,79 @@ def test_vb_scan_matches_power_subgroups_from_scratch(spec, gens, m_max):
                 if j - p in modules else 0 for p in range(j + 1))
             assert row.by_p == want, (j, row.m)
             assert row.total == sum(want)
+
+
+def _diag(*blocks):
+    """Block-diagonal integer matrix."""
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[k + i][k:k + len(row)] = row
+        k += len(b)
+    return IntMatrix(out)
+
+
+ROT3 = [[0, -1], [1, -1]]
+ROT4 = [[0, -1], [1, 0]]
+ROT6 = [[1, -1], [1, 0]]
+NEG_JORDAN = [[-1, -1], [0, -1]]
+HYPERBOLIC = [[2, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("rank, gens, m_max, js, period", [
+    (2, (IntMatrix(HYPERBOLIC),), 64, (1, 2, 3), 1),
+    (2, (IntMatrix(ROT4),), 64, (1, 2, 3), 4),
+    (2, (IntMatrix(ROT6),), 64, (1, 2, 3), 6),
+    # order 6 exceeds m_max, so it divides no scanned m and is left out
+    (2, (IntMatrix(ROT6),), 5, (1, 2, 3), 1),
+    (3, (_diag(ROT3, [[1]]),), 64, (1, 2), 3),
+    (3, (_diag(ROT4, [[-1]]),), 64, (1, 2), 4),
+    (3, (_diag(ROT6, [[1]]),), 64, (1, 2), 6),
+    (3, (_diag(NEG_JORDAN, [[1]]),), 64, (1, 2), 2),
+    (3, (_diag(HYPERBOLIC, [[-1]]),), 64, (1, 2), 2),
+    # n = 2: the pair of the benchmark scans, and mixed commuting pairs
+    (3, (_diag(HYPERBOLIC, [[1]]), _diag([[1, 1], [1, 0]], [[-1]])), 64, (1, 2), 2),
+    (3, (_diag(ROT3, [[1]]), _diag([[1, 0], [0, 1]], [[-1]])), 64, (1, 2), 6),
+    (3, (_diag(NEG_JORDAN, [[1]]), _diag([[1, 2], [0, 1]], [[-1]])), 64, (1, 2), 2),
+], ids=["hyperbolic", "rot4", "rot6", "rot6-short", "rot3+1", "rot4-1",
+        "rot6+1", "negjordan+1", "hyperbolic-1", "pair3", "rot3,-1",
+        "negjordan,jordan2"])
+def test_vb_scan_agrees_with_running_powers(rank, gens, m_max, js, period):
+    spec = FreeNilpotentSpec(rank, 2)
+    act = NilpotentAction(spec, gens)
+    for j in js:
+        report = vb_scan(spec, act, j, m_max)
+        assert report.period == period, j
+        assert report.rows == ref.scan_rows(spec, act, j, m_max), j
+        assert report.observed_sup == max(row.total for row in report.rows)
+
+
+def test_cyclotomic_polynomials_closed_forms():
+    closed = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1] * 5,
+              6: [1, -1, 1], 7: [1] * 7, 8: [1, 0, 0, 0, 1],
+              9: [1, 0, 0, 1, 0, 0, 1], 10: [1, -1, 1, -1, 1], 11: [1] * 11,
+              12: [1, 0, -1, 0, 1]}
+    assert _cyclotomics(12, 10) == closed
+    # only orders whose Phi_d has degree phi(d) <= dim are candidates
+    assert _cyclotomics(12, 4) == {d: f for d, f in closed.items()
+                                   if len(f) - 1 <= 4}
+
+
+def test_charpoly_evaluates_to_the_determinant():
+    rng = random.Random(41)
+    for trial in range(40):
+        d = rng.randint(1, 5)
+        # integer matrices on even trials, rational ones on odd trials
+        g = RatMatrix([[Fraction(rng.randint(-4, 4),
+                                 rng.randint(1, 5) if trial % 2 else 1)
+                        for _ in range(d)] for _ in range(d)])
+        f = _charpoly(g)
+        assert len(f) == d + 1 and f[-1] == 1
+        for k in (Fraction(-7, 2), -3, 0, 2, Fraction(11, 3), 9):
+            value = sum(c * Fraction(k) ** i for i, c in enumerate(f))
+            assert value == det(RatMatrix.identity(d) * k - g), (g, k)
 
 
 def test_vb_scan_rejects_class3():
