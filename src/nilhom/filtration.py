@@ -178,7 +178,9 @@ def induced_homology_action(spec: FreeNilpotentSpec, act: NilpotentAction, j: in
     Entry q of the returned list holds one matrix per generator, acting
     on degree-q homology.  All degrees are computed on the third-page
     cells of one equivariant page, which is the whole homology for
-    class <= 2.  Degree zero always gives the identity on a line.
+    class <= 2.  Degree deg reads the cells of total degree deg and the
+    differentials into and out of them, so the page is built only up to
+    total degree j + 1.  Degree zero always gives the identity on a line.
     """
     if spec.nil_class > 2:
         raise ValueError("induced homology actions need class <= 2")
@@ -188,7 +190,7 @@ def induced_homology_action(spec: FreeNilpotentSpec, act: NilpotentAction, j: in
     out = [[RatMatrix.identity(1) for _ in range(ngens)]]
     if j == 0:
         return out
-    epage = equivariant_page(spec, act)
+    epage = equivariant_page(spec, act, max_degree=j + 1)
     page = epage.page
     for deg in range(1, j + 1):
         blocks = [[] for _ in range(ngens)]

@@ -35,6 +35,8 @@ class LaurentPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms):
+        if nvars < 0:
+            raise ValueError(f"nvars must be nonnegative, got {nvars}")
         clean = {}
         for e, c in dict(terms).items():
             e = tuple(map(index, e))

@@ -19,8 +19,10 @@ factors are computed block by block: one block per content up to the
 permutations of the generators, whose rank or Smith form counts once
 for every content in its orbit.  Rank 5 takes well under a second, with
 blocks at most 70 wide against cells up to 2520 wide.  ``e2_page`` and
-``ks_page`` still build the dense page, for ``pages``, for equivariant
-pages and as the reference the blocks are tested against.
+``ks_page`` still build the dense page, for ``pages`` and as the
+reference the blocks are tested against.  Equivariant pages use it only
+up to a total degree bound: a degree-j scan reads cells of total degree
+at most j + 1.
 
 Each block is a ``Page`` on the labels of its content, so the dense
 page's shape and d2 o d2 = 0 checks and ``e3_dimensions`` serve it.  The
@@ -177,13 +179,21 @@ def d2_central(ext: CentralExtension, p: int, q: int) -> IntMatrix:
     return IntMatrix(_d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
 
 
-def e2_page(ext: CentralExtension) -> Page:
-    """Second page of a central extension, all cells and differentials."""
+def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
+    """Second page of a central extension, all cells and differentials.
+
+    With ``max_degree`` set, only the cells with p + q <= max_degree and
+    their differentials are built.  A differential lowers the total
+    degree by one, so every kept differential lands in a kept cell and
+    the page's checks cover all of them.
+    """
     n, a = ext.q.rank, ext.a.rank
     cells = {}
     diffs = {}
     for p in range(n + 1):
         for q in range(a + 1):
+            if max_degree is not None and p + q > max_degree:
+                continue
             basis = BasisIndex.pairs(BasisIndex.exterior(n, p),
                                      BasisIndex.exterior(a, q))
             cells[(p, q)] = Cell(p, q, binomial(n, p) * binomial(a, q), basis)
@@ -364,20 +374,25 @@ def h2_class2(spec: FreeNilpotentSpec):
 class EquivariantPage:
     """A page together with commuting action matrices on every cell.
 
-    Cell (p, q) carries the exterior powers of the base and centre
-    actions; the differentials are checked exactly to commute with every
-    generator, and a failure names the offending cell.
+    Cell (p, q) carries the Kronecker product of the p-th exterior power
+    of the base action and the q-th of the centre action; each exterior
+    power is computed once per generator and degree.  Only the cells the
+    page holds get an action (all of them, or those up to the page's
+    degree bound); the differentials are checked exactly to commute with
+    every generator, and a failure names the offending cell.
     """
 
     def __init__(self, page: Page, v_action, w_action):
         self.page = page
         self.v_action = list(v_action)
         self.w_action = list(w_action)
-        self.actions = {}
-        for (p, q) in page.cells:
-            mats = [kron(exterior_power_map(gv, p), exterior_power_map(gw, q))
-                    for gv, gw in zip(self.v_action, self.w_action)]
-            self.actions[(p, q)] = mats
+        ps = {p for p, _ in page.cells}
+        qs = {q for _, q in page.cells}
+        v_ext = [{p: exterior_power_map(g, p) for p in ps} for g in self.v_action]
+        w_ext = [{q: exterior_power_map(g, q) for q in qs} for g in self.w_action]
+        self.actions = {(p, q): [kron(gv[p], gw[q])
+                                 for gv, gw in zip(v_ext, w_ext)]
+                        for (p, q) in page.cells}
         self._verify()
 
     def _verify(self):
@@ -411,12 +426,14 @@ def _action_on_centre(ext: CentralExtension, gens):
     return out
 
 
-def equivariant_page(source, act) -> EquivariantPage:
+def equivariant_page(source, act, max_degree: int = None) -> EquivariantPage:
     """Equivariant page of a class <= 2 free nilpotent group or extension.
 
     For a free nilpotent spec the centre action is the one induced on the
     weight-two layer; for a central extension it is solved from pairing
-    equivariance (requires a rationally surjective pairing).
+    equivariance (requires a rationally surjective pairing).  With
+    ``max_degree`` set, the page holds only the cells with
+    p + q <= max_degree (see ``e2_page``).
     """
     gens = act.generators if isinstance(act, NilpotentAction) else list(act)
     if isinstance(source, FreeNilpotentSpec):
@@ -438,4 +455,4 @@ def equivariant_page(source, act) -> EquivariantPage:
         w_act = _action_on_centre(ext, v_act)
     else:
         raise TypeError("source must be a FreeNilpotentSpec or CentralExtension")
-    return EquivariantPage(e2_page(ext), v_act, w_act)
+    return EquivariantPage(e2_page(ext, max_degree=max_degree), v_act, w_act)

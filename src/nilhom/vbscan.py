@@ -24,7 +24,6 @@ cover m = 1..m_max and power subgroups only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -38,8 +37,9 @@ from .sigma import ConeUnion, _least_failing_m, tame_requirement
 class QModuleFD:
     """Finite-dimensional rational representation of Z^n.
 
-    Generators must be invertible and pairwise commuting; both are
-    checked exactly at construction.
+    Generators are ``RatMatrix`` or ``IntMatrix``; they must be
+    invertible and pairwise commuting, both checked exactly at
+    construction.
     """
 
     dim: int
@@ -49,7 +49,10 @@ class QModuleFD:
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if not isinstance(g, RatMatrix) or g.shape != (self.dim, self.dim):
+            if not isinstance(g, (RatMatrix, IntMatrix)):
+                raise TypeError("generators must be RatMatrix or IntMatrix, "
+                                f"got {type(g).__name__}")
+            if g.shape != (self.dim, self.dim):
                 raise ValueError("generators must be square of the module dimension")
             if matrix_rank(g) != self.dim:
                 raise ValueError("generators must be invertible")
@@ -60,25 +63,32 @@ class QModuleFD:
         return len(self.generators)
 
 
-def _koszul_differential(module: QModuleFD, p: int) -> RatMatrix:
-    """Differential C_p -> C_{p-1} of the Koszul complex on the g_i - 1."""
+def _koszul_differential(module: QModuleFD, p: int) -> IntMatrix:
+    """Differential C_p -> C_{p-1} of the Koszul complex on the g_i - 1,
+    times s, the lcm of the denominators of all generators.
+
+    Block (J, I) with J = I minus its t-th index is (-1)^t s (g_{I[t]} - 1),
+    built from integer rows; no other term lands there.  Scaling the
+    whole matrix keeps its rank, which is all ``koszul_homology`` reads.
+    """
     n, d = module.n, module.dim
-    shifted = [g - RatMatrix.identity(d) for g in module.generators]
+    s = lcm(1, *(x.denominator for g in module.generators
+                 for row in g.entries for x in row))
+    shifted = [[[x.numerator * (s // x.denominator) - (s if i == k else 0)
+                 for k, x in enumerate(row)] for i, row in enumerate(g.entries)]
+               for g in module.generators]
+    signed = [(blk, [[-x for x in row] for row in blk]) for blk in shifted]
     src = list(combinations(range(n), p))
     tgt = list(combinations(range(n), p - 1))
     tgt_pos = {I: i for i, I in enumerate(tgt)}
-    mat = [[Fraction(0)] * (len(src) * d) for _ in range(len(tgt) * d)]
+    mat = [[0] * (len(src) * d) for _ in range(len(tgt) * d)]
     for ci, I in enumerate(src):
+        c0 = ci * d
         for t in range(p):
-            J = I[:t] + I[t + 1:]
-            sgn = -1 if t % 2 else 1
-            block = shifted[I[t]]
-            r0 = tgt_pos[J] * d
-            c0 = ci * d
-            for i in range(d):
-                for j in range(d):
-                    mat[r0 + i][c0 + j] += sgn * block.entries[i][j]
-    return RatMatrix(mat, len(tgt) * d, len(src) * d)
+            r0 = tgt_pos[I[:t] + I[t + 1:]] * d
+            for i, row in enumerate(signed[I[t]][t % 2]):
+                mat[r0 + i][c0:c0 + d] = row
+    return IntMatrix(mat, len(tgt) * d, len(src) * d)
 
 
 def koszul_homology(module: QModuleFD, p: int) -> int:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import reference_filtration as ref_filtration
+
 from nilhom.filtration import (filtration_certificate, induced_homology_action,
                                is_nilpotent_action, tensor_degree_bound)
 from nilhom.groups import AbelianFG, FreeNilpotentSpec, NilpotentAction
@@ -153,9 +155,9 @@ def test_induced_homology_all_degrees_from_one_page(monkeypatch):
     import nilhom.filtration as filtration
     pages = []
 
-    def counted(spec, act):
+    def counted(spec, act, max_degree=None):
         pages.append(spec)
-        return equivariant_page(spec, act)
+        return equivariant_page(spec, act, max_degree=max_degree)
     monkeypatch.setattr(filtration, "equivariant_page", counted)
     g = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
     spec = FreeNilpotentSpec(3, 2)
@@ -169,6 +171,19 @@ def test_induced_homology_all_degrees_from_one_page(monkeypatch):
     assert by_degree[1] == [g.to_rat(), RatMatrix.identity(3)]
     assert all(m == RatMatrix.identity(m.rows) for m in
                (mats[1] for mats in by_degree))
+
+
+@pytest.mark.parametrize("rank, nil_class", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_induced_homology_action_matches_the_full_page(rank, nil_class):
+    rng = random.Random(10 * rank + nil_class)
+    spec = FreeNilpotentSpec(rank, nil_class)
+    top = spec.hirsch_length + 1
+    for _ in range(3):
+        act = ref_filtration.random_action(rng, spec)
+        # the reference reads the whole page; degree j is its prefix
+        want = ref_filtration.induced_homology_action(spec, act, top)
+        for j in range(top + 1):
+            assert induced_homology_action(spec, act, j) == want[:j + 1], (act, j)
 
 
 def test_induced_homology_rejects_class3():

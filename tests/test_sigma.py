@@ -358,9 +358,12 @@ def test_negative_nvars_is_refused():
         CyclicModuleSpec(-1, ())
     with pytest.raises(ValueError, match="nvars must be nonnegative, got -3"):
         ConeUnion(-3, ())
-    # no variables is a legal, if degenerate, module and sphere
+    with pytest.raises(ValueError, match="nvars must be nonnegative, got -1"):
+        LaurentPoly(-1, {})
+    # no variables is a legal, if degenerate, module, sphere and polynomial
     assert CyclicModuleSpec(0, ()).nvars == 0
     assert ConeUnion(0, ()).is_empty_set()
+    assert LaurentPoly(0, {(): 3}).coeff(()) == 3
 
 
 def test_canonical_rows_are_primitive_integer_vectors():

@@ -14,6 +14,7 @@ from nilhom.spectral import (EquivariantPage, Page, _integral_homology,
                              equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
 
+import reference_filtration as ref_filtration
 import reference_linalg as ref
 import reference_spectral as ref_spectral
 
@@ -248,6 +249,37 @@ def test_equivariant_differentials_commute():
         src = ep.actions[(p, q)][0]
         tgt = ep.actions[(p - 2, q + 1)][0]
         assert d * src == tgt * d
+
+
+def test_bounded_page_of_an_extension_is_the_full_page_cut():
+    rng = random.Random(61)
+    for _ in range(10):
+        ext = random_extension(rng)
+        full = e2_page(ext)
+        for bound in range(-1, ext.q.rank + ext.a.rank + 1):
+            cut = e2_page(ext, max_degree=bound)
+            assert cut.cells == {pq: c for pq, c in full.cells.items()
+                                 if sum(pq) <= bound}
+            assert cut.diffs == {pq: d for pq, d in full.diffs.items()
+                                 if sum(pq) <= bound}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_bounded_equivariant_page_is_the_full_page_cut(rank):
+    rng = random.Random(60 + rank)
+    spec = FreeNilpotentSpec(rank, 2)
+    for _ in range(3):
+        act = ref_filtration.random_action(rng, spec)
+        full = equivariant_page(spec, act)
+        for bound in range(-1, spec.hirsch_length + 2):
+            cut = equivariant_page(spec, act, max_degree=bound)
+            kept = {pq for pq in full.page.cells if sum(pq) <= bound}
+            assert set(cut.page.cells) == set(cut.page.diffs) == kept
+            assert set(cut.actions) == kept
+            for pq in kept:
+                assert cut.page.cells[pq] == full.page.cells[pq]
+                assert cut.page.diffs[pq] == full.page.diffs[pq]
+                assert cut.actions[pq] == full.actions[pq], (act, bound, pq)
 
 
 def test_equivariant_rejects_undetermined_centre():

@@ -6,9 +6,10 @@ import pytest
 
 import reference_vbscan as ref
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
-from nilhom.linalg import IntMatrix, RatMatrix, det
+from nilhom.linalg import IntMatrix, RatMatrix, det, matrix_rank
 from nilhom.sigma import Cone, ConeUnion, full_sphere
-from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics, hirsch_bound,
+from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics,
+                           _koszul_differential, hirsch_bound,
                            hypothesis_report, koszul_homology, power_subgroup,
                            vb_scan)
 
@@ -52,6 +53,68 @@ def test_koszul_euler_characteristic_zero():
         mod = QModuleFD(d, gens)
         chi = sum((-1) ** p * koszul_homology(mod, p) for p in range(n + 1))
         assert chi == 0
+
+
+def _polynomial_module(rng, d, n, den):
+    """Module on Q^d with n generators that are polynomials in one
+    rational matrix whose entries have denominators dividing ``den``."""
+    base = RatMatrix([[Fraction(rng.randint(-4, 4), rng.choice([1, den]))
+                       for _ in range(d)] for _ in range(d)])
+    gens = []
+    while len(gens) < n:
+        c = [Fraction(rng.randint(-3, 3), rng.choice([1, den])) for _ in range(3)]
+        g = RatMatrix.identity(d) * c[0] + base * c[1] + base * base * c[2]
+        if det(g) != 0:
+            gens.append(g)
+    return QModuleFD(d, tuple(gens))
+
+
+@pytest.mark.parametrize("den", [2, 3, 6])
+def test_integer_koszul_differential_is_a_scaled_reference(den):
+    rng = random.Random(50 + den)
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        mod = _polynomial_module(rng, rng.randint(1, 3), n, den)
+        # a unipotent generator gives homology; its shift is nilpotent
+        for m in (mod, QModuleFD(mod.dim, mod.generators[:-1] + (
+                RatMatrix.identity(mod.dim),))):
+            ranks = {}
+            for p in range(1, n + 2):
+                fast = _koszul_differential(m, p)
+                slow = ref.koszul_differential(m, p)
+                assert isinstance(fast, IntMatrix)
+                assert fast.shape == slow.shape
+                ranks[p] = matrix_rank(slow)
+                assert matrix_rank(fast) == ranks[p], (m, p)
+                # one common scale s > 0 for the whole matrix
+                scales = {Fraction(x, y) for rf, rs in zip(fast.entries, slow.entries)
+                          for x, y in zip(rf, rs) if y}
+                assert len(scales) <= 1 and all(s > 0 for s in scales)
+                assert all(x == 0 for rf, rs in zip(fast.entries, slow.entries)
+                           for x, y in zip(rf, rs) if not y)
+            for p in range(n + 2):
+                want = (m.dim * comb(n, p) - ranks.get(p, 0)
+                        - ranks.get(p + 1, 0)) if p <= n else 0
+                assert koszul_homology(m, p) == want, (m, p)
+
+
+def test_integer_generators_match_rational_ones():
+    rot = IntMatrix([[0, -1], [1, 0]])
+    for g in (ANOSOV, rot):
+        for m in (1, 2, 4):
+            ints = power_subgroup(QModuleFD(2, (g, IntMatrix.identity(2))), m)
+            rats = power_subgroup(QModuleFD(2, (g.to_rat(),
+                                                RatMatrix.identity(2))), m)
+            assert all(isinstance(x, IntMatrix) for x in ints.generators)
+            assert [koszul_homology(ints, p) for p in range(3)] == \
+                [koszul_homology(rats, p) for p in range(3)]
+        assert _charpoly(g) == _charpoly(g.to_rat())
+    # the rotation has order four: H_0 of its fourth power is everything
+    assert koszul_homology(power_subgroup(QModuleFD(2, (rot,)), 4), 0) == 2
+    with pytest.raises(ValueError, match="square of the module dimension"):
+        QModuleFD(3, (ANOSOV,))
+    with pytest.raises(TypeError, match="RatMatrix or IntMatrix, got list"):
+        QModuleFD(1, ([[1]],))
 
 
 def test_koszul_out_of_range():
