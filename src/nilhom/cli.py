@@ -274,8 +274,12 @@ def _build_parser():
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def _emit(doc, output):
-    text = json.dumps(doc, indent=2) + "\n"
+    text = jsonio.dumps_json(doc) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -284,8 +288,7 @@ def _emit(doc, output):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = args.func(args)
     except InputError as err:

@@ -124,15 +124,19 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
 
     The operators g_i act nilpotently exactly when the (g_i - 1) are
     jointly nilpotent; the class is read off the descending chain of sums
-    of images, which must reach zero within dim steps.
+    of images, which must reach zero within dim steps.  Operators are
+    ``RatMatrix`` or ``IntMatrix``; anything else raises TypeError.
     """
     ops = tuple(ops)
     if not ops:
         raise ValueError("need at least one operator")
-    n = ops[0].rows
     for g in ops:
-        if not isinstance(g, RatMatrix) or g.shape != (n, n):
-            raise ValueError("operators must be square matrices of equal size")
+        if not isinstance(g, (RatMatrix, IntMatrix)):
+            raise TypeError("operators must be RatMatrix or IntMatrix, "
+                            f"got {type(g).__name__}")
+    n = ops[0].rows
+    if any(g.shape != (n, n) for g in ops):
+        raise ValueError("operators must be square matrices of equal size")
     require_commuting(ops, "operators")
     shifted = [g - RatMatrix.identity(n) for g in ops]
     span = RatMatrix.identity(n)

@@ -2,9 +2,23 @@ import json
 
 import pytest
 
+from nilhom import cli, jsonio
 from nilhom.cli import main
 
 HEIS = '{"type":"free_nilpotent","rank":2,"class":2}'
+
+
+@pytest.fixture(autouse=True)
+def emitter_matches_its_oracle(monkeypatch):
+    """Every document a test here writes is checked, as a string, against
+    json.dumps(doc, indent=2)."""
+    emit = jsonio.dumps_json
+
+    def checked(doc):
+        text = emit(doc)
+        assert text == json.dumps(doc, indent=2)
+        return text
+    monkeypatch.setattr(jsonio, "dumps_json", checked)
 
 
 def run_cli(capsys, *argv):
@@ -341,3 +355,53 @@ def test_file_input_and_output(tmp_path, capsys):
                          "--output", str(outfile))
     assert code == 0
     assert json.loads(outfile.read_text())["betti"] == [1, 2, 2, 1]
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
+    """Calls through the module's one parser give, call by call, the exit
+    code and bytes of a freshly built parser: no flag or default carries
+    over from one call to the next."""
+    free = '{"nvars":1,"ideal":[]}'
+    mod = ('{"nvars":1,"ideal":[[{"coeff":"1","exp":[1]},'
+           '{"coeff":"-2","exp":[0]}]]}')
+    outfile = tmp_path / "out.json"
+    calls = [
+        ["betti", "--group", HEIS, "--integral"],
+        ["betti", "--group", HEIS],
+        ["sigma", "--module", free, "--witness", "[1]", "--strict"],
+        ["sigma", "--module", mod],
+        ["tame", "--module", free, "--m", "2"],
+        ["tame", "--sigma-complement", "[]", "--nvars", "2", "--m", "2"],
+        ["betti", "--group", HEIS, "--output", str(outfile)],
+        ["betti", "--group", HEIS],
+        ["betti", "--group", HEIS, "--no-such-flag"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        written = outfile.read_bytes() if outfile.exists() else None
+        if written is not None:
+            outfile.unlink()
+        out = capsys.readouterr()
+        return code, out.out.encode(), out.err.encode(), written
+
+    def no_rebuild():
+        raise AssertionError("main() rebuilt the parser")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", no_rebuild)
+        shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARSER", cli._build_parser())
+            fresh.append(run(argv))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 3, 0, 0, 0, 0, 0, 2]
+    assert [r[3] is not None for r in shared] == [False] * 6 + [True, False, False]
+    assert b'"integral": [' in shared[0][1]
+    assert b'"integral": [' not in shared[1][1]
+    assert b'"witness"' not in shared[3][1]
+    assert shared[6][1] == b"" and shared[6][3] == shared[7][1]

@@ -116,6 +116,23 @@ def test_is_nilpotent_joint_family():
     assert rep.nilpotent and rep.nilpotency_class == 2
 
 
+def test_is_nilpotent_takes_integer_operators():
+    jordan = [[1, 1], [0, 1]]
+    rep = is_nilpotent_action([IntMatrix(jordan)])
+    assert rep.nilpotent and rep.nilpotency_class == 2
+    assert rep.image_dims == is_nilpotent_action([RatMatrix(jordan)]).image_dims
+    mixed = is_nilpotent_action([IntMatrix(jordan), RatMatrix([[1, "1/2"], [0, 1]])])
+    assert mixed.nilpotent and mixed.image_dims == (2, 1, 0)
+    assert not is_nilpotent_action([IntMatrix([[2, 1], [1, 1]])]).nilpotent
+
+
+def test_is_nilpotent_names_the_type_of_a_non_matrix():
+    with pytest.raises(TypeError, match="got list"):
+        is_nilpotent_action([[[1, 1], [0, 1]]])
+    with pytest.raises(TypeError, match="got tuple"):
+        is_nilpotent_action([IntMatrix.identity(2), ((1, 0), (0, 1))])
+
+
 def test_is_nilpotent_validates_input():
     with pytest.raises(ValueError):
         is_nilpotent_action([])

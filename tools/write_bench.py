@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/write_bench.py --out BENCH_6.json
+    python3 tools/write_bench.py --out BENCH_<n>.json
 
 For every workload that ``BENCHMARK.json`` declares, this runs
 ``perfbench/run.py --workload W --seed 0 --trace 0`` (end-to-end
@@ -51,7 +51,7 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path,
-                        help="file to write, e.g. BENCH_6.json")
+                        help="file to write, e.g. BENCH_11.json")
     args = parser.parse_args(argv)
     seconds = spec["run_seconds"]
 
