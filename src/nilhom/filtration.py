@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
-from .linalg import (IntMatrix, RatMatrix, binomial, block_diag,
-                     image_matrix, rank_kernel_image, require_commuting, solve)
+from .linalg import (IntMatrix, RatMatrix, binomial, block_diag, image_matrix,
+                     rank_kernel_image, require_commuting, require_matrices, solve)
 from .spectral import _class2_e3, equivariant_page
 
 
@@ -130,10 +130,7 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
     ops = tuple(ops)
     if not ops:
         raise ValueError("need at least one operator")
-    for g in ops:
-        if not isinstance(g, (RatMatrix, IntMatrix)):
-            raise TypeError("operators must be RatMatrix or IntMatrix, "
-                            f"got {type(g).__name__}")
+    require_matrices(ops, "operators")
     n = ops[0].rows
     if any(g.shape != (n, n) for g in ops):
         raise ValueError("operators must be square matrices of equal size")

@@ -200,11 +200,8 @@ def parse_cones(doc, nvars=None) -> ConeUnion:
 
 
 def cones_json(cu: ConeUnion):
-    out = []
-    for c in cu.canonical().cones:
-        out.append({"ineqs": [[frac_str(x) for x in row] for row in c.ineqs],
-                    "eqs": [[frac_str(x) for x in row] for row in c.eqs]})
-    return out
+    return [{"ineqs": [list(map(str, row)) for row in c.ineqs],
+             "eqs": [list(map(str, row)) for row in c.eqs]} for c in cu.cones]
 
 
 def page_json(page: Page):

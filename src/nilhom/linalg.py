@@ -200,6 +200,15 @@ def _kind(a, b):
         else RatMatrix
 
 
+def require_matrices(mats, what: str):
+    """Raise TypeError ("<what> must be RatMatrix or IntMatrix, got
+    <type>") unless every one of mats is a rational or integer matrix."""
+    for g in mats:
+        if not isinstance(g, (RatMatrix, IntMatrix)):
+            raise TypeError(f"{what} must be RatMatrix or IntMatrix, "
+                            f"got {type(g).__name__}")
+
+
 def require_commuting(mats, what: str):
     """Raise ValueError ("<what> must pairwise commute") unless the
     matrices commute pairwise; pairs are tried in lexicographic order."""
@@ -271,6 +280,17 @@ def _integral_rows(entries):
         rows.append([x.numerator * (s // x.denominator) for x in row])
         scales.append(s)
     return rows, scales
+
+
+def integral_row(row):
+    """One row of ints or Fractions scaled to integers by the lcm of its
+    denominators (``_integral_rows``), and that lcm.
+
+    >>> integral_row([Fraction(1, 2), Fraction(-2, 3), 5])
+    ([3, -4, 30], 6)
+    """
+    (row,), (s,) = _integral_rows([row])
+    return row, s
 
 
 def _product(a, b, cols):

@@ -3,27 +3,29 @@
 Phase one of the simplex method with Bland's rule on a fraction-free
 integer tableau: one artificial variable per row, and the system is
 feasible exactly when their sum can be driven to zero.  Each input row
-is scaled by the lcm of its denominators, so every entry is an integer
-from then on.  A tableau row is kept only up to a positive factor (the
-true row is the stored one divided by its basic variable's
-coefficient): a pivot replaces row i by p*row_i - f*row_r and divides it
-by its content, and the ratio test compares right-hand side over pivot
-entry by cross-multiplication, where those factors cancel.  Termination
-is guaranteed by Bland's anticycling rule and every verdict is exact, so
-a True/False answer here is a proof, not an approximation.
+is scaled by the lcm of its denominators (``linalg.integral_row``), so
+every entry is an integer from then on.  A tableau row is kept only up
+to a positive factor (the true row is the stored one divided by its
+basic variable's coefficient): a pivot replaces row i by
+p*row_i - f*row_r and divides it by its content, and the ratio test
+compares right-hand side over pivot entry by cross-multiplication,
+where those factors cancel.  Termination is guaranteed by Bland's
+anticycling rule and every verdict is exact, so a True/False answer
+here is a proof, not an approximation.
 
 A constraint is (coeffs, const, rel) meaning coeffs . x + const REL 0
-with rel one of ">=", "==".  There are no strict inequalities: on a cone
-"phi(v) > 0" is, after scaling v, the same as "phi(v) - 1 >= 0", which
-is how callers state that a point is nonzero.  Variables are free
-(unrestricted in sign); they are split internally into nonnegative
-pairs.
+with rel one of ">=", "==", and every entry an int or a ``Fraction``.
+There are no strict inequalities: on a cone "phi(v) > 0" is, after
+scaling v, the same as "phi(v) - 1 >= 0", which is how callers state
+that a point is nonzero.  Variables are free (unrestricted in sign);
+they are split internally into nonnegative pairs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .linalg import integral_row
 
 GE = ">="
 EQ = "=="
@@ -85,20 +87,16 @@ def feasible(constraints, nvars: int) -> bool:
     ge_rows = []
     eq_rows = []
     for coeffs, const, rel in constraints:
-        coeffs = [Fraction(c) for c in coeffs]
-        const = Fraction(const)
         if len(coeffs) != nvars:
             raise ValueError("constraint arity mismatch")
         if rel not in (GE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             if const < 0 or (rel == EQ and const != 0):
                 return False
             continue
-        scale = lcm(const.denominator, *(c.denominator for c in coeffs))
-        row = ([c.numerator * (scale // c.denominator) for c in coeffs],
-               const.numerator * (scale // const.denominator))
-        (ge_rows if rel == GE else eq_rows).append(row)
+        *row, const = integral_row([*coeffs, const])[0]
+        (ge_rows if rel == GE else eq_rows).append((row, const))
 
     # columns: split variables (2*nvars), then one slack per inequality
     # row, then the right-hand side

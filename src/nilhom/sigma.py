@@ -9,7 +9,9 @@ of f is attained at two or more points.  Membership, m-tameness and the
 finite-generation semidecisions below are all decided in exact rational
 arithmetic.  m-tameness is one search over sets of at most n + 1
 distinct cones (conic Caratheodory), one non-strict LP per set, which
-also yields the least failing m for hypothesis reports.
+also yields the least failing m for hypothesis reports.  Cones are
+canonical from construction, with primitive integer rows, so every LP
+is stated in integers.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import index
 
 from . import lp
-from .linalg import RatMatrix, as_fraction, det, matrix_rank, require_commuting
+from .linalg import (IntMatrix, as_fraction, det, integral_row, matrix_rank,
+                     require_commuting, require_matrices)
 
 
 class LaurentPoly:
@@ -121,10 +124,10 @@ class ValuationVector:
         return sum(a * b for a, b in zip(self.v, exponent))
 
 
-def _primitive(vec):
-    fracs = [as_fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (mult // f.denominator) for f in fracs]
+def _primitive(row):
+    """The primitive integer row on the ray of a rational row."""
+    ints, _ = integral_row([x if isinstance(x, int) else as_fraction(x)
+                            for x in row])
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
@@ -135,40 +138,34 @@ class Cone:
     ``ineqs`` rows demand <a, v> >= 0, ``eqs`` rows demand <a, v> = 0.
     Closed under positive scaling by construction; the origin is excluded
     by convention whenever cones are queried about valuation classes.
+    The rows are stored canonically: primitive integer tuples, zero rows
+    dropped, sorted without repeats, each ``eqs`` row the lesser of p and
+    -p.  Equal cones given by rescaled or repeated rows are one key.
+
+    >>> Cone(2, [[2, 0], [1, 0], [0, 0]], [["1/2", "-1/2"]]).key()
+    (2, ((1, 0),), ((-1, 1),))
     """
 
     __slots__ = ("nvars", "ineqs", "eqs")
 
     def __init__(self, nvars, ineqs=(), eqs=()):
-        self.nvars = nvars
-        self.ineqs = tuple(tuple(as_fraction(x) for x in row) for row in ineqs)
-        self.eqs = tuple(tuple(as_fraction(x) for x in row) for row in eqs)
-        for row in self.ineqs + self.eqs:
+        ineqs, eqs = list(ineqs), list(eqs)
+        for row in ineqs + eqs:
             if len(row) != nvars:
                 raise ValueError("constraint arity mismatch")
+        self.nvars = nvars
+        self.ineqs = tuple(sorted({p for p in map(_primitive, ineqs) if any(p)}))
+        self.eqs = tuple(sorted({min(p, tuple(-x for x in p))
+                                 for p in map(_primitive, eqs) if any(p)}))
 
     def contains(self, v) -> bool:
         vec = v.v if isinstance(v, ValuationVector) else tuple(as_fraction(x) for x in v)
         return (all(sum(a * b for a, b in zip(row, vec)) >= 0 for row in self.ineqs)
                 and all(sum(a * b for a, b in zip(row, vec)) == 0 for row in self.eqs))
 
-    def canonical(self) -> "Cone":
-        ineqs = sorted({_primitive(r) for r in self.ineqs if any(r)})
-        eqs = set()
-        for r in self.eqs:
-            if not any(r):
-                continue
-            p = _primitive(r)
-            neg = tuple(-x for x in p)
-            eqs.add(min(p, neg))
-        return Cone(self.nvars, tuple(ineqs), tuple(sorted(eqs)))
-
-    def _stacked(self):
-        return RatMatrix(list(self.ineqs) + list(self.eqs) or [[0] * self.nvars],
-                         max(len(self.ineqs) + len(self.eqs), 1), self.nvars)
-
     def lineality_dim(self) -> int:
-        return self.nvars - matrix_rank(self._stacked())
+        rows = self.ineqs + self.eqs
+        return self.nvars - matrix_rank(IntMatrix(rows, len(rows), self.nvars))
 
     def positive_functional(self):
         """Row vector strictly positive on the cone minus the origin.
@@ -178,19 +175,18 @@ class Cone:
         space.
         """
         return tuple(sum(col) for col in zip(*self.ineqs)) if self.ineqs \
-            else tuple(Fraction(0) for _ in range(self.nvars))
+            else (0,) * self.nvars
 
     def has_nonzero_point(self) -> bool:
         if self.lineality_dim() > 0:
             return True
-        cons = [(row, Fraction(0), lp.GE) for row in self.ineqs]
-        cons += [(row, Fraction(0), lp.EQ) for row in self.eqs]
-        cons.append((self.positive_functional(), Fraction(-1), lp.GE))
+        cons = [(row, 0, lp.GE) for row in self.ineqs]
+        cons += [(row, 0, lp.EQ) for row in self.eqs]
+        cons.append((self.positive_functional(), -1, lp.GE))
         return lp.feasible(cons, self.nvars)
 
     def key(self):
-        c = self.canonical()
-        return (c.nvars, c.ineqs, c.eqs)
+        return (self.nvars, self.ineqs, self.eqs)
 
     def __eq__(self, other):
         return isinstance(other, Cone) and self.key() == other.key()
@@ -203,18 +199,20 @@ class Cone:
 
 
 class ConeUnion:
-    """Finite union of rational cones on the valuation sphere."""
+    """Finite union of rational cones on the valuation sphere, stored
+    without repeats and sorted by ``Cone.key``."""
 
     __slots__ = ("nvars", "cones")
 
     def __init__(self, nvars, cones=()):
         if nvars < 0:
             raise ValueError(f"nvars must be nonnegative, got {nvars}")
-        self.cones = tuple(cones)
-        self.nvars = nvars
-        for c in self.cones:
+        cones = set(cones)
+        for c in cones:
             if c.nvars != nvars:
                 raise ValueError("cone dimension mismatch")
+        self.cones = tuple(sorted(cones, key=Cone.key))
+        self.nvars = nvars
 
     def contains(self, v) -> bool:
         return any(c.contains(v) for c in self.cones)
@@ -222,18 +220,9 @@ class ConeUnion:
     def is_empty_set(self) -> bool:
         return not self.cones
 
-    def canonical(self) -> "ConeUnion":
-        uniq = {}
-        for c in self.cones:
-            uniq[c.key()] = c.canonical()
-        return ConeUnion(self.nvars, tuple(uniq[k] for k in sorted(uniq)))
-
     def __eq__(self, other):
-        if not isinstance(other, ConeUnion):
-            return False
-        return (self.nvars == other.nvars
-                and sorted(c.key() for c in self.cones)
-                == sorted(c.key() for c in other.cones))
+        return (isinstance(other, ConeUnion) and self.nvars == other.nvars
+                and self.cones == other.cones)
 
     def __repr__(self):
         return f"ConeUnion(n={self.nvars}, {len(self.cones)} cones)"
@@ -275,12 +264,10 @@ def newton_polytope(f: LaurentPoly):
         k = len(others)
         cons = []
         for coord in range(f.nvars):
-            row = tuple(Fraction(q[coord]) for q in others)
-            cons.append((row, Fraction(-p[coord]), lp.EQ))
-        cons.append((tuple(Fraction(1) for _ in others), Fraction(-1), lp.EQ))
+            cons.append(([q[coord] for q in others], -p[coord], lp.EQ))
+        cons.append(([1] * k, -1, lp.EQ))
         for i in range(k):
-            row = tuple(Fraction(i == jj) for jj in range(k))
-            cons.append((row, Fraction(0), lp.GE))
+            cons.append(([int(i == jj) for jj in range(k)], 0, lp.GE))
         if not lp.feasible(cons, k):
             verts.append(p)
     return verts
@@ -305,13 +292,12 @@ def sigma_complement_principal(f: LaurentPoly) -> ConeUnion:
     n = f.nvars
     cones = []
     for a, b in combinations(pts, 2):
-        eqs = [tuple(Fraction(x - y) for x, y in zip(a, b))]
-        ineqs = [tuple(Fraction(x - y) for x, y in zip(c, a))
-                 for c in pts if c != a and c != b]
-        cone = Cone(n, ineqs, eqs).canonical()
+        eqs = [[x - y for x, y in zip(a, b)]]
+        ineqs = [[x - y for x, y in zip(c, a)] for c in pts if c != a and c != b]
+        cone = Cone(n, ineqs, eqs)
         if cone.has_nonzero_point():
             cones.append(cone)
-    return ConeUnion(n, cones).canonical()
+    return ConeUnion(n, cones)
 
 
 def sigma_complement(spec: CyclicModuleSpec) -> ConeUnion:
@@ -363,9 +349,8 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     if not spec.ideal:
         return None
     n = spec.nvars
-    # v scaled by the lcm of its denominators orders monomials in integers
-    scale = lcm(*(x.denominator for x in v.v))
-    weights = [x.numerator * (scale // x.denominator) for x in v.v]
+    # v scaled to integers orders monomials in integers
+    weights, _ = integral_row(v.v)
 
     def key(m):
         return sum(a * b for a, b in zip(weights, m)), m
@@ -417,20 +402,16 @@ def _least_failing_m(sc: ConeUnion, m_max: int):
     one exact LP asks for one vector per cone with phi_c(v) - 1 >= 0
     (phi_c is positive on the cone away from the origin) and the
     vectors summing to zero.  The first feasible k is the least failing
-    m.
+    m.  The union's cones are canonical and distinct by construction, and
+    every row is an integer row.
     """
-    uniq = {}
-    for c in sc.cones:
-        canon = c.canonical()
-        uniq[canon.key()] = canon
-    cones = [c for _, c in sorted(uniq.items()) if c.has_nonzero_point()]
+    cones = [c for c in sc.cones if c.has_nonzero_point()]
     if not cones:
         return None
     if any(c.lineality_dim() > 0 for c in cones):
         return 2
     n = sc.nvars
     phis = [c.positive_functional() for c in cones]
-    zero = Fraction(0)
     for k in range(2, min(m_max, n + 1, len(cones)) + 1):
         nv = n * k
         for choice in combinations(range(len(cones)), k):
@@ -438,15 +419,15 @@ def _least_failing_m(sc: ConeUnion, m_max: int):
             for slot, ci in enumerate(choice):
                 off = slot * n
                 for row in cones[ci].ineqs:
-                    cons.append((_embed(row, off, nv), zero, lp.GE))
+                    cons.append((_embed(row, off, nv), 0, lp.GE))
                 for row in cones[ci].eqs:
-                    cons.append((_embed(row, off, nv), zero, lp.EQ))
-                cons.append((_embed(phis[ci], off, nv), Fraction(-1), lp.GE))
+                    cons.append((_embed(row, off, nv), 0, lp.EQ))
+                cons.append((_embed(phis[ci], off, nv), -1, lp.GE))
             for coord in range(n):
-                row = [zero] * nv
+                row = [0] * nv
                 for slot in range(k):
-                    row[slot * n + coord] = Fraction(1)
-                cons.append((tuple(row), zero, lp.EQ))
+                    row[slot * n + coord] = 1
+                cons.append((row, 0, lp.EQ))
             if lp.feasible(cons, nv):
                 return k
     return None
@@ -464,10 +445,9 @@ def m_tame(sc: ConeUnion, m: int) -> bool:
 
 
 def _embed(row, offset, nvars):
-    out = [Fraction(0)] * nvars
-    for i, x in enumerate(row):
-        out[offset + i] = Fraction(x)
-    return tuple(out)
+    out = [0] * nvars
+    out[offset:offset + len(row)] = row
+    return out
 
 
 def tame_requirement(c: int, n: int) -> int:
@@ -496,6 +476,7 @@ def finite_dimensional_is_fully_tame(dim: int, ops) -> ConeUnion:
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one generator action")
+    require_matrices(ops, "operators")
     for g in ops:
         if g.shape != (dim, dim):
             raise ValueError("operators must be dim x dim")

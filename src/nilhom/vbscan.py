@@ -29,7 +29,8 @@ from math import gcd, lcm
 
 from .filtration import induced_homology_action
 from .groups import FreeNilpotentSpec, NilpotentAction
-from .linalg import IntMatrix, RatMatrix, binomial, det, matrix_rank, require_commuting
+from .linalg import (IntMatrix, RatMatrix, binomial, det, matrix_rank,
+                     require_commuting, require_matrices)
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
 
@@ -48,10 +49,8 @@ class QModuleFD:
     def __post_init__(self):
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
+        require_matrices(gens, "generators")
         for g in gens:
-            if not isinstance(g, (RatMatrix, IntMatrix)):
-                raise TypeError("generators must be RatMatrix or IntMatrix, "
-                                f"got {type(g).__name__}")
             if g.shape != (self.dim, self.dim):
                 raise ValueError("generators must be square of the module dimension")
             if matrix_rank(g) != self.dim:

@@ -9,14 +9,19 @@ monomials sorted up front by their ``Fraction`` v-value, before it tests
 any pivot.  They are kept independent of :mod:`nilhom.lp`, of the subset
 search and of the early-exit witness search in :mod:`nilhom.sigma`, so
 tests can check those against them.  The only departures from a
-verbatim copy: ``m_tame`` calls this module's ``feasible`` and
-``has_nonzero_point`` instead of the package's.  The witness search is
-verbatim and shares only the package's data classes.
+verbatim copy: ``m_tame`` calls this module's ``feasible``,
+``has_nonzero_point`` and ``canonical`` instead of the package's, and
+``canonical``, the package's former ``Cone.canonical`` with its
+``_primitive``, returns the key of the canonical cone rather than the
+cone, so tests can check the rows ``Cone`` stores against it.  The
+witness search is verbatim and shares only the package's data classes.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
+from nilhom.linalg import as_fraction
 from nilhom.sigma import CyclicModuleSpec, LaurentPoly, ValuationVector, Witness
 
 GE = ">="
@@ -177,6 +182,29 @@ def feasible(constraints, nvars: int) -> bool:
     return obj is not None and obj > 0
 
 
+def _primitive(vec):
+    fracs = [as_fraction(x) for x in vec]
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def canonical(cone):
+    """Key (nvars, ineqs, eqs) of a cone whose rows are ints or Fractions:
+    primitive integer rows, zero rows dropped, sorted without repeats,
+    each equation the lesser of p and -p."""
+    ineqs = sorted({_primitive(r) for r in cone.ineqs if any(r)})
+    eqs = set()
+    for r in cone.eqs:
+        if not any(r):
+            continue
+        p = _primitive(r)
+        neg = tuple(-x for x in p)
+        eqs.add(min(p, neg))
+    return (cone.nvars, tuple(ineqs), tuple(sorted(eqs)))
+
+
 def has_nonzero_point(cone) -> bool:
     if cone.lineality_dim() > 0:
         return True
@@ -202,8 +230,7 @@ def m_tame(sc, m: int) -> bool:
         raise ValueError("tameness is defined for m >= 2")
     uniq = {}
     for c in sc.cones:
-        canon = c.canonical()
-        uniq[canon.key()] = canon
+        uniq[canonical(c)] = c
     cones = [c for _, c in sorted(uniq.items()) if has_nonzero_point(c)]
     if not cones:
         return True

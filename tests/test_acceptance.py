@@ -186,7 +186,7 @@ def test_criterion_08_tameness_laws():
         for _ in range(rng.randint(1, 3)):
             ineqs = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
                      for _ in range(rng.randint(1, 2))]
-            cones.append(Cone(n, ineqs).canonical())
+            cones.append(Cone(n, ineqs))
         sc = ConeUnion(n, cones)
         verdicts = {m: m_tame(sc, m) for m in range(2, 7)}
         for m in range(3, 7):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -81,12 +82,12 @@ def test_sigma_complement_min_attained_twice_grid_oracle():
 def test_sigma_unit_invariance():
     rng = random.Random(13)
     for f in (T_MINUS_2, TRIANGLE):
-        sc = sigma_complement_principal(f).canonical()
+        sc = sigma_complement_principal(f)
         for _ in range(5):
             shift = tuple(rng.randint(-4, 4) for _ in range(f.nvars))
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
             unit = LaurentPoly.monomial(f.nvars, shift, scale)
-            assert sigma_complement_principal(unit * f).canonical() == sc
+            assert sigma_complement_principal(unit * f) == sc
 
 
 def test_witness_search_agrees_with_complement():
@@ -281,7 +282,7 @@ def test_two_tame_iff_no_antipodal_pair():
         for _ in range(rng.randint(1, 3)):
             ineqs = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
                      for _ in range(rng.randint(1, 2))]
-            cones.append(Cone(n, ineqs).canonical())
+            cones.append(Cone(n, ineqs))
         sc = ConeUnion(n, cones)
         antipodal = any(
             Cone(n, ci.ineqs + tuple(tuple(-x for x in r) for r in cj.ineqs),
@@ -368,7 +369,53 @@ def test_negative_nvars_is_refused():
 
 def test_canonical_rows_are_primitive_integer_vectors():
     cone = Cone(3, [[2, 4, 0], ["1/2", "1/3", "-5/6"], [0, 0, 0]],
-                [[-6, 3, 0], [0, 0, "7/2"]]).canonical()
+                [[-6, 3, 0], [0, 0, "7/2"]])
     assert cone.ineqs == ((1, 2, 0), (3, 2, -5))
     # an equation and its negative are one row, the lesser one kept
     assert cone.eqs == ((-2, 1, 0), (0, 0, -1))
+
+
+def _disguise(rng, n, rows, eqs):
+    """Rows of the same cone as ``rows``: each rescaled by a positive
+    rational (an equation also negated at random), some repeated, a zero
+    row added, in random order, entries as ints, Fractions or strings."""
+    out = [[0] * n]
+    for row in rows + rows[:rng.randint(0, len(rows))]:
+        s = rng.choice([1, Fraction(rng.randint(1, 6), rng.randint(1, 6))])
+        if eqs and rng.random() < 0.5:
+            s = -s
+        out.append([rng.choice([x * s, str(x * s)]) for x in row])
+    rng.shuffle(out)
+    return out
+
+
+def test_cone_rows_match_reference_canonical_form():
+    rng = random.Random(2024)
+    seen_strings = False
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        cones = []
+        for _ in range(rng.randint(1, 4)):
+            base = [[[rng.randint(-3, 3) for _ in range(n)]
+                     for _ in range(rng.randint(0, 3))] for _ in range(2)]
+            ineqs, eqs = (_disguise(rng, n, rows, is_eq)
+                          for rows, is_eq in zip(base, (False, True)))
+            seen_strings |= "1/2" in str(ineqs + eqs)
+            cone = Cone(n, ineqs, eqs)
+            as_fractions = SimpleNamespace(
+                nvars=n, ineqs=[[Fraction(x) for x in r] for r in ineqs],
+                eqs=[[Fraction(x) for x in r] for r in eqs])
+            assert cone.key() == ref.canonical(as_fractions), (ineqs, eqs)
+            assert all(type(x) is int for r in cone.ineqs + cone.eqs for x in r)
+            twin = Cone(n, _disguise(rng, n, base[0], False),
+                        _disguise(rng, n, base[1], True))
+            assert twin == cone and hash(twin) == hash(cone)
+            cones += [cone, twin]
+        rng.shuffle(cones)
+        union = ConeUnion(n, cones)
+        ordered = ConeUnion(n, sorted(set(cones), key=Cone.key))
+        assert union == ordered
+        want = sorted({ref.canonical(c) for c in cones})
+        assert [c.key() for c in union.cones] == want
+        assert [hash(c) for c in union.cones] == [hash(c) for c in ordered.cones]
+    assert seen_strings

@@ -8,6 +8,7 @@ per set of at most n + 1 distinct cones.  The seeded unions mix wedges
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import reference_tameness as ref
 from nilhom import lp
@@ -175,8 +176,18 @@ def _cone_set_systems(rng):
         yield cons, nvars
 
 
+def _scaled_to_integers(cons):
+    """Each row times the lcm of its denominators, with int entries."""
+    out = []
+    for coeffs, const, rel in cons:
+        s = lcm(const.denominator, *(c.denominator for c in coeffs))
+        out.append(([int(c * s) for c in coeffs], int(const * s), rel))
+    return out
+
+
 def test_ge_eq_systems_match_reference_lp():
-    # family, seed, and a count that each verdict must exceed
+    # family, seed, and a count that each verdict must exceed; every
+    # system is asked with its Fraction rows and with int rows
     for family, seed, least in ((_integer_systems, 7, 50),
                                 (_rational_systems, 11, 49),
                                 (_degenerate_systems, 12, 29),
@@ -185,6 +196,7 @@ def test_ge_eq_systems_match_reference_lp():
         for cons, nvars in family(random.Random(seed)):
             want = ref.feasible(cons, nvars)
             assert lp.feasible(cons, nvars) == want, cons
+            assert lp.feasible(_scaled_to_integers(cons), nvars) == want, cons
             outcomes[want] += 1
         assert min(outcomes.values()) > least, (family.__name__, outcomes)
 

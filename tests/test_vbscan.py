@@ -5,9 +5,10 @@ from math import comb
 import pytest
 
 import reference_vbscan as ref
+from nilhom.filtration import is_nilpotent_action
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix, det, matrix_rank
-from nilhom.sigma import Cone, ConeUnion, full_sphere
+from nilhom.sigma import Cone, ConeUnion, finite_dimensional_is_fully_tame, full_sphere
 from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics,
                            _koszul_differential, hirsch_bound,
                            hypothesis_report, koszul_homology, power_subgroup,
@@ -113,8 +114,12 @@ def test_integer_generators_match_rational_ones():
     assert koszul_homology(power_subgroup(QModuleFD(2, (rot,)), 4), 0) == 2
     with pytest.raises(ValueError, match="square of the module dimension"):
         QModuleFD(3, (ANOSOV,))
-    with pytest.raises(TypeError, match="RatMatrix or IntMatrix, got list"):
-        QModuleFD(1, ([[1]],))
+    # the same type check guards every entry point taking operators
+    for call in (lambda: QModuleFD(1, ([[1]],)),
+                 lambda: is_nilpotent_action([[[1]]]),
+                 lambda: finite_dimensional_is_fully_tame(2, [[[1, 0], [0, 1]]])):
+        with pytest.raises(TypeError, match="RatMatrix or IntMatrix, got list"):
+            call()
 
 
 def test_koszul_out_of_range():
