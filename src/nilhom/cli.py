@@ -21,7 +21,7 @@ from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
 from .sigma import (ValuationVector, m_tame, sigma_complement,
                     sigma_witness_search)
 from .spectral import (abelian_homology, betti_free_nilpotent_c2, e2_page,
-                       homology_free_nilpotent_c2, ks_page)
+                       homology_free_nilpotent_c2)
 from .vbscan import hypothesis_report, vb_scan
 
 
@@ -103,8 +103,7 @@ def _cmd_pages(args):
     if isinstance(group, FreeNilpotentSpec):
         if group.nil_class > 2:
             raise InputError("pages are available for class <= 2 only")
-        page = ks_page(group.rank) if group.nil_class == 2 else \
-            e2_page(central_extension_of_class2(group))
+        page = e2_page(central_extension_of_class2(group))
     elif isinstance(group, CentralExtension):
         page = e2_page(group)
     else:
@@ -202,10 +201,7 @@ def _cmd_report(args):
     rep = hypothesis_report(args.c, args.n, sc)
     config = {"c": args.c, "n": args.n,
               "sigma_complement": jsonio.cones_json(sc)}
-    payload = jsonio.hypothesis_json(rep)
-    payload.pop("c")
-    payload.pop("n")
-    return _document("report", config, payload)
+    return _document("report", config, jsonio.hypothesis_json(rep))
 
 
 def _build_parser():

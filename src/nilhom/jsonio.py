@@ -250,8 +250,7 @@ def scan_report_json(report: ScanReport):
 
 
 def hypothesis_json(rep: HypothesisReport):
-    out = {"c": rep.c, "n": rep.n, "requirement": rep.requirement,
-           "holds": rep.holds}
+    out = {"requirement": rep.requirement, "holds": rep.holds}
     if rep.holds:
         out["guaranteed"] = rep.guaranteed
     else:

@@ -11,7 +11,9 @@ arithmetic.  m-tameness is one search over sets of at most n + 1
 distinct cones (conic Caratheodory), one non-strict LP per set, which
 also yields the least failing m for hypothesis reports.  Cones are
 canonical from construction, with primitive integer rows, so every LP
-is stated in integers.
+is stated in integers.  The witness search and the closure certificate
+share one fraction-free sparse reduction, ``_sparse_reduce``, on
+integer vectors; only a returned witness is divided by its lead.
 """
 
 from __future__ import annotations
@@ -328,19 +330,51 @@ class Witness:
     minimal_exponent: tuple
 
 
+def _sparse_reduce(vec, combo, pivots, key=None):
+    """Reduce an integer vector against pivots, fraction-free (Bareiss).
+
+    ``vec`` maps monomials and ``combo`` tags to ints; ``pivots`` maps the
+    lead of each pivot, its least monomial under ``key``, to its (vector,
+    combination) pair.  While vec's lead is a pivot's, vec and combo
+    become p vec - f pivot (p, f the two leads) over their one common
+    content, so vec = sum combo * g stays exact.  Returns the reduced
+    pair; an empty vec lies in the span of the pivots.
+    """
+    while vec:
+        lead = min(vec, key=key)
+        if lead not in pivots:
+            break
+        pvec, pcombo = pivots[lead]
+        p, f = pvec[lead], vec[lead]
+        vec = {m: p * x for m, x in vec.items()}
+        for m, x in pvec.items():
+            vec[m] = vec.get(m, 0) - f * x
+        combo = {t: p * x for t, x in combo.items()}
+        for t, x in pcombo.items():
+            combo[t] = combo.get(t, 0) - f * x
+        vec = {m: x for m, x in vec.items() if x}
+        combo = {t: x for t, x in combo.items() if x}
+        g = gcd(*vec.values(), *combo.values())
+        if g > 1:
+            vec = {m: x // g for m, x in vec.items()}
+            combo = {t: x // g for t, x in combo.items()}
+    return vec, combo
+
+
 def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
                          degree_bound: int = 8):
     """Search for a finite-generation witness in the given direction.
 
     Runs through the generators shifted by monomials of sup norm at most
     ``degree_bound``, generator by generator and, within one, in shells
-    of growing sup norm (lexicographic inside a shell).  Each row is
-    reduced against the pivots so far under the monomial order
-    (v-value, lexicographic); a row that keeps a new leading monomial
-    becomes a pivot and never changes again.  Returns the first pivot,
-    in row order, whose minimal v-value is attained at a single support
-    point, and stops there; the remaining shifts are never built.
-    Returns None when the bounded search is inconclusive.
+    of growing sup norm (lexicographic inside a shell).  Each row, scaled
+    to integers, is reduced by ``_sparse_reduce`` against the pivots so
+    far under the monomial order (v-value, lexicographic); a row that
+    keeps a new leading monomial becomes a pivot and never changes again.
+    Returns the first pivot, in row order, whose minimal v-value is
+    attained at a single support point, divided by its lead coefficient,
+    and stops there; the remaining shifts are never built.  Returns None
+    when the bounded search is inconclusive.
     """
     if len(v.v) != spec.nvars:
         raise ValueError("direction arity mismatch")
@@ -355,36 +389,25 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     def key(m):
         return sum(a * b for a, b in zip(weights, m)), m
 
-    # sparse Gauss-Jordan on (coefficient dict, combination dict) pairs
     pivots = {}
     for gi, g in enumerate(spec.ideal):
+        ints, scale = integral_row(list(g.terms.values()))
+        terms = list(zip(g.terms, ints))
         for r in range(degree_bound + 1):
             for sh in product(range(-r, r + 1), repeat=n):
                 if max(map(abs, sh), default=0) != r:
                     continue
-                vec = {tuple(e + s for e, s in zip(exp, sh)): c
-                       for exp, c in g.terms.items()}
-                combo = {(gi, sh): Fraction(1)}
-                while vec:
-                    lead = min(vec, key=key)
-                    if lead not in pivots:
-                        c = vec[lead]
-                        vec = {m: x / c for m, x in vec.items()}
-                        combo = {t: x / c for t, x in combo.items()}
-                        pivots[lead] = (vec, combo)
-                        lead_val = key(lead)[0]
-                        if all(key(m)[0] > lead_val for m in vec if m != lead):
-                            return Witness(LaurentPoly(n, vec),
-                                           tuple(sorted(combo.items())), lead)
-                        break
-                    pvec, pcombo = pivots[lead]
-                    f = vec[lead]
-                    for m, x in pvec.items():
-                        vec[m] = vec.get(m, Fraction(0)) - f * x
-                    for t, x in pcombo.items():
-                        combo[t] = combo.get(t, Fraction(0)) - f * x
-                    vec = {m: x for m, x in vec.items() if x != 0}
-                    combo = {t: x for t, x in combo.items() if x != 0}
+                vec = {tuple(e + s for e, s in zip(exp, sh)): c for exp, c in terms}
+                vec, combo = _sparse_reduce(vec, {(gi, sh): scale}, pivots, key)
+                if not vec:
+                    continue
+                lead = min(vec, key=key)
+                pivots[lead] = (vec, combo)
+                lead_val = key(lead)[0]
+                if all(key(m)[0] > lead_val for m in vec if m != lead):
+                    c = Fraction(1, vec[lead])
+                    combo = tuple(sorted((t, x * c) for t, x in combo.items()))
+                    return Witness(LaurentPoly(n, vec) * c, combo, lead)
     return None
 
 
@@ -403,9 +426,11 @@ def _least_failing_m(sc: ConeUnion, m_max: int):
     (phi_c is positive on the cone away from the origin) and the
     vectors summing to zero.  The first feasible k is the least failing
     m.  The union's cones are canonical and distinct by construction, and
-    every row is an integer row.
+    every row is an integer row.  A cone that meets only the origin needs
+    no filter: phi_c(v) - 1 >= 0 has no solution on it, so no set that
+    holds it is ever feasible.
     """
-    cones = [c for c in sc.cones if c.has_nonzero_point()]
+    cones = sc.cones
     if not cones:
         return None
     if any(c.lineality_dim() > 0 for c in cones):
@@ -488,74 +513,50 @@ def finite_dimensional_is_fully_tame(dim: int, ops) -> ConeUnion:
     return ConeUnion(len(ops), ())
 
 
-def _closure_certifies(spec: CyclicModuleSpec, m: int, degree_bound: int,
-                       monomial_budget: int = 4000) -> bool:
+_MONOMIAL_BUDGET = 4000  # caps the candidate box; 4x it caps the translate box
+
+
+def _closure_certifies(spec: CyclicModuleSpec, m: int, degree_bound: int) -> bool:
     """Bounded generating-set certification for the diagonal action.
 
     Candidate generators are the residue classes of the monomials in the
     box of radius d; certification demands that every single-variable
     shift of a candidate lies in the span of diagonal translates of the
-    candidates plus ideal translates, all inside a bounded box.  Success
-    proves finite generation outright (the certified span is a submodule
-    containing the cyclic generator); failure at every d up to the budget
-    proves nothing.
+    candidates plus ideal translates, all inside a bounded box, decided
+    by ``_sparse_reduce``.  Success proves finite generation outright
+    (the certified span is a submodule containing the cyclic generator);
+    failure at every d within the budget proves nothing.
     """
     n, nm = spec.nvars, spec.nvars * m
-    gens_embedded = []
-    for k in range(m):
-        for g in spec.ideal:
-            terms = {}
-            for exp, c in g.terms.items():
-                e = [0] * nm
-                e[k * n:(k + 1) * n] = list(exp)
-                terms[tuple(e)] = c
-            gens_embedded.append(terms)
+    scaled = [list(zip(g.terms, integral_row(list(g.terms.values()))[0]))
+              for g in spec.ideal]
+    gens_embedded = [{(0,) * (k * n) + exp + (0,) * (nm - (k + 1) * n): c
+                      for exp, c in terms}
+                     for k in range(m) for terms in scaled]
     if not gens_embedded:
         return False
     for d in range(0, degree_bound + 1):
         u_bound = d + 1
         box = d + u_bound
-        if (2 * d + 1) ** nm > monomial_budget \
-                or (2 * box + 1) ** nm > 4 * monomial_budget:
+        if (2 * d + 1) ** nm > _MONOMIAL_BUDGET \
+                or (2 * box + 1) ** nm > 4 * _MONOMIAL_BUDGET:
             return False
         cand = list(product(range(-d, d + 1), repeat=nm))
-        columns = []
-        for u in product(range(-u_bound, u_bound + 1), repeat=n):
-            for mu in cand:
-                e = list(mu)
-                for k in range(m):
-                    for i in range(n):
-                        e[k * n + i] += u[i]
-                columns.append({tuple(e): Fraction(1)})
+        columns = [{tuple(x + y for x, y in zip(mu, u * m)): 1}
+                   for u in product(range(-u_bound, u_bound + 1), repeat=n)
+                   for mu in cand]
         for terms in gens_embedded:
-            lo = [min(e[i] for e in terms) for i in range(nm)]
-            hi = [max(e[i] for e in terms) for i in range(nm)]
-            ranges = [range(-box - lo[i], box - hi[i] + 1) for i in range(nm)]
+            ranges = [range(-box - min(col), box - max(col) + 1) for col in zip(*terms)]
             for shift in product(*ranges):
                 columns.append({tuple(x + s for x, s in zip(e, shift)): c
                                 for e, c in terms.items()})
         pivots = {}
-
-        def remainder(vec):
-            """Remainder of vec against the pivots: empty when vec lies in
-            their span, else led by a monomial that is not a pivot."""
-            vec = dict(vec)
-            while vec:
-                lead = min(vec)
-                if lead not in pivots:
-                    break
-                f = vec[lead]
-                for mm, x in pivots[lead].items():
-                    vec[mm] = vec.get(mm, Fraction(0)) - f * x
-                vec = {mm: x for mm, x in vec.items() if x != 0}
-            return vec
-
         for vec in columns:
-            vec = remainder(vec)
+            vec, _ = _sparse_reduce(vec, {}, pivots)
             if vec:
-                lead = min(vec)
-                pivots[lead] = {mm: x / vec[lead] for mm, x in vec.items()}
-        if all(not remainder({mu[:var] + (mu[var] + step,) + mu[var + 1:]: Fraction(1)})
+                pivots[min(vec)] = (vec, {})
+        if all(not _sparse_reduce({mu[:var] + (mu[var] + step,) + mu[var + 1:]: 1},
+                                  {}, pivots)[0]
                for mu in cand for var in range(nm) for step in (1, -1)):
             return True
     return False

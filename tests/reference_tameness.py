@@ -1,4 +1,5 @@
-"""Reference m-tameness, strict-inequality LP and witness search for tests.
+"""Reference m-tameness, strict-inequality LP, witness search and closure
+certificate for tests.
 
 ``m_tame`` enumerates every multiset of m cones and asks one exact LP
 per multiset, stating "v is nonzero" as a strict inequality; ``feasible``
@@ -15,6 +16,9 @@ verbatim copy: ``m_tame`` calls this module's ``feasible``,
 ``_primitive``, returns the key of the canonical cone rather than the
 cone, so tests can check the rows ``Cone`` stores against it.  The
 witness search is verbatim and shares only the package's data classes.
+``closure_certifies`` is the package's former ``Fraction`` body of
+``sigma._closure_certifies``, verbatim but for its public name: sparse
+Gauss-Jordan with every pivot divided by its lead coefficient.
 """
 
 from fractions import Fraction
@@ -322,3 +326,76 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
             poly = LaurentPoly(n, vec)
             return Witness(poly, tuple(sorted(combo.items())), lead)
     return None
+
+
+def closure_certifies(spec: CyclicModuleSpec, m: int, degree_bound: int,
+                      monomial_budget: int = 4000) -> bool:
+    """Bounded generating-set certification for the diagonal action.
+
+    Candidate generators are the residue classes of the monomials in the
+    box of radius d; certification demands that every single-variable
+    shift of a candidate lies in the span of diagonal translates of the
+    candidates plus ideal translates, all inside a bounded box.  Success
+    proves finite generation outright (the certified span is a submodule
+    containing the cyclic generator); failure at every d up to the budget
+    proves nothing.
+    """
+    n, nm = spec.nvars, spec.nvars * m
+    gens_embedded = []
+    for k in range(m):
+        for g in spec.ideal:
+            terms = {}
+            for exp, c in g.terms.items():
+                e = [0] * nm
+                e[k * n:(k + 1) * n] = list(exp)
+                terms[tuple(e)] = c
+            gens_embedded.append(terms)
+    if not gens_embedded:
+        return False
+    for d in range(0, degree_bound + 1):
+        u_bound = d + 1
+        box = d + u_bound
+        if (2 * d + 1) ** nm > monomial_budget \
+                or (2 * box + 1) ** nm > 4 * monomial_budget:
+            return False
+        cand = list(product(range(-d, d + 1), repeat=nm))
+        columns = []
+        for u in product(range(-u_bound, u_bound + 1), repeat=n):
+            for mu in cand:
+                e = list(mu)
+                for k in range(m):
+                    for i in range(n):
+                        e[k * n + i] += u[i]
+                columns.append({tuple(e): Fraction(1)})
+        for terms in gens_embedded:
+            lo = [min(e[i] for e in terms) for i in range(nm)]
+            hi = [max(e[i] for e in terms) for i in range(nm)]
+            ranges = [range(-box - lo[i], box - hi[i] + 1) for i in range(nm)]
+            for shift in product(*ranges):
+                columns.append({tuple(x + s for x, s in zip(e, shift)): c
+                                for e, c in terms.items()})
+        pivots = {}
+
+        def remainder(vec):
+            """Remainder of vec against the pivots: empty when vec lies in
+            their span, else led by a monomial that is not a pivot."""
+            vec = dict(vec)
+            while vec:
+                lead = min(vec)
+                if lead not in pivots:
+                    break
+                f = vec[lead]
+                for mm, x in pivots[lead].items():
+                    vec[mm] = vec.get(mm, Fraction(0)) - f * x
+                vec = {mm: x for mm, x in vec.items() if x != 0}
+            return vec
+
+        for vec in columns:
+            vec = remainder(vec)
+            if vec:
+                lead = min(vec)
+                pivots[lead] = {mm: x / vec[lead] for mm, x in vec.items()}
+        if all(not remainder({mu[:var] + (mu[var] + step,) + mu[var + 1:]: Fraction(1)})
+               for mu in cand for var in range(nm) for step in (1, -1)):
+            return True
+    return False

@@ -6,7 +6,8 @@ import pytest
 
 import reference_tameness as ref
 from nilhom.sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
-                          ValuationVector, finite_dimensional_is_fully_tame,
+                          ValuationVector, _closure_certifies,
+                          finite_dimensional_is_fully_tame,
                           full_sphere, m_tame, newton_polytope,
                           sigma_complement, sigma_complement_principal,
                           sigma_witness_search, tame_requirement,
@@ -216,8 +217,18 @@ def test_witness_search_matches_full_elimination_reference():
     for _ in range(360):
         spec, v, bound = _random_witness_case(rng)
         want = ref.sigma_witness_search(spec, v, bound)
-        assert sigma_witness_search(spec, v, bound) == want, (spec, v, bound)
+        w = sigma_witness_search(spec, v, bound)
+        assert w == want, (spec, v, bound)
         outcomes[want is not None] += 1
+        if w is None:
+            continue
+        # the combination must rebuild poly exactly: the reduction divides
+        # vector and combination by one common content
+        rebuilt = LaurentPoly(spec.nvars, {})
+        for (gi, shift), coeff in w.combination:
+            rebuilt = rebuilt + LaurentPoly.monomial(spec.nvars, shift, coeff) \
+                * spec.ideal[gi]
+        assert rebuilt == w.poly, (spec, v, bound)
     assert min(outcomes.values()) >= 50, outcomes
 
 
@@ -321,6 +332,34 @@ def test_tensor_power_fg_rejects_a_negative_degree_bound():
     # an empty search box would read as an inconclusive "unknown"
     with pytest.raises(ValueError, match="degree bound"):
         tensor_power_fg_check(CyclicModuleSpec(2, (TRIANGLE,)), 2, -1)
+
+
+def _random_closure_case(rng):
+    """(spec, m, degree bound): one or two generators of 1-3 terms with
+    rational coefficients in n = 1 or 2 variables.  A second generator is
+    sometimes a rational multiple of a monomial shift of the first, a
+    principal ideal in two generators whose translates are dependent."""
+    n, m = rng.choice((1, 2)), rng.choice((2, 3))
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {tuple(rng.randint(-1, 1) for _ in range(n)): _coeff(rng)
+                 for _ in range(rng.randint(1, 3))}
+        gens.append(LaurentPoly(n, terms))
+    if len(gens) == 2 and rng.random() < 0.4:
+        gens[1] = LaurentPoly.monomial(n, _point(rng, n), _coeff(rng)) * gens[0]
+    bound = rng.randint(0, 3) if n == 1 else rng.randint(0, 1)
+    return CyclicModuleSpec(n, tuple(gens)), m, bound
+
+
+def test_closure_certificate_matches_fraction_reference():
+    rng = random.Random(43)
+    outcomes = {(k, certified): 0 for k in (1, 2) for certified in (True, False)}
+    for _ in range(60):
+        spec, m, bound = _random_closure_case(rng)
+        want = ref.closure_certifies(spec, m, bound)
+        assert _closure_certifies(spec, m, bound) == want, (spec, m, bound)
+        outcomes[len(spec.ideal), want] += 1
+    assert min(outcomes.values()) >= 3, outcomes
 
 
 def test_finite_dimensional_certificates():

@@ -53,6 +53,12 @@ def _seeded_unions():
     # planar rays spanning the plane positively
     unions.append(ConeUnion(1, [_ray([1]), _ray([-1])]))
     unions.append(ConeUnion(2, [_ray([1, 0]), _ray([0, 1]), _ray([-1, -1])]))
+    # cones that meet only the origin enter the subset search unfiltered:
+    # a tame union and one failing at m = 3
+    unions.append(ConeUnion(2, [Cone(2, [[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                                _ray([1, 0]), _ray([0, 1])]))
+    unions.append(ConeUnion(2, [Cone(2, [], [[1, 0], [0, 1]]), _ray([1, 0]),
+                                _ray([0, 1]), _ray([-1, -1])]))
     return unions
 
 
