@@ -10,7 +10,7 @@ algebra (:mod:`nilhom.linalg`); on top of it sit group descriptions
 A JSON command line lives in :mod:`nilhom.cli`.
 """
 
-from .linalg import (BasisIndex, IntMatrix, RatMatrix, exterior_power_map,
+from .linalg import (IntMatrix, RatMatrix, exterior_power_map,
                      rank_kernel_image, smith_normal_form, tensor_power_map)
 from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                      HallBasis, NilpotentAction, central_extension_of_class2,

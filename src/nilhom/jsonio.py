@@ -5,7 +5,7 @@ produced for the command line carries a schema version field "v1".
 Ordering of keys and list elements is fixed so repeated runs are
 byte-identical.  Integer fields and integer matrix entries may be given
 as JSON numbers or strings, but must be integral: "1/2" or 2.9 is
-rejected, never truncated.
+rejected, never truncated.  A JSON boolean is never read as a number.
 """
 
 from __future__ import annotations
@@ -94,6 +94,10 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    """A Fraction from a JSON number or string; a JSON boolean, which
+    Python reads as an int, is refused."""
+    if isinstance(s, bool):
+        raise ValueError(f"expected an integer, got {s!r}")
     try:
         return Fraction(s if isinstance(s, int) else str(s))
     except ZeroDivisionError:
@@ -103,7 +107,7 @@ def parse_frac(s) -> Fraction:
 def _integer(x) -> int:
     """An int from a JSON number or string, ValueError unless integral."""
     f = parse_frac(x)
-    if f.denominator != 1 or isinstance(x, bool):
+    if f.denominator != 1:
         raise ValueError(f"expected an integer, got {x!r}")
     return f.numerator
 
@@ -181,9 +185,12 @@ def parse_cones(doc, nvars=None) -> ConeUnion:
     """Cone union from its JSON list.
 
     The rows of any cone fix the dimension, and a cone with no rows takes
-    it; ``nvars`` serves only when no cone has a row.  Cones whose rows
-    disagree raise ValueError.
+    it; ``nvars`` serves only when no cone has a row.  Anything but a
+    list of objects, or cones whose rows disagree, raise ValueError.
     """
+    if not isinstance(doc, list) or not all(isinstance(c, dict) for c in doc):
+        raise ValueError("cone union must be a list of objects "
+                         "with 'ineqs' and 'eqs'")
     parsed = [([[parse_frac(x) for x in row] for row in c.get("ineqs", [])],
                [[parse_frac(x) for x in row] for row in c.get("eqs", [])])
               for c in doc]
@@ -206,11 +213,9 @@ def cones_json(cu: ConeUnion):
 
 def page_json(page: Page):
     cells = []
-    for (p, q) in sorted(page.cells):
-        cell = page.cells[(p, q)]
-        cells.append({"p": p, "q": q, "dim": cell.dim,
-                      "basis": [[list(l[0]), list(l[1])]
-                                for l in cell.basis.labels]})
+    for (p, q), labels in sorted(page.cells.items()):
+        cells.append({"p": p, "q": q, "dim": len(labels),
+                      "basis": [[list(I), list(J)] for I, J in labels]})
     diffs = []
     for (p, q) in sorted(page.diffs):
         d = page.diffs[(p, q)]

@@ -18,16 +18,18 @@ multiplied, and each entry is divided back exactly once.  Operands of
 either type mix: integer with integer gives an integer matrix (so
 integer powers stay integral), and a rational operand a rational one.
 
-Graded bases are fixed once and for all: exterior bases are the strictly
-increasing index tuples, tensor bases the arbitrary index tuples, each
-family in lexicographic order.  Every matrix of a graded map produced
-here is stated in these bases, which keeps fixtures bit-reproducible.
+Graded bases are fixed once and for all and carry no object of their
+own: an exterior basis is the strictly increasing index tuples in the
+lexicographic order ``itertools.combinations`` emits, a tensor basis the
+words of indices in lexicographic order (the first factor major).  Every
+matrix of a graded map produced here is stated in these bases, which
+keeps fixtures bit-reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, gcd, lcm, prod
 from operator import index
 
@@ -215,59 +217,6 @@ def require_commuting(mats, what: str):
     for a, b in combinations(mats, 2):
         if a * b != b * a:
             raise ValueError(f"{what} must pairwise commute")
-
-
-class BasisIndex:
-    """Ordered list of multi-index labels for a graded basis.
-
-    Exterior labels are strictly increasing tuples, tensor labels are
-    arbitrary tuples, pair labels couple an exterior label for each
-    graded factor.  Labels must be distinct and lexicographically sorted,
-    which pins down every matrix in the package.
-    """
-
-    __slots__ = ("kind", "labels")
-
-    def __init__(self, kind: str, labels):
-        labels = tuple(tuple(l) if isinstance(l, (list, tuple)) else l
-                       for l in labels)
-        if kind not in ("exterior", "tensor", "pair"):
-            raise ValueError(f"unknown basis kind {kind!r}")
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be pairwise distinct")
-        if list(labels) != sorted(labels):
-            raise ValueError("basis labels must be sorted lexicographically")
-        if kind == "exterior":
-            for l in labels:
-                if any(l[i] >= l[i + 1] for i in range(len(l) - 1)):
-                    raise ValueError("exterior labels must strictly increase")
-        self.kind = kind
-        self.labels = labels
-
-    @classmethod
-    def exterior(cls, n: int, k: int) -> "BasisIndex":
-        return cls("exterior", combinations(range(n), k))
-
-    @classmethod
-    def tensor(cls, n: int, s: int) -> "BasisIndex":
-        return cls("tensor", product(range(n), repeat=s))
-
-    @classmethod
-    def pairs(cls, left: "BasisIndex", right: "BasisIndex") -> "BasisIndex":
-        return cls("pair", [(l, r) for l in left.labels for r in right.labels])
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __eq__(self, other):
-        return (isinstance(other, BasisIndex) and self.kind == other.kind
-                and self.labels == other.labels)
-
-    def __hash__(self):
-        return hash((self.kind, self.labels))
-
-    def __repr__(self):
-        return f"BasisIndex({self.kind}, {len(self.labels)} labels)"
 
 
 def _integral_rows(entries):

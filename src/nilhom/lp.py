@@ -2,30 +2,30 @@
 
 Phase one of the simplex method with Bland's rule on a fraction-free
 integer tableau: one artificial variable per row, and the system is
-feasible exactly when their sum can be driven to zero.  Each input row
-is scaled by the lcm of its denominators (``linalg.integral_row``), so
-every entry is an integer from then on.  A tableau row is kept only up
-to a positive factor (the true row is the stored one divided by its
-basic variable's coefficient): a pivot replaces row i by
-p*row_i - f*row_r and divides it by its content, and the ratio test
-compares right-hand side over pivot entry by cross-multiplication,
-where those factors cancel.  Termination is guaranteed by Bland's
-anticycling rule and every verdict is exact, so a True/False answer
-here is a proof, not an approximation.
+feasible exactly when their sum can be driven to zero.  Every caller
+states its rows in ints (a rational row is scaled by the lcm of its
+denominators first), so every entry is an integer throughout.  A
+tableau row is kept only up to a positive factor (the true row is the
+stored one divided by its basic variable's coefficient): a pivot
+replaces row i by p*row_i - f*row_r and divides it by its content, and
+the ratio test compares right-hand side over pivot entry by
+cross-multiplication, where those factors cancel.  Termination is
+guaranteed by Bland's anticycling rule and every verdict is exact, so a
+True/False answer here is a proof, not an approximation.
 
 A constraint is (coeffs, const, rel) meaning coeffs . x + const REL 0
-with rel one of ">=", "==", and every entry an int or a ``Fraction``.
-There are no strict inequalities: on a cone "phi(v) > 0" is, after
-scaling v, the same as "phi(v) - 1 >= 0", which is how callers state
-that a point is nonzero.  Variables are free (unrestricted in sign);
-they are split internally into nonnegative pairs.
+with rel one of ">=", "==", and every entry an int; a ``Fraction``
+entry raises TypeError.  There are no strict inequalities: on a cone
+"phi(v) > 0" is, after scaling v, the same as "phi(v) - 1 >= 0", which
+is how callers state that a point is nonzero.  Variables are free
+(unrestricted in sign); they are split internally into nonnegative
+pairs.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-from .linalg import integral_row
+from operator import index
 
 GE = ">="
 EQ = "=="
@@ -87,6 +87,7 @@ def feasible(constraints, nvars: int) -> bool:
     ge_rows = []
     eq_rows = []
     for coeffs, const, rel in constraints:
+        *coeffs, const = map(index, (*coeffs, const))
         if len(coeffs) != nvars:
             raise ValueError("constraint arity mismatch")
         if rel not in (GE, EQ):
@@ -95,8 +96,7 @@ def feasible(constraints, nvars: int) -> bool:
             if const < 0 or (rel == EQ and const != 0):
                 return False
             continue
-        *row, const = integral_row([*coeffs, const])[0]
-        (ge_rows if rel == GE else eq_rows).append((row, const))
+        (ge_rows if rel == GE else eq_rows).append((coeffs, const))
 
     # columns: split variables (2*nvars), then one slack per inequality
     # row, then the right-hand side

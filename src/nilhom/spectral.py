@@ -24,10 +24,13 @@ reference the blocks are tested against.  Equivariant pages use it only
 up to a total degree bound: a degree-j scan reads cells of total degree
 at most j + 1.
 
-Each block is a ``Page`` on the labels of its content, so the dense
-page's shape and d2 o d2 = 0 checks and ``e3_dimensions`` serve it.  The
-pairing is an integer matrix, so every d2 is one too, and only the
-equivariant check multiplies differentials by rational actions.
+A cell is its basis: the tuple of its labels (I, J), with I a strictly
+increasing tuple of base generators and J one of centre generators, in
+lexicographic order.  The dense page and ``d2_central`` both take their
+labels from ``_cell_labels``.  Each block is a ``Page`` on the labels
+of its content, so the dense page's shape and d2 o d2 = 0 checks and
+``e3_dimensions`` serve it.  The pairing is an integer matrix, so every d2 is one too, and only
+the equivariant check multiplies differentials by rational actions.
 """
 
 from __future__ import annotations
@@ -41,36 +44,28 @@ from math import factorial, prod
 from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
                      NilpotentAction, central_extension_of_class2,
                      induced_action_on_quotient)
-from .linalg import (BasisIndex, IntMatrix, RatMatrix, binomial,
-                     exterior_power_map, kron, matrix_rank,
-                     merge_invariant_factors, smith_normal_form, solve)
-
-
-@dataclass(frozen=True)
-class Cell:
-    p: int
-    q: int
-    dim: int
-    basis: BasisIndex
+from .linalg import (IntMatrix, RatMatrix, binomial, exterior_power_map,
+                     kron, matrix_rank, merge_invariant_factors,
+                     smith_normal_form, solve)
 
 
 class Page:
     """Graded cells with labelled bases and the degree-2 differentials.
 
-    Differentials map cell (p, q) to cell (p-2, q+1).  Construction checks
-    that shapes match and that consecutive differentials compose to zero.
+    ``cells`` maps (p, q) to the cell's basis, a tuple of distinct (I, J)
+    labels in lexicographic order, which fixes the rows and columns of
+    every matrix on the page.  Differentials map cell (p, q) to cell
+    (p-2, q+1).  Construction checks that shapes match and that
+    consecutive differentials compose to zero.
     """
 
-    def __init__(self, n, a, cells, diffs):
-        self.n = n
-        self.a = a
+    def __init__(self, cells, diffs):
         self.cells = dict(cells)
         self.diffs = dict(diffs)
         self._validate()
 
     def cell_dim(self, p, q) -> int:
-        cell = self.cells.get((p, q))
-        return cell.dim if cell else 0
+        return len(self.cells.get((p, q), ()))
 
     def diff(self, p, q) -> IntMatrix:
         d = self.diffs.get((p, q))
@@ -89,9 +84,6 @@ class Page:
             if nxt is not None and nxt.rows and d.cols:
                 if not (nxt * d).is_zero():
                     raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)}")
-
-    def __repr__(self):
-        return f"Page(n={self.n}, a={self.a}, {len(self.cells)} cells)"
 
 
 @dataclass(frozen=True)
@@ -113,10 +105,12 @@ class HomologyResult:
 
 
 def _cell_labels(n, a, p, q):
+    """The labels of cell (p, q) for base rank n and centre rank a: every
+    (I, J) with |I| = p and |J| = q, in lexicographic order."""
     if p < 0 or q < 0 or p > n or q > a:
-        return []
-    return [(I, J) for I in combinations(range(n), p)
-            for J in combinations(range(a), q)]
+        return ()
+    return tuple((I, J) for I in combinations(range(n), p)
+                 for J in combinations(range(a), q))
 
 
 def abelian_homology(group: AbelianFG, j: int) -> HomologyResult:
@@ -188,17 +182,10 @@ def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
     the page's checks cover all of them.
     """
     n, a = ext.q.rank, ext.a.rank
-    cells = {}
-    diffs = {}
-    for p in range(n + 1):
-        for q in range(a + 1):
-            if max_degree is not None and p + q > max_degree:
-                continue
-            basis = BasisIndex.pairs(BasisIndex.exterior(n, p),
-                                     BasisIndex.exterior(a, q))
-            cells[(p, q)] = Cell(p, q, binomial(n, p) * binomial(a, q), basis)
-            diffs[(p, q)] = d2_central(ext, p, q)
-    return Page(n, a, cells, diffs)
+    kept = [(p, q) for p in range(n + 1) for q in range(a + 1)
+            if max_degree is None or p + q <= max_degree]
+    return Page({pq: _cell_labels(n, a, *pq) for pq in kept},
+                {pq: d2_central(ext, *pq) for pq in kept})
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +201,8 @@ def e3_dimensions(page: Page):
     general central extension it is only an upper bound for the limit.
     """
     ranks = {pq: matrix_rank(d) for pq, d in page.diffs.items()}
-    return {(p, q): cell.dim - ranks.get((p, q), 0) - ranks.get((p + 2, q - 1), 0)
-            for (p, q), cell in page.cells.items()}
+    return {(p, q): len(labels) - ranks.get((p, q), 0) - ranks.get((p + 2, q - 1), 0)
+            for (p, q), labels in page.cells.items()}
 
 
 def _orbit_size(content) -> int:
@@ -261,14 +248,11 @@ def _class2_blocks(r: int):
                     groups.setdefault(c, {}).setdefault((len(I), q), []).append((I, J))
     blocks = []
     for content in sorted(groups, reverse=True):
-        cells = {pq: Cell(*pq, len(labs), BasisIndex("pair", sorted(labs)))
-                 for pq, labs in groups[content].items()}
-        diffs = {pq: IntMatrix(_d2_rows(src.basis.labels, tgt.basis.labels,
-                                        images), tgt.dim, src.dim)
+        cells = {pq: tuple(sorted(labs)) for pq, labs in groups[content].items()}
+        diffs = {pq: IntMatrix(_d2_rows(src, tgt, images), len(tgt), len(src))
                  for pq, src in cells.items()
                  if (tgt := cells.get((pq[0] - 2, pq[1] + 1)))}
-        blocks.append((content, _orbit_size(content),
-                       Page(r, len(pairs), cells, diffs)))
+        blocks.append((content, _orbit_size(content), Page(cells, diffs)))
     return tuple(blocks)
 
 
@@ -374,12 +358,13 @@ def h2_class2(spec: FreeNilpotentSpec):
 class EquivariantPage:
     """A page together with commuting action matrices on every cell.
 
-    Cell (p, q) carries the Kronecker product of the p-th exterior power
-    of the base action and the q-th of the centre action; each exterior
-    power is computed once per generator and degree.  Only the cells the
-    page holds get an action (all of them, or those up to the page's
-    degree bound); the differentials are checked exactly to commute with
-    every generator, and a failure names the offending cell.
+    Each cell (p, q) carries the Kronecker product of the p-th exterior
+    power of the base action and the q-th of the centre action, whose
+    basis is the cell's labels in order; each exterior power is computed
+    once per generator and degree.  Only the cells the page holds get an
+    action (all of them, or those up to the page's degree bound); the
+    differentials are checked exactly to commute with every generator,
+    and a failure names the offending cell.
     """
 
     def __init__(self, page: Page, v_action, w_action):

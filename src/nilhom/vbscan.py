@@ -262,8 +262,6 @@ def hirsch_bound(h: int, j: int) -> int:
 class HypothesisReport:
     """Verdict of the tameness hypothesis behind the boundedness theorem."""
 
-    c: int
-    n: int
     requirement: int
     holds: bool
     fails_at_m: object
@@ -280,6 +278,6 @@ def hypothesis_report(c: int, n: int, sc: ConeUnion) -> HypothesisReport:
     req = tame_requirement(c, n)
     fails_at = _least_failing_m(sc, req)
     if fails_at is None:
-        return HypothesisReport(c, n, req, True, None,
+        return HypothesisReport(req, True, None,
                                 f"vb_j finite for 0 <= j <= {n}")
-    return HypothesisReport(c, n, req, False, fails_at, None)
+    return HypothesisReport(req, False, fails_at, None)

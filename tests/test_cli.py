@@ -254,6 +254,29 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
     assert f"expected an integer, got {value}" in err
 
 
+@pytest.mark.parametrize("cones", ['[[1,2]]', '["x"]', '{}'],
+                         ids=["rows", "string", "object"])
+def test_cone_union_must_be_a_list_of_objects(capsys, cones):
+    code, out, err = run_cli(capsys, "tame", "--sigma-complement", cones,
+                             "--nvars", "2", "--m", "2")
+    assert code == 2 and out == ""
+    assert "cone union must be a list of objects" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tame", "--sigma-complement", '[{"ineqs":[[true,0]]}]', "--m", "2"],
+    ["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":true,"exp":[1]},'
+                          '{"coeff":"-2","exp":[0]}]]}'],
+    ["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":"1","exp":[1]},'
+                          '{"coeff":"-2","exp":[0]}]]}', "--witness", "[true]"],
+], ids=["cone-row", "coefficient", "witness"])
+def test_booleans_are_not_rationals(capsys, argv):
+    # Python reads a JSON true as the int 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "got True" in err
+
+
 def test_zero_denominator_exit_2(capsys):
     for argv in (["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":"1/0",'
                                        '"exp":[1]}]]}'],

@@ -61,13 +61,13 @@ def test_block_page_integral_cells_equal_dense_reference(r):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_blocks_are_the_dense_differential_restricted(r):
     page = ks_page(r)
-    pos = {pq: {lab: i for i, lab in enumerate(cell.basis.labels)}
+    pos = {pq: {lab: i for i, lab in enumerate(cell)}
            for pq, cell in page.cells.items()}
     # d2 never joins labels of different content
     for (p, q), d in page.diffs.items():
         if d.rows and d.cols:
-            src = page.cells[(p, q)].basis.labels
-            tgt = page.cells[(p - 2, q + 1)].basis.labels
+            src = page.cells[(p, q)]
+            tgt = page.cells[(p - 2, q + 1)]
             for row, tgt_label in zip(d.entries, tgt):
                 for x, src_label in zip(row, src):
                     assert not x or content(tgt_label, r) == content(src_label, r)
@@ -76,19 +76,18 @@ def test_blocks_are_the_dense_differential_restricted(r):
         assert list(blk_content) == sorted(blk_content, reverse=True)
         assert orbit == factorial(r) // prod(
             factorial(m) for m in Counter(blk_content).values())
-        labels_at = {pq: cell.basis.labels for pq, cell in blk.cells.items()}
-        for (p, q), labels in labels_at.items():
+        for (p, q), labels in blk.cells.items():
             assert all(content(lab, r) == blk_content for lab in labels)
             covered[(p, q)] += orbit * len(labels)
             d = blk.diff(p, q)
             dense = page.diff(p, q).entries
             rows = [pos[(p - 2, q + 1)][lab]
-                    for lab in labels_at.get((p - 2, q + 1), ())]
+                    for lab in blk.cells.get((p - 2, q + 1), ())]
             cols = [pos[(p, q)][lab] for lab in labels]
             assert d.entries == tuple(tuple(int(dense[i][j]) for j in cols)
                                       for i in rows)
-    assert covered == {pq: cell.dim for pq, cell in page.cells.items()
-                       if cell.dim}
+    assert covered == {pq: len(cell) for pq, cell in page.cells.items()
+                       if len(cell)}
 
 
 def test_blocks_check_that_d2_composes_to_zero(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from nilhom.filtration import is_nilpotent_action
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
-from nilhom.linalg import (BasisIndex, IntMatrix, RatMatrix, det,
+from nilhom.linalg import (IntMatrix, RatMatrix, det,
                            exterior_power_map, image_matrix, kernel_matrix,
                            kron, matrix_rank, merge_invariant_factors,
                            rank_kernel_image, require_commuting,
@@ -285,20 +285,6 @@ def test_kron_block_structure():
     assert k.entries[0][1] == 5          # a[0][0] * b[0][1]
     assert k.entries[2][0] == 0          # a[1][0] * b[0][0]
     assert k.entries[3][3] == 28         # a[1][1] * b[1][1]
-
-
-def test_basis_index_validation():
-    b = BasisIndex.exterior(4, 2)
-    assert len(b) == 6
-    assert b.labels[0] == (0, 1)
-    t = BasisIndex.tensor(2, 2)
-    assert t.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
-    with pytest.raises(ValueError):
-        BasisIndex("exterior", [(0, 0)])
-    with pytest.raises(ValueError):
-        BasisIndex("tensor", [(1,), (0,)])
-    with pytest.raises(ValueError):
-        BasisIndex("tensor", [(0,), (0,)])
 
 
 def test_int_matrix_rank_and_det():

@@ -5,10 +5,12 @@ from math import comb, prod
 import pytest
 
 from nilhom.groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
-                           NilpotentAction, heisenberg)
+                           NilpotentAction, central_extension_of_class2,
+                           heisenberg)
 from nilhom.jsonio import frac_str, page_json
 from nilhom.linalg import IntMatrix, RatMatrix, rank_kernel_image
-from nilhom.spectral import (EquivariantPage, Page, _integral_homology,
+from nilhom.spectral import (EquivariantPage, Page, _class2_blocks,
+                             _integral_homology,
                              abelian_homology, betti_free_nilpotent_c2,
                              d2_central, e2_page, e3_dimensions,
                              equivariant_page, h2_class2,
@@ -25,6 +27,40 @@ def random_extension(rng, n_max=4, a_max=3):
     pairing = IntMatrix([[rng.randint(-2, 2) for _ in range(comb(n, 2))]
                          for _ in range(a)])
     return CentralExtension(AbelianFG(n), AbelianFG(a), pairing)
+
+
+def assert_cells_canonical(page, n, a):
+    """Every cell (p, q) is a tuple of distinct (I, J) labels in
+    lexicographic order, I a strictly increasing p-tuple below n and J a
+    strictly increasing q-tuple below a."""
+    for (p, q), labels in page.cells.items():
+        assert isinstance(labels, tuple), (p, q)
+        assert len(set(labels)) == len(labels), (p, q)
+        assert list(labels) == sorted(labels), (p, q)
+        for I, J in labels:
+            assert len(I) == p and len(J) == q, (p, q, I, J)
+            assert list(I) == sorted(set(I)) and all(0 <= i < n for i in I)
+            assert list(J) == sorted(set(J)) and all(0 <= j < a for j in J)
+
+
+def test_dense_cells_hold_every_label_in_order():
+    exts = [central_extension_of_class2(FreeNilpotentSpec(r, 2))
+            for r in (2, 3, 4)]
+    rng = random.Random(62)
+    exts += [random_extension(rng) for _ in range(8)]
+    for ext in exts:
+        n, a = ext.q.rank, ext.a.rank
+        page = e2_page(ext)
+        assert_cells_canonical(page, n, a)
+        assert {pq: len(labels) for pq, labels in page.cells.items()} == {
+            (p, q): comb(n, p) * comb(a, q)
+            for p in range(n + 1) for q in range(a + 1)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_block_cells_hold_labels_in_order(r):
+    for _, _, blk in _class2_blocks(r):
+        assert_cells_canonical(blk, r, comb(r, 2))
 
 
 def test_abelian_homology():
@@ -198,9 +234,9 @@ def test_page_rejects_differentials_that_do_not_compose_to_zero():
     k = next(i for i, x in enumerate(nxt.entries[0]) if x)
     diffs = dict(page.diffs)
     diffs[(4, 0)] = RatMatrix([[int(i == k)] for i in range(nxt.cols)])
-    Page(page.n, page.a, page.cells, page.diffs)
+    Page(page.cells, page.diffs)
     with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell \(4, 0\)"):
-        Page(page.n, page.a, page.cells, diffs)
+        Page(page.cells, diffs)
 
 
 def test_page_rejects_differential_of_wrong_shape():
@@ -209,7 +245,7 @@ def test_page_rejects_differential_of_wrong_shape():
     diffs[(2, 0)] = RatMatrix.zero(1, 2)
     with pytest.raises(ValueError, match=r"at \(2, 0\) has shape \(1, 2\), "
                                          r"expected \(1, 1\)"):
-        Page(page.n, page.a, page.cells, diffs)
+        Page(page.cells, diffs)
 
 
 def test_equivariant_page_rejects_noncommuting_action():
