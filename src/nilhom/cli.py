@@ -16,11 +16,12 @@ import sys
 
 from . import jsonio
 from .filtration import filtration_certificate
-from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
-                     NilpotentAction, central_extension_of_class2)
+from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
+                     central_extension_of_class2)
 from .sigma import (ValuationVector, m_tame, sigma_complement,
                     sigma_witness_search)
-from .spectral import (abelian_homology, betti_free_nilpotent_c2, e2_page,
+from .linalg import binomial
+from .spectral import (betti_free_nilpotent_c2, e2_page,
                        homology_free_nilpotent_c2)
 from .vbscan import hypothesis_report, vb_scan
 
@@ -69,9 +70,11 @@ def _cmd_betti(args):
     config = {"group": jsonio.group_json(group), "integral": bool(args.integral)}
     if isinstance(group, FreeNilpotentSpec):
         if group.nil_class == 1:
-            betti = [abelian_homology(AbelianFG(group.rank), j).rational_dimension
-                     for j in range(group.rank + 1)]
-            payload = {"betti": betti}
+            if args.integral:
+                raise InputError("integral invariant factors need a free "
+                                 "nilpotent group of class two")
+            payload = {"betti": [binomial(group.rank, j)
+                                 for j in range(group.rank + 1)]}
         elif group.nil_class == 2:
             payload = {"betti": betti_free_nilpotent_c2(group.rank)}
             if args.integral:
@@ -197,7 +200,7 @@ def _cmd_vbscan(args):
 
 
 def _cmd_report(args):
-    sc = _parse_cones(args, args.nvars if args.nvars else args.n)
+    sc = _parse_cones(args, args.n if args.nvars is None else args.nvars)
     rep = hypothesis_report(args.c, args.n, sc)
     config = {"c": args.c, "n": args.n,
               "sigma_complement": jsonio.cones_json(sc)}

@@ -4,8 +4,8 @@ extensions and actions on them.
 Free nilpotent groups are carried by their rank and class only; their
 lower central series data is realised through a Hall basis of basic
 commutators.  Torsion is stored on abelian groups but is invisible to all
-rational computations downstream; integral routines that cannot handle it
-refuse loudly.
+rational computations downstream; no routine reads the invariant
+factors, so only the free ranks are used.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 from operator import index
@@ -386,6 +387,7 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     # v scaled to integers orders monomials in integers
     weights, _ = integral_row(v.v)
 
+    @cache  # each monomial's v-value is computed once per search
     def key(m):
         return sum(a * b for a, b in zip(weights, m)), m
 

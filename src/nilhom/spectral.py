@@ -14,23 +14,25 @@ central extension the third page is reported as an upper bound only,
 since no closed-form higher differential is available.
 
 The free class-two page is graded by content, the multidegree in Z^r of
-a label, and d2 keeps it, so its Betti numbers and integral invariant
-factors are computed block by block: one block per content up to the
-permutations of the generators, whose rank or Smith form counts once
-for every content in its orbit.  Rank 5 takes well under a second, with
-blocks at most 70 wide against cells up to 2520 wide.  ``e2_page`` and
-``ks_page`` still build the dense page, for ``pages`` and as the
-reference the blocks are tested against.  Equivariant pages use it only
-up to a total degree bound: a degree-j scan reads cells of total degree
-at most j + 1.
+a label, and d2 keeps it, so it is computed block by block: one block
+per content up to the permutations of the generators, whose ranks and
+Smith forms count once for every content in its orbit.  The integral
+free ranks are the rational dimensions (universal coefficients), so only
+the torsion takes Smith forms, one per block differential.  Rank 5 takes
+well under a second, with blocks at most 70 wide against cells up to
+2520 wide.  ``e2_page`` and ``ks_page`` still build the dense page, for
+``pages`` and as the reference the blocks are tested against.
+Equivariant pages use it only up to a total degree bound: a degree-j
+scan reads cells of total degree at most j + 1.
 
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
 lexicographic order.  The dense page and ``d2_central`` both take their
 labels from ``_cell_labels``.  Each block is a ``Page`` on the labels
 of its content, so the dense page's shape and d2 o d2 = 0 checks and
-``e3_dimensions`` serve it.  The pairing is an integer matrix, so every d2 is one too, and only
-the equivariant check multiplies differentials by rational actions.
+``e3_dimensions`` serve it.  The pairing is an integer matrix, so every
+d2 is one too, and only the equivariant check multiplies differentials
+by rational actions.
 """
 
 from __future__ import annotations
@@ -270,68 +272,56 @@ def _class2_e3(r: int):
     return e3
 
 
-def _integral_homology(d_out: IntMatrix, d_in: IntMatrix):
-    """Free rank and torsion of ker(d_out) / im(d_in) over the integers.
+@lru_cache(maxsize=None)
+def _class2_torsion(r: int):
+    """Torsion of the integral cells of the free class-two page.
 
-    C / ker(d_out) is isomorphic to im(d_out), a submodule of a free
-    module, so it is free and ker(d_out) is a direct summand of C, with a
-    free complement F.  As im(d_in) lies in ker(d_out), C / im(d_in) is
-    ker(d_out) / im(d_in) plus F, and the two have the same torsion: the
-    Smith diagonal of d_in above 1, in divisibility order.  The free rank
-    is dim C - rank d_out - rank d_in.
+    Maps each cell (p, q) with torsion to its invariant factors above 1,
+    in divisibility order.  For a cell C, C / ker(d_out) is im(d_out), a
+    submodule of a free module, so ker(d_out) is a direct summand of C
+    with a free complement F.  As im(d_in) lies in ker(d_out),
+    C / im(d_in) is ker(d_out) / im(d_in) plus F, and the two have the
+    same torsion: the Smith diagonal of d_in above 1.  So the Smith form
+    of each block differential is taken once and counts towards its
+    target cell (p - 2, q + 1), once for every block of its orbit (a
+    signed permutation is unimodular).  The free ranks are the rational
+    dimensions of ``_class2_e3``, by the universal coefficient theorem.
     """
-    factors = smith_normal_form(d_in)
-    return (d_out.cols - matrix_rank(d_out) - len(factors),
-            tuple(d for d in factors if d > 1))
-
-
-def _integral_cell(r: int, p: int, q: int):
-    """Free rank and invariant factors of the integral cell (p, q).
-
-    A block's Smith form carries over to every block of its orbit (a
-    signed permutation is unimodular), and the cell is their direct sum.
-    """
-    free, torsion = 0, ()
+    torsion = {}
     for _, orbit, page in _class2_blocks(r):
-        if (p, q) in page.cells:
-            f, t = _integral_homology(page.diff(p, q), page.diff(p + 2, q - 1))
-            free += orbit * f
-            torsion = merge_invariant_factors(torsion, t * orbit)
-    return free, torsion
+        for (p, q), d in page.diffs.items():
+            factors = tuple(f for f in smith_normal_form(d) if f > 1)
+            if factors:
+                cell = (p - 2, q + 1)
+                torsion[cell] = merge_invariant_factors(torsion.get(cell, ()),
+                                                        factors * orbit)
+    return torsion
 
 
 def homology_free_nilpotent_c2(r: int, j: int, integral: bool = False) -> HomologyResult:
     """Homology of the free nilpotent group of class two and rank r.
 
     Dimensions are assembled from the third-page cells, which carry the
-    whole answer here (the page degenerates); the corner cells (0, j) die
-    because the degree-(2, q) differential is onto.  Ranks and Smith
-    forms are taken block by block (``_class2_blocks``).  With
-    ``integral`` set, invariant factors are computed per cell, and for
-    the whole degree whenever only one cell is nonzero.
+    whole answer here (the page degenerates); the corner cells (0, j),
+    j > 0, die because the degree-(2, q) differential is onto.  With
+    ``integral`` set, each cell's free rank is its rational dimension and
+    its torsion is read from ``_class2_torsion``; the factors of the
+    whole degree are given whenever only one cell is nonzero.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
     e3 = _class2_e3(r)
-    if j == 0:
-        return HomologyResult(0, 1, ((0, 0, 1),), (0,) if integral else None,
-                              (((0, 0), 1, ()),) if integral else None)
-    cells = [(i, j - i) for i in range(1, j + 1)]
-    prov = tuple((p, q, e3[(p, q)]) for (p, q) in cells if (p, q) in e3)
+    cells = [(p, j - p) for p in range(min(j, 1), j + 1) if (p, j - p) in e3]
+    prov = tuple((p, q, e3[(p, q)]) for p, q in cells)
     dim = sum(d for _, _, d in prov)
-    factors = None
-    integral_cells = None
+    factors = integral_cells = None
     if integral:
-        a = binomial(r, 2)
-        integral_cells = tuple(((p, q),) + _integral_cell(r, p, q)
-                               for (p, q) in cells
-                               if binomial(r, p) * binomial(a, q))
-        nontrivial = [c for c in integral_cells if c[1] > 0 or c[2]]
-        if len(nontrivial) == 0:
-            factors = ()
-        elif len(nontrivial) == 1:
-            _, free, torsion = nontrivial[0]
-            factors = torsion + (0,) * free
+        tors = _class2_torsion(r)
+        integral_cells = tuple((pq, e3[pq], tors.get(pq, ())) for pq in cells)
+        nontrivial = [(t, free) for _, free, t in integral_cells if free or t]
+        if len(nontrivial) <= 1:
+            t, free = nontrivial[0] if nontrivial else ((), 0)
+            factors = t + (0,) * free
     return HomologyResult(j, dim, prov, factors, integral_cells)
 
 

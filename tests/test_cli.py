@@ -52,6 +52,18 @@ def test_betti_rejects_class3(capsys):
     assert "class" in err
 
 
+def test_betti_integral_needs_class_two(capsys):
+    # class one has no integral page to report; refused like class three
+    code, out, err = run_cli(capsys, "betti", "--group",
+                             '{"type":"free_nilpotent","rank":2,"class":1}',
+                             "--integral")
+    assert code == 2 and out == ""
+    assert "class two" in err
+    code, out, _ = run_cli(capsys, "betti", "--group",
+                           '{"type":"free_nilpotent","rank":4,"class":1}')
+    assert code == 0 and json.loads(out)["betti"] == [1, 4, 6, 4, 1]
+
+
 def test_tame_lamplighter_golden(capsys):
     code, out, _ = run_cli(capsys, "tame", "--module",
                            '{"nvars":1,"ideal":[]}', "--m", "2")
@@ -112,6 +124,11 @@ def test_explicit_nvars_must_match_the_cones(capsys):
     code, out, _ = run_cli(capsys, "tame", "--sigma-complement", "[{}]",
                            "--nvars", "2", "--m", "2")
     assert code == 0 and json.loads(out)["tame"] is False
+    # --nvars 0 is a dimension like any other, not an unset flag
+    code, out, err = run_cli(capsys, "report", "--c", "1", "--n", "2",
+                             "--nvars", "0", "--sigma-complement", "[]")
+    assert code == 0, err
+    assert json.loads(out)["holds"] is True
 
 
 def test_a_cone_with_no_rows_takes_the_dimension_of_any_cone(capsys):

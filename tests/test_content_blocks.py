@@ -14,10 +14,10 @@ from math import comb, factorial, prod
 import pytest
 
 import nilhom.spectral as spectral
-from nilhom.spectral import (_class2_blocks, _class2_e3, _integral_cell,
-                             _integral_homology, betti_free_nilpotent_c2,
-                             e3_dimensions, homology_free_nilpotent_c2,
-                             ks_page)
+from nilhom.linalg import matrix_rank, smith_normal_form
+from nilhom.spectral import (_class2_blocks, _class2_e3, _class2_torsion,
+                             betti_free_nilpotent_c2, e3_dimensions,
+                             homology_free_nilpotent_c2, ks_page)
 
 import reference_spectral as ref
 
@@ -41,7 +41,7 @@ def test_block_integral_cells_equal_dense_reference(r):
     torsion = {}
     for (p, q) in page.cells:
         if page.cell_dim(p, q):
-            got = _integral_cell(r, p, q)
+            got = (_class2_e3(r)[(p, q)], _class2_torsion(r).get((p, q), ()))
             assert got == ref.integral_cell(page, p, q), (p, q)
             if got[1]:
                 torsion[(p, q)] = got[1]
@@ -51,11 +51,17 @@ def test_block_integral_cells_equal_dense_reference(r):
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_block_page_integral_cells_equal_dense_reference(r):
-    # each block's own cells, before the orbit sum and the merge of factors
+    # each block's own cells, before the orbit sum and the merge of factors:
+    # free rank from the ranks of both maps, and it is the block's rational
+    # third page; torsion from the Smith form of the incoming map alone
     for _, _, blk in _class2_blocks(r):
-        for (p, q) in blk.cells:
-            got = _integral_homology(blk.diff(p, q), blk.diff(p + 2, q - 1))
+        e3 = e3_dimensions(blk)
+        for (p, q), labels in blk.cells.items():
+            diag = smith_normal_form(blk.diff(p + 2, q - 1))
+            free = len(labels) - matrix_rank(blk.diff(p, q)) - len(diag)
+            got = (free, tuple(f for f in diag if f > 1))
             assert got == ref.integral_cell(blk, p, q), (p, q)
+            assert free == e3[(p, q)], (p, q)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -152,6 +158,7 @@ def test_betti_numbers_equal_sigg_closed_form(r):
 
 
 def test_rank5_integral_free_ranks_equal_rational_cells():
+    found = {}
     for j in range(5 + comb(5, 2) + 1):
         res = homology_free_nilpotent_c2(5, j, integral=True)
         by_cell = {(p, q): d for p, q, d in res.provenance}
@@ -159,3 +166,10 @@ def test_rank5_integral_free_ranks_equal_rational_cells():
             assert free == by_cell[cell]
             assert all(t > 1 for t in torsion)
             assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+            if torsion:
+                found[cell] = torsion
+    # recorded from the per-cell Smith reduction that preceded the table:
+    # only 3-torsion, in cells (1, 3)..(1, 7) and (2, 4)..(2, 8)
+    counts = dict(zip([(1, q) for q in range(3, 8)], [30, 70, 45, 10, 1]))
+    counts.update(zip([(2, q) for q in range(4, 9)], [1, 10, 45, 70, 30]))
+    assert found == {cell: (3,) * k for cell, k in counts.items()}
