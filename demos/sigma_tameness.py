@@ -14,7 +14,7 @@ from nilhom import (CyclicModuleSpec, LaurentPoly, ValuationVector,
 
 
 def describe(sc):
-    if sc.is_empty_set():
+    if not sc.cones:
         return "empty"
     out = []
     for cone in sc.cones:

@@ -12,14 +12,12 @@ A JSON command line lives in :mod:`nilhom.cli`.
 
 from .linalg import (IntMatrix, RatMatrix, exterior_power_map,
                      rank_kernel_image, smith_normal_form, tensor_power_map)
-from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
-                     HallBasis, NilpotentAction, central_extension_of_class2,
-                     hall_basis, heisenberg, induced_action_on_quotient,
-                     lower_central_quotients, witt_number)
-from .spectral import (HomologyResult, Page, abelian_homology,
-                       betti_free_nilpotent_c2, d2_central, e2_page,
-                       e3_dimensions, equivariant_page, h2_class2,
-                       homology_free_nilpotent_c2, ks_page)
+from .groups import (CentralExtension, FreeNilpotentSpec, HallBasis,
+                     NilpotentAction, central_extension_of_class2, hall_basis,
+                     heisenberg, induced_action_on_quotient, witt_number)
+from .spectral import (HomologyResult, Page, betti_free_nilpotent_c2,
+                       d2_central, e2_page, e3_dimensions, equivariant_page,
+                       h2_class2, homology_free_nilpotent_c2, ks_page)
 from .filtration import (ActionNilpotencyReport, FiltrationCertificate,
                          filtration_certificate, induced_homology_action,
                          is_nilpotent_action, tensor_degree_bound)

@@ -1,11 +1,9 @@
-"""Group-theoretic inputs: abelian groups, free nilpotent groups, central
-extensions and actions on them.
+"""Group-theoretic inputs: free nilpotent groups, central extensions and
+actions on them.
 
 Free nilpotent groups are carried by their rank and class only; their
 lower central series data is realised through a Hall basis of basic
-commutators.  Torsion is stored on abelian groups but is invisible to all
-rational computations downstream; no routine reads the invariant
-factors, so only the free ranks are used.
+commutators.
 """
 
 from __future__ import annotations
@@ -50,30 +48,6 @@ def witt_number(r: int, w: int) -> int:
 
 
 @dataclass(frozen=True)
-class AbelianFG:
-    """Finitely generated abelian group: free rank plus invariant factors."""
-
-    rank: int
-    invariant_factors: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "rank", index(self.rank))
-        object.__setattr__(self, "invariant_factors",
-                           tuple(map(index, self.invariant_factors)))
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        facs = self.invariant_factors
-        if any(d < 2 for d in facs):
-            raise ValueError("invariant factors must be >= 2")
-        if any(facs[i + 1] % facs[i] != 0 for i in range(len(facs) - 1)):
-            raise ValueError("invariant factors must form a divisibility chain")
-
-    @property
-    def torsion_free(self) -> bool:
-        return not self.invariant_factors
-
-
-@dataclass(frozen=True)
 class FreeNilpotentSpec:
     """Free nilpotent group of the given rank and nilpotency class."""
 
@@ -81,6 +55,8 @@ class FreeNilpotentSpec:
     nil_class: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", index(self.rank))
+        object.__setattr__(self, "nil_class", index(self.nil_class))
         if self.rank < 1 or self.nil_class < 1:
             raise ValueError("rank and class must be >= 1")
 
@@ -156,31 +132,35 @@ def hall_basis(spec: FreeNilpotentSpec) -> HallBasis:
     return _hall_basis(spec.rank, spec.nil_class)
 
 
-def lower_central_quotients(spec: FreeNilpotentSpec):
-    """Successive lower-central quotients, free abelian of Witt rank."""
-    return [AbelianFG(witt_number(spec.rank, w))
-            for w in range(1, spec.nil_class + 1)]
-
-
 @dataclass(frozen=True)
 class CentralExtension:
-    """Central extension of a f.g. abelian group by a f.g. abelian group.
+    """Central extension of a free abelian base of rank ``q_rank`` by a free
+    abelian centre of rank ``a_rank``.
 
     The extension class is carried as the commutator pairing, an integer
-    matrix from the exterior square of the free part of the base to the
-    free part of the centre.  Sign convention: the basis vector e_i ^ e_j
-    with i < j maps to the commutator of the lifts of the i-th and j-th
-    base generators, in that order.
+    matrix from the exterior square of the base to the centre.  Sign
+    convention: the basis vector e_i ^ e_j with i < j maps to the
+    commutator of the lifts of the i-th and j-th base generators, in that
+    order.
+
+    >>> CentralExtension(2, 1, IntMatrix([[1]])) == heisenberg()
+    True
     """
 
-    q: AbelianFG
-    a: AbelianFG
+    q_rank: int
+    a_rank: int
     pairing: IntMatrix
 
     def __post_init__(self):
+        # index() refuses 1.5 or Fraction(1, 2), which int() would truncate
+        for field in ("q_rank", "a_rank"):
+            rank = index(getattr(self, field))
+            if rank < 0:
+                raise ValueError(f"{field} must be nonnegative, got {rank}")
+            object.__setattr__(self, field, rank)
         if not isinstance(self.pairing, IntMatrix):
             raise ValueError("the pairing must be an integer matrix")
-        want = (self.a.rank, binomial(self.q.rank, 2))
+        want = (self.a_rank, binomial(self.q_rank, 2))
         if self.pairing.shape != want:
             raise ValueError(
                 f"pairing must be {want[0]} x {want[1]}, got {self.pairing.shape}")
@@ -188,7 +168,7 @@ class CentralExtension:
 
 def heisenberg() -> CentralExtension:
     """The discrete Heisenberg group as a central extension of Z^2 by Z."""
-    return CentralExtension(AbelianFG(2), AbelianFG(1), IntMatrix([[1]]))
+    return CentralExtension(2, 1, IntMatrix([[1]]))
 
 
 def central_extension_of_class2(spec: FreeNilpotentSpec) -> CentralExtension:
@@ -203,10 +183,9 @@ def central_extension_of_class2(spec: FreeNilpotentSpec) -> CentralExtension:
         raise ValueError("only class <= 2 carries an explicit central extension")
     r = spec.rank
     if spec.nil_class == 1:
-        return CentralExtension(AbelianFG(r), AbelianFG(0),
-                                IntMatrix.zero(0, binomial(r, 2)))
+        return CentralExtension(r, 0, IntMatrix.zero(0, binomial(r, 2)))
     k = binomial(r, 2)
-    return CentralExtension(AbelianFG(r), AbelianFG(k), IntMatrix.identity(k))
+    return CentralExtension(r, k, IntMatrix.identity(k))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from json import dumps as _scalar
 from json.encoder import encode_basestring_ascii as _string
 
 from .filtration import FiltrationCertificate
-from .groups import AbelianFG, CentralExtension, FreeNilpotentSpec, NilpotentAction
+from .groups import CentralExtension, FreeNilpotentSpec, NilpotentAction
 from .linalg import IntMatrix, binomial
 from .sigma import Cone, ConeUnion, CyclicModuleSpec, LaurentPoly
 from .spectral import Page
@@ -116,8 +116,20 @@ def int_matrix_json(m: IntMatrix):
     return [[str(x) for x in row] for row in m.entries]
 
 
-def parse_int_matrix(grid, rows=None, cols=None) -> IntMatrix:
-    return IntMatrix([[_integer(x) for x in row] for row in grid], rows, cols)
+def parse_int_matrix(grid, cols=None) -> IntMatrix:
+    """An IntMatrix from a list of rows, each a list of entries; anything
+    else, whose keys or characters would be read as entries, is refused."""
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ValueError(f"a matrix must be a list of lists, got {grid!r}")
+    return IntMatrix([[_integer(x) for x in row] for row in grid], cols=cols)
+
+
+def _field(doc, key):
+    """``doc[key]``, or a ValueError naming the spec type and the field."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{doc['type']} spec lacks the field {key!r}") from None
 
 
 def parse_group(doc):
@@ -126,19 +138,21 @@ def parse_group(doc):
         raise ValueError("group spec must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "free_nilpotent":
-        return FreeNilpotentSpec(_integer(doc["rank"]), _integer(doc["class"]))
+        return FreeNilpotentSpec(_integer(_field(doc, "rank")),
+                                 _integer(_field(doc, "class")))
     if kind == "central_extension":
-        q_rank = _integer(doc["q_rank"])
-        a_rank = _integer(doc["a_rank"])
-        # an empty pairing carries no column count: it is C(q_rank, 2)
-        pairing = parse_int_matrix(doc["pairing"], a_rank,
-                                   None if doc["pairing"] else binomial(q_rank, 2))
-        return CentralExtension(AbelianFG(q_rank), AbelianFG(a_rank), pairing)
+        q_rank = _integer(_field(doc, "q_rank"))
+        a_rank = _integer(_field(doc, "a_rank"))
+        grid = _field(doc, "pairing")
+        # an empty pairing carries no column count: it is C(q_rank, 2).
+        # CentralExtension checks the ranks before the pairing's shape.
+        pairing = parse_int_matrix(grid, None if grid else binomial(q_rank, 2))
+        return CentralExtension(q_rank, a_rank, pairing)
     if kind == "action":
-        group = parse_group(doc["group"])
+        group = parse_group(_field(doc, "group"))
         if not isinstance(group, FreeNilpotentSpec):
             raise ValueError("actions are specified on free nilpotent groups")
-        gens = tuple(parse_int_matrix(g) for g in doc["generators"])
+        gens = tuple(parse_int_matrix(g) for g in _field(doc, "generators"))
         return NilpotentAction(group, gens)
     raise ValueError(f"unknown group type {kind!r}")
 
@@ -147,8 +161,8 @@ def group_json(obj):
     if isinstance(obj, FreeNilpotentSpec):
         return {"type": "free_nilpotent", "rank": obj.rank, "class": obj.nil_class}
     if isinstance(obj, CentralExtension):
-        return {"type": "central_extension", "q_rank": obj.q.rank,
-                "a_rank": obj.a.rank, "pairing": int_matrix_json(obj.pairing)}
+        return {"type": "central_extension", "q_rank": obj.q_rank,
+                "a_rank": obj.a_rank, "pairing": int_matrix_json(obj.pairing)}
     if isinstance(obj, NilpotentAction):
         return {"type": "action", "group": group_json(obj.target),
                 "generators": [int_matrix_json(g) for g in obj.generators]}

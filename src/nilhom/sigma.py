@@ -220,9 +220,6 @@ class ConeUnion:
     def contains(self, v) -> bool:
         return any(c.contains(v) for c in self.cones)
 
-    def is_empty_set(self) -> bool:
-        return not self.cones
-
     def __eq__(self, other):
         return (isinstance(other, ConeUnion) and self.nvars == other.nvars
                 and self.cones == other.cones)

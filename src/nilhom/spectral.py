@@ -43,9 +43,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
-from .groups import (AbelianFG, CentralExtension, FreeNilpotentSpec,
-                     NilpotentAction, central_extension_of_class2,
-                     induced_action_on_quotient)
+from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
+                     central_extension_of_class2, induced_action_on_quotient)
 from .linalg import (IntMatrix, RatMatrix, binomial, exterior_power_map,
                      kron, matrix_rank, merge_invariant_factors,
                      smith_normal_form, solve)
@@ -115,24 +114,13 @@ def _cell_labels(n, a, p, q):
                  for J in combinations(range(a), q))
 
 
-def abelian_homology(group: AbelianFG, j: int) -> HomologyResult:
-    """Rational homology of a f.g. abelian group: an exterior power.
-
-    Torsion is rationally invisible, so only the free rank enters.
-    """
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
-    dim = binomial(group.rank, j)
-    return HomologyResult(j, dim, ((j, 0, dim),) if dim else ())
-
-
 def _pair_images(ext: CentralExtension):
     """Each pair (i, j), i < j, of base generators mapped to the nonzero
     (alpha, value) terms of its commutator in the centre."""
     P = ext.pairing.entries
-    return {pair: [(alpha, P[alpha][pc]) for alpha in range(ext.a.rank)
+    return {pair: [(alpha, P[alpha][pc]) for alpha in range(ext.a_rank)
                    if P[alpha][pc]]
-            for pc, pair in enumerate(combinations(range(ext.q.rank), 2))}
+            for pc, pair in enumerate(combinations(range(ext.q_rank), 2))}
 
 
 def _d2_rows(src, tgt, images):
@@ -169,7 +157,7 @@ def d2_central(ext: CentralExtension, p: int, q: int) -> IntMatrix:
     p < 2 or out-of-range targets the zero map of the correct shape is
     returned; empty cells give empty matrices.
     """
-    n, a = ext.q.rank, ext.a.rank
+    n, a = ext.q_rank, ext.a_rank
     src = _cell_labels(n, a, p, q)
     tgt = _cell_labels(n, a, p - 2, q + 1)
     return IntMatrix(_d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
@@ -183,7 +171,7 @@ def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
     degree by one, so every kept differential lands in a kept cell and
     the page's checks cover all of them.
     """
-    n, a = ext.q.rank, ext.a.rank
+    n, a = ext.q_rank, ext.a_rank
     kept = [(p, q) for p in range(n + 1) for q in range(a + 1)
             if max_degree is None or p + q <= max_degree]
     return Page({pq: _cell_labels(n, a, *pq) for pq in kept},
@@ -387,7 +375,7 @@ class EquivariantPage:
 def _action_on_centre(ext: CentralExtension, gens):
     """Solve for the centre action forced by pairing equivariance."""
     pairing = ext.pairing
-    if matrix_rank(pairing) < ext.a.rank:
+    if matrix_rank(pairing) < ext.a_rank:
         raise ValueError(
             "pairing is not rationally surjective, the induced action "
             "on the centre is not determined")
@@ -425,7 +413,7 @@ def equivariant_page(source, act, max_degree: int = None) -> EquivariantPage:
     elif isinstance(source, CentralExtension):
         ext = source
         v_act = list(gens)
-        if any(g.shape != (ext.q.rank, ext.q.rank) for g in v_act):
+        if any(g.shape != (ext.q_rank, ext.q_rank) for g in v_act):
             raise ValueError("action matrices must act on the base")
         w_act = _action_on_centre(ext, v_act)
     else:

@@ -271,6 +271,36 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
     assert f"expected an integer, got {value}" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["betti", "--group", '{"type":"free_nilpotent","rank":2}'],
+     "free_nilpotent spec lacks the field 'class'"),
+    (["pages", "--group", '{"type":"central_extension","q_rank":2,'
+                          '"a_rank":1}'],
+     "central_extension spec lacks the field 'pairing'"),
+    (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
+                           '"rank":2,"class":2}}', "--j", "1"],
+     "action spec lacks the field 'generators'"),
+    (["pages", "--group", '{"type":"central_extension","q_rank":2,'
+                          '"a_rank":1,"pairing":[1]}'],
+     "a matrix must be a list of lists, got [1]"),
+    (["pages", "--group", '{"type":"central_extension","q_rank":2,'
+                          '"a_rank":1,"pairing":{"a":1}}'],
+     "a matrix must be a list of lists, got {'a': 1}"),
+    (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
+                           '"rank":2,"class":2},"generators":"ab"}', "--j", "1"],
+     "a matrix must be a list of lists, got 'a'"),
+    (["pages", "--group", '{"type":"central_extension","q_rank":2,'
+                          '"a_rank":-1,"pairing":[["1"]]}'],
+     "a_rank must be nonnegative, got -1"),
+], ids=["missing-class", "missing-pairing", "missing-generators",
+        "flat-pairing", "object-pairing", "string-generators",
+        "negative-a-rank"])
+def test_malformed_group_spec_is_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("cones", ['[[1,2]]', '["x"]', '{}'],
                          ids=["rows", "string", "object"])
 def test_cone_union_must_be_a_list_of_objects(capsys, cones):
