@@ -20,7 +20,7 @@ def main():
     print("== Heisenberg group twisted by an Anosov automorphism ==")
     print("generator on the abelianisation:", [list(r) for r in anosov.entries])
     for j in range(4):
-        report = vb_scan(spec, act, j, 16)
+        report = vb_scan(act, j, 16)
         row = [r.total for r in report.rows]
         print(f"degree {j}: totals over m = 1..16: {row}  "
               f"(observed sup {report.observed_sup})")
@@ -28,7 +28,7 @@ def main():
     print("\n== trivial action for contrast ==")
     triv = NilpotentAction(spec, (IntMatrix.identity(2),))
     for j in range(3):
-        report = vb_scan(spec, triv, j, 8)
+        report = vb_scan(triv, j, 8)
         print(f"degree {j}: totals {[r.total for r in report.rows]}")
 
     print("\n== hypothesis reports ==")

@@ -173,25 +173,23 @@ def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, acts) -> list:
             for t in range(len(acts))]
 
 
-def induced_homology_action(spec: FreeNilpotentSpec, act: NilpotentAction, j: int):
-    """Matrices of the action induced on rational homology in degrees 0..j.
+def induced_homology_action(act: NilpotentAction, j: int):
+    """Matrices of the action induced on rational homology of ``act.target``
+    in degrees 0..j.
 
     Entry q of the returned list holds one matrix per generator, acting
     on degree-q homology.  All degrees are computed on the third-page
     cells of one equivariant page, which is the whole homology for
-    class <= 2.  Degree deg reads the cells of total degree deg and the
-    differentials into and out of them, so the page is built only up to
-    total degree j + 1.  Degree zero always gives the identity on a line.
+    class <= 2; a higher class is refused by the page.  Degree deg reads
+    the cells of total degree deg and the differentials into and out of
+    them, so the page is built only up to total degree j + 1.  Degree
+    zero always gives the identity on a line.
     """
-    if spec.nil_class > 2:
-        raise ValueError("induced homology actions need class <= 2")
     if j < 0:
         raise ValueError("degree must be nonnegative")
     ngens = len(act.generators)
     out = [[RatMatrix.identity(1) for _ in range(ngens)]]
-    if j == 0:
-        return out
-    epage = equivariant_page(spec, act, max_degree=j + 1)
+    epage = equivariant_page(act.target, act.generators, max_degree=j + 1)
     page = epage.page
     for deg in range(1, j + 1):
         blocks = [[] for _ in range(ngens)]

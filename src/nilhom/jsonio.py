@@ -124,12 +124,22 @@ def parse_int_matrix(grid, cols=None) -> IntMatrix:
     return IntMatrix([[_integer(x) for x in row] for row in grid], cols=cols)
 
 
-def _field(doc, key):
-    """``doc[key]``, or a ValueError naming the spec type and the field."""
+def _field(doc, key, what):
+    """``doc[key]``, or a ValueError naming ``what`` and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {doc!r}")
     try:
         return doc[key]
     except KeyError:
-        raise ValueError(f"{doc['type']} spec lacks the field {key!r}") from None
+        raise ValueError(f"{what} lacks the field {key!r}") from None
+
+
+def _list(x, what):
+    """``x`` if it is a list, else a ValueError "``what``, got ``x``":
+    iterating would read an object by its keys, a string by its letters."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what}, got {x!r}")
+    return x
 
 
 def parse_group(doc):
@@ -137,23 +147,25 @@ def parse_group(doc):
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("group spec must be an object with a 'type' field")
     kind = doc["type"]
+    what = f"{kind} spec"
     if kind == "free_nilpotent":
-        return FreeNilpotentSpec(_integer(_field(doc, "rank")),
-                                 _integer(_field(doc, "class")))
+        return FreeNilpotentSpec(_integer(_field(doc, "rank", what)),
+                                 _integer(_field(doc, "class", what)))
     if kind == "central_extension":
-        q_rank = _integer(_field(doc, "q_rank"))
-        a_rank = _integer(_field(doc, "a_rank"))
-        grid = _field(doc, "pairing")
+        q_rank = _integer(_field(doc, "q_rank", what))
+        a_rank = _integer(_field(doc, "a_rank", what))
+        grid = _field(doc, "pairing", what)
         # an empty pairing carries no column count: it is C(q_rank, 2).
         # CentralExtension checks the ranks before the pairing's shape.
         pairing = parse_int_matrix(grid, None if grid else binomial(q_rank, 2))
         return CentralExtension(q_rank, a_rank, pairing)
     if kind == "action":
-        group = parse_group(_field(doc, "group"))
+        group = parse_group(_field(doc, "group", what))
         if not isinstance(group, FreeNilpotentSpec):
             raise ValueError("actions are specified on free nilpotent groups")
-        gens = tuple(parse_int_matrix(g) for g in _field(doc, "generators"))
-        return NilpotentAction(group, gens)
+        gens = _list(_field(doc, "generators", what),
+                     "action generators must be a list of matrices")
+        return NilpotentAction(group, tuple(parse_int_matrix(g) for g in gens))
     raise ValueError(f"unknown group type {kind!r}")
 
 
@@ -177,11 +189,14 @@ def parse_module(doc) -> CyclicModuleSpec:
     if n < 0:
         raise ValueError(f"nvars must be nonnegative, got {n}")
     gens = []
-    for g in doc.get("ideal", []):
+    for g in _list(doc.get("ideal", []), "ideal must be a list of generators"):
         terms = {}
-        for t in ([g] if isinstance(g, dict) else g):
-            e = tuple(_integer(x) for x in t["exp"])
-            terms[e] = terms.get(e, 0) + parse_frac(t["coeff"])
+        for t in _list([g] if isinstance(g, dict) else g,
+                       "an ideal generator must be a list of terms or one term"):
+            exp = _list(_field(t, "exp", "module term"),
+                        "module term field 'exp' must be a list")
+            e = tuple(_integer(x) for x in exp)
+            terms[e] = terms.get(e, 0) + parse_frac(_field(t, "coeff", "module term"))
         gens.append(LaurentPoly(n, terms))
     return CyclicModuleSpec(n, tuple(gens))
 

@@ -9,9 +9,10 @@ product against the extension class, realised by the commutator pairing:
 extended to all p as the contraction of the pairing two-form, with the
 sign (-1)^(k+l-1) on the (k, l) contraction (positions 1-based).  For a
 free nilpotent group of class two the page degenerates at the third page
-and assembles the full rational (and integral) homology; for a general
-central extension the third page is reported as an upper bound only,
-since no closed-form higher differential is available.
+and assembles the full rational homology; the integral table is the
+integral third page, cell by cell.  For a general central extension the
+third page is reported as an upper bound only, since no closed-form
+higher differential is available.
 
 The free class-two page is graded by content, the multidegree in Z^r of
 a label, and d2 keeps it, so it is computed block by block: one block
@@ -389,30 +390,27 @@ def _action_on_centre(ext: CentralExtension, gens):
     return out
 
 
-def equivariant_page(source, act, max_degree: int = None) -> EquivariantPage:
-    """Equivariant page of a class <= 2 free nilpotent group or extension.
+def equivariant_page(source, gens, max_degree: int = None) -> EquivariantPage:
+    """Equivariant page of a class <= 2 free nilpotent group or extension,
+    under the base action matrices ``gens``.
 
-    For a free nilpotent spec the centre action is the one induced on the
-    weight-two layer; for a central extension it is solved from pairing
-    equivariance (requires a rationally surjective pairing).  With
+    For a free nilpotent spec the matrices are checked once as a
+    ``NilpotentAction`` on it, and the centre action is the one induced on
+    the weight-two layer; for a central extension it is solved from
+    pairing equivariance (requires a rationally surjective pairing).  With
     ``max_degree`` set, the page holds only the cells with
     p + q <= max_degree (see ``e2_page``).
     """
-    gens = act.generators if isinstance(act, NilpotentAction) else list(act)
+    v_act = list(gens)
     if isinstance(source, FreeNilpotentSpec):
-        if source.nil_class > 2:
-            raise ValueError("equivariant pages need class <= 2")
-        if not isinstance(act, NilpotentAction) or act.target != source:
-            act = NilpotentAction(source, tuple(gens))
         ext = central_extension_of_class2(source)
-        v_act = list(act.generators)
+        act = NilpotentAction(source, v_act)
         if source.nil_class == 2:
             w_act = induced_action_on_quotient(act, 2)
         else:
             w_act = [RatMatrix.zero(0, 0) for _ in v_act]
     elif isinstance(source, CentralExtension):
         ext = source
-        v_act = list(gens)
         if any(g.shape != (ext.q_rank, ext.q_rank) for g in v_act):
             raise ValueError("action matrices must act on the base")
         w_act = _action_on_centre(ext, v_act)

@@ -28,7 +28,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .filtration import induced_homology_action
-from .groups import FreeNilpotentSpec, NilpotentAction
+from .groups import NilpotentAction
 from .linalg import (IntMatrix, RatMatrix, binomial, det, matrix_rank,
                      require_commuting, require_matrices)
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
@@ -208,25 +208,24 @@ class ScanReport:
     period: int
 
 
-def vb_scan(spec: FreeNilpotentSpec, act: NilpotentAction, j: int,
-            m_max: int) -> ScanReport:
-    """Scan sum_p dim H_p((Z^n)^m, H_{j-p}(N, Q)) for m = 1..m_max.
+def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
+    """Scan sum_p dim H_p((Z^n)^m, H_{j-p}(N, Q)) for m = 1..m_max, where
+    N is ``act.target``.
 
     Needs class <= 2 so the coefficient modules and their actions are
-    computable from the degenerate page.  Only power subgroups are
-    scanned; the report records the observed supremum over the range.
-    Row m is computed at gcd(m, L), once per distinct value, where L is
-    the period of the module docstring (``ScanReport.period``).
+    computable from the degenerate page; a higher class is refused
+    there.  Only power subgroups are scanned; the report records the
+    observed supremum over the range.  Row m is computed at gcd(m, L),
+    once per distinct value, where L is the period of the module
+    docstring (``ScanReport.period``).
     """
-    if spec.nil_class > 2:
-        raise ValueError("scans need class <= 2")
     if j < 0 or m_max < 1:
         raise ValueError("need j >= 0 and m_max >= 1")
     if not act.generators:
         raise ValueError("scan needs at least one acting generator")
     n = len(act.generators)
     modules = {}
-    for q, mats in enumerate(induced_homology_action(spec, act, j)):
+    for q, mats in enumerate(induced_homology_action(act, j)):
         dim = mats[0].rows
         if dim:
             modules[q] = QModuleFD(dim, tuple(mats))

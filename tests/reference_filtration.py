@@ -13,13 +13,13 @@ from nilhom.linalg import IntMatrix, RatMatrix, block_diag
 from nilhom.spectral import equivariant_page
 
 
-def induced_homology_action(spec, act, j: int):
+def induced_homology_action(act, j: int):
     """Per degree 0..j, one matrix per generator on degree-q homology."""
     ngens = len(act.generators)
     out = [[RatMatrix.identity(1) for _ in range(ngens)]]
     if j == 0:
         return out
-    epage = equivariant_page(spec, act)
+    epage = equivariant_page(act.target, act.generators)
     page = epage.page
     for deg in range(1, j + 1):
         blocks = [[] for _ in range(ngens)]

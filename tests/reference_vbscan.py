@@ -39,11 +39,11 @@ def koszul_differential(module: QModuleFD, p: int) -> RatMatrix:
     return RatMatrix(mat, len(tgt) * d, len(src) * d)
 
 
-def scan_rows(spec, act, j: int, m_max: int) -> tuple:
+def scan_rows(act, j: int, m_max: int) -> tuple:
     """Rows of the degree-j scan for m = 1..m_max."""
     n = len(act.generators)
     modules = {}
-    for q, mats in enumerate(induced_homology_action(spec, act, j)):
+    for q, mats in enumerate(induced_homology_action(act, j)):
         if mats[0].rows:
             modules[q] = QModuleFD(mats[0].rows, tuple(mats))
     powers = {q: mod for q, mod in modules.items() if j - q <= n}

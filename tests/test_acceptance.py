@@ -236,7 +236,7 @@ def test_criterion_09_nilpotent_action_desk_check():
         c = rng.choice([1, 2])
         spec = FreeNilpotentSpec(r, c)
         act = NilpotentAction(spec, _random_unipotent_family(rng, r, rng.randint(1, 2)))
-        for mats in induced_homology_action(spec, act, 3):
+        for mats in induced_homology_action(act, 3):
             if mats[0].rows == 0:
                 continue
             if not is_nilpotent_action(mats).nilpotent:
@@ -251,7 +251,7 @@ def test_criterion_10_scan_boundedness():
     ok = True
     expected = {0: 1, 1: 1, 2: 0, 3: 1}
     for j in range(4):
-        report = vb_scan(spec, act, j, 64)
+        report = vb_scan(act, j, 64)
         totals = {row.total for row in report.rows}
         if totals != {expected[j]}:
             ok = False

@@ -184,17 +184,35 @@ def test_pages_central_extension(capsys):
 
 
 def test_vbscan_constant_rows(capsys):
+    # the Heisenberg group twisted by an Anosov map: degree 2 is all 0
     action = json.dumps({
         "type": "action",
         "group": {"type": "free_nilpotent", "rank": 2, "class": 2},
         "generators": [[["2", "1"], ["1", "1"]]],
     })
-    code, out, _ = run_cli(capsys, "vbscan", "--group", action,
-                           "--j", "1", "--m-max", "6")
-    doc = json.loads(out)
-    assert code == 0
-    assert [row["total"] for row in doc["scan"]["rows"]] == [1] * 6
-    assert doc["scan"]["verdict"]["observed_bound"] == 1
+    for j, total in ((1, 1), (2, 0)):
+        code, out, _ = run_cli(capsys, "vbscan", "--group", action,
+                               "--j", str(j), "--m-max", "6")
+        doc = json.loads(out)
+        assert code == 0
+        assert [row["total"] for row in doc["scan"]["rows"]] == [total] * 6
+        assert doc["scan"]["verdict"]["observed_bound"] == total
+
+
+CLASS3 = '{"type":"free_nilpotent","rank":2,"class":3}'
+CLASS3_ACTION = ('{"type":"action","group":%s,'
+                 '"generators":[[["1","0"],["0","1"]]]}' % CLASS3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pages", "--group", CLASS3],
+    ["vbscan", "--group", CLASS3_ACTION, "--j", "0"],
+    ["vbscan", "--group", CLASS3_ACTION, "--j", "1"],
+], ids=["pages", "vbscan-j0", "vbscan-j1"])
+def test_class3_is_refused_where_the_page_is_built(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "only class <= 2 carries an explicit central extension" in err
 
 
 def test_sigma_cone_output(capsys):
@@ -288,13 +306,35 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
      "a matrix must be a list of lists, got {'a': 1}"),
     (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
                            '"rank":2,"class":2},"generators":"ab"}', "--j", "1"],
-     "a matrix must be a list of lists, got 'a'"),
+     "action generators must be a list of matrices, got 'ab'"),
+    (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
+                           '"rank":2,"class":2},"generators":5}', "--j", "1"],
+     "action generators must be a list of matrices, got 5"),
+    (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
+                           '"rank":2,"class":2},"generators":{"x":[["1"]]}}',
+      "--j", "1"],
+     "action generators must be a list of matrices, got {'x': [['1']]}"),
     (["pages", "--group", '{"type":"central_extension","q_rank":2,'
                           '"a_rank":-1,"pairing":[["1"]]}'],
      "a_rank must be nonnegative, got -1"),
+    # module specs: the malformed term or list is named
+    (["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":"1"}]]}'],
+     "module term lacks the field 'exp'"),
+    (["sigma", "--module", '{"nvars":1,"ideal":[[{"exp":[1]}]]}'],
+     "module term lacks the field 'coeff'"),
+    (["sigma", "--module", '{"nvars":1,"ideal":5}'],
+     "ideal must be a list of generators, got 5"),
+    (["sigma", "--module", '{"nvars":1,"ideal":[5]}'],
+     "an ideal generator must be a list of terms or one term, got 5"),
+    (["sigma", "--module", '{"nvars":1,"ideal":[[{"coeff":"1","exp":5}]]}'],
+     "module term field 'exp' must be a list, got 5"),
+    (["sigma", "--module", '{"nvars":1,"ideal":[["x"]]}'],
+     "module term must be an object, got 'x'"),
 ], ids=["missing-class", "missing-pairing", "missing-generators",
         "flat-pairing", "object-pairing", "string-generators",
-        "negative-a-rank"])
+        "number-generators", "object-generators", "negative-a-rank",
+        "term-without-exp", "term-without-coeff", "number-ideal",
+        "number-generator", "number-exp", "string-term"])
 def test_malformed_group_spec_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -145,7 +145,7 @@ def test_is_nilpotent_validates_input():
 def test_induced_homology_identity():
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    for j, (m,) in enumerate(induced_homology_action(spec, act, 3)):
+    for j, (m,) in enumerate(induced_homology_action(act, 3)):
         dim = homology_free_nilpotent_c2(2, j).rational_dimension
         assert m == RatMatrix.identity(dim)
 
@@ -154,7 +154,7 @@ def test_induced_homology_degree_one_is_abelianisation():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (g,))
-    (m,) = induced_homology_action(spec, act, 1)[1]
+    (m,) = induced_homology_action(act, 1)[1]
     assert m == g.to_rat()
 
 
@@ -162,7 +162,7 @@ def test_induced_homology_degree_three_heisenberg():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (g,))
-    (m,) = induced_homology_action(spec, act, 3)[3]
+    (m,) = induced_homology_action(act, 3)[3]
     assert m == RatMatrix([[1]])
 
 
@@ -170,19 +170,19 @@ def test_induced_homology_all_degrees_from_one_page(monkeypatch):
     import nilhom.filtration as filtration
     pages = []
 
-    def counted(spec, act, max_degree=None):
-        pages.append(spec)
-        return equivariant_page(spec, act, max_degree=max_degree)
+    def counted(source, gens, max_degree=None):
+        pages.append(source)
+        return equivariant_page(source, gens, max_degree=max_degree)
     monkeypatch.setattr(filtration, "equivariant_page", counted)
     g = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
     spec = FreeNilpotentSpec(3, 2)
     act = NilpotentAction(spec, (g, IntMatrix.identity(3)))
-    by_degree = induced_homology_action(spec, act, 3)
+    by_degree = induced_homology_action(act, 3)
     assert len(pages) == 1
     assert [mats[0].rows for mats in by_degree] == [
         homology_free_nilpotent_c2(3, j).rational_dimension for j in range(4)]
     # each list extends the one of the degree below
-    assert induced_homology_action(spec, act, 2) == by_degree[:3]
+    assert induced_homology_action(act, 2) == by_degree[:3]
     assert by_degree[1] == [g.to_rat(), RatMatrix.identity(3)]
     assert all(m == RatMatrix.identity(m.rows) for m in
                (mats[1] for mats in by_degree))
@@ -196,16 +196,18 @@ def test_induced_homology_action_matches_the_full_page(rank, nil_class):
     for _ in range(3):
         act = ref_filtration.random_action(rng, spec)
         # the reference reads the whole page; degree j is its prefix
-        want = ref_filtration.induced_homology_action(spec, act, top)
+        want = ref_filtration.induced_homology_action(act, top)
         for j in range(top + 1):
-            assert induced_homology_action(spec, act, j) == want[:j + 1], (act, j)
+            assert induced_homology_action(act, j) == want[:j + 1], (act, j)
 
 
 def test_induced_homology_rejects_class3():
     spec = FreeNilpotentSpec(2, 3)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    with pytest.raises(ValueError):
-        induced_homology_action(spec, act, 1)
+    # degree 0 reads no page cell, but is refused all the same
+    for j in (0, 1):
+        with pytest.raises(ValueError, match="class <= 2"):
+            induced_homology_action(act, j)
 
 
 def _random_unipotent_family(rng, r, count):
@@ -242,7 +244,7 @@ def test_unipotent_actions_act_nilpotently_on_homology():
         c = rng.choice([1, 2])
         spec = FreeNilpotentSpec(r, c)
         act = NilpotentAction(spec, tuple(_random_unipotent_family(rng, r, 2)))
-        for j, mats in enumerate(induced_homology_action(spec, act, 3)):
+        for j, mats in enumerate(induced_homology_action(act, 3)):
             if mats[0].rows == 0:
                 continue
             assert is_nilpotent_action(mats).nilpotent, (r, c, j)

@@ -5,8 +5,7 @@ from math import comb, prod
 import pytest
 
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
-                           NilpotentAction, central_extension_of_class2,
-                           heisenberg)
+                           central_extension_of_class2, heisenberg)
 from nilhom.jsonio import frac_str, page_json
 from nilhom.linalg import (IntMatrix, RatMatrix, matrix_rank,
                            rank_kernel_image, smith_normal_form)
@@ -252,8 +251,7 @@ def test_equivariant_page_rejects_noncommuting_action():
 
 def test_equivariant_identity_action():
     spec = FreeNilpotentSpec(2, 2)
-    act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    ep = equivariant_page(spec, act)
+    ep = equivariant_page(spec, [IntMatrix.identity(2)])
     for (p, q), mats in ep.actions.items():
         dim = ep.page.cell_dim(p, q)
         assert mats[0] == RatMatrix.identity(dim)
@@ -269,7 +267,7 @@ def test_equivariant_heisenberg_cells():
 def test_equivariant_differentials_commute():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
-    ep = equivariant_page(spec, NilpotentAction(spec, (g,)))
+    ep = equivariant_page(spec, [g])
     for (p, q), d in ep.page.diffs.items():
         if d.rows == 0 or d.cols == 0:
             continue
@@ -297,9 +295,9 @@ def test_bounded_equivariant_page_is_the_full_page_cut(rank):
     spec = FreeNilpotentSpec(rank, 2)
     for _ in range(3):
         act = ref_filtration.random_action(rng, spec)
-        full = equivariant_page(spec, act)
+        full = equivariant_page(spec, act.generators)
         for bound in range(-1, spec.hirsch_length + 2):
-            cut = equivariant_page(spec, act, max_degree=bound)
+            cut = equivariant_page(spec, act.generators, max_degree=bound)
             kept = {pq for pq in full.page.cells if sum(pq) <= bound}
             assert set(cut.page.cells) == set(cut.page.diffs) == kept
             assert set(cut.actions) == kept
@@ -313,6 +311,17 @@ def test_equivariant_rejects_undetermined_centre():
     ext = CentralExtension(2, 2, IntMatrix([[1], [0]]))
     with pytest.raises(ValueError):
         equivariant_page(ext, [IntMatrix([[1, 1], [0, 1]])])
+
+
+@pytest.mark.parametrize("spec, gens, message", [
+    (FreeNilpotentSpec(2, 2), [IntMatrix([[2, 0], [0, 1]])], "determinant"),
+    (FreeNilpotentSpec(2, 3), [IntMatrix.identity(2)],
+     "only class <= 2 carries an explicit central extension"),
+], ids=["determinant-2", "class-3"])
+def test_equivariant_page_checks_a_free_spec_action(spec, gens, message):
+    # the matrices are checked as a NilpotentAction on the spec
+    with pytest.raises(ValueError, match=message):
+        equivariant_page(spec, gens)
 
 
 def test_provenance_sums_to_dimension():

@@ -151,7 +151,7 @@ def test_vb_scan_heisenberg_anosov():
     act = NilpotentAction(spec, (ANOSOV,))
     expected_totals = {0: 1, 1: 1, 2: 0, 3: 1}
     for j, expect in expected_totals.items():
-        report = vb_scan(spec, act, j, 8)
+        report = vb_scan(act, j, 8)
         assert all(row.total == expect for row in report.rows), j
         assert report.observed_sup == expect
 
@@ -159,7 +159,7 @@ def test_vb_scan_heisenberg_anosov():
 def test_vb_scan_trivial_action():
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    report = vb_scan(spec, act, 1, 5)
+    report = vb_scan(act, 1, 5)
     # coinvariants of H_1 (dim 2) plus H_1 of the line (dim 1)
     assert all(row.total == 3 for row in report.rows)
 
@@ -170,13 +170,13 @@ def test_vb_scan_root_of_unity_bounded_by_universal_power():
     spec = FreeNilpotentSpec(2, 2)
     rot = IntMatrix([[0, -1], [1, 0]])
     act = NilpotentAction(spec, (rot,))
-    report = vb_scan(spec, act, 1, 64)
+    report = vb_scan(act, 1, 64)
     totals = [row.total for row in report.rows]
     assert set(totals) == {1, 3}
     assert all(t == (3 if row.m % 4 == 0 else 1)
                for t, row in zip(totals, report.rows))
     from nilhom.filtration import induced_homology_action
-    mats = induced_homology_action(spec, act, 1)[1]
+    mats = induced_homology_action(act, 1)[1]
     mod = QModuleFD(2, tuple(mats))
     at_840 = koszul_homology(power_subgroup(mod, 840), 0) + 1
     assert report.observed_sup <= at_840 == 3
@@ -198,10 +198,10 @@ def test_vb_scan_matches_power_subgroups_from_scratch(spec, gens, m_max):
     act = NilpotentAction(spec, gens)
     for j in (1, 2, 3):
         modules = {}
-        for q, mats in enumerate(induced_homology_action(spec, act, j)):
+        for q, mats in enumerate(induced_homology_action(act, j)):
             if mats[0].rows:
                 modules[q] = QModuleFD(mats[0].rows, tuple(mats))
-        report = vb_scan(spec, act, j, m_max)
+        report = vb_scan(act, j, m_max)
         assert [row.m for row in report.rows] == list(range(1, m_max + 1))
         for row in report.rows:
             want = tuple(
@@ -252,9 +252,9 @@ def test_vb_scan_agrees_with_running_powers(rank, gens, m_max, js, period):
     spec = FreeNilpotentSpec(rank, 2)
     act = NilpotentAction(spec, gens)
     for j in js:
-        report = vb_scan(spec, act, j, m_max)
+        report = vb_scan(act, j, m_max)
         assert report.period == period, j
-        assert report.rows == ref.scan_rows(spec, act, j, m_max), j
+        assert report.rows == ref.scan_rows(act, j, m_max), j
         assert report.observed_sup == max(row.total for row in report.rows)
 
 
@@ -287,8 +287,9 @@ def test_charpoly_evaluates_to_the_determinant():
 def test_vb_scan_rejects_class3():
     spec = FreeNilpotentSpec(2, 3)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    with pytest.raises(ValueError):
-        vb_scan(spec, act, 1, 2)
+    for j in (0, 1):
+        with pytest.raises(ValueError, match="class <= 2"):
+            vb_scan(act, j, 2)
 
 
 def test_subquotient_dimension_bookkeeping():
