@@ -32,7 +32,7 @@ def main():
     print("\nBetti numbers b_0..b_3:", betti_free_nilpotent_c2(2))
     print("integral invariant factors (0 = free summand):")
     for j in range(4):
-        res = homology_free_nilpotent_c2(2, j, integral=True)
+        res = homology_free_nilpotent_c2(2, j)
         print(f"  H_{j}: {list(res.invariant_factors)}")
 
     print("\n== larger ranks ==")

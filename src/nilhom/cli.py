@@ -3,7 +3,7 @@
 Every command reads specs as inline JSON, a file path, or "-" for stdin,
 echoes its resolved configuration into the output document and writes a
 schema-versioned JSON payload.  Exit codes: 0 success, 2 input error or
-unsupported instance, 3 when --strict is set and a semidecision came back
+unsupported instance, 3 when ``sigma --witness --strict`` came back
 "unknown".
 """
 
@@ -21,8 +21,7 @@ from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
 from .sigma import (ValuationVector, m_tame, sigma_complement,
                     sigma_witness_search)
 from .linalg import binomial
-from .spectral import (betti_free_nilpotent_c2, e2_page,
-                       homology_free_nilpotent_c2)
+from .spectral import e2_page, homology_free_nilpotent_c2
 from .vbscan import hypothesis_report, vb_scan
 
 
@@ -72,22 +71,19 @@ def _cmd_betti(args):
             payload = {"betti": [binomial(group.rank, j)
                                  for j in range(group.rank + 1)]}
         elif group.nil_class == 2:
-            payload = {"betti": betti_free_nilpotent_c2(group.rank)}
+            results = [homology_free_nilpotent_c2(group.rank, j)
+                       for j in range(group.hirsch_length + 1)]
+            payload = {"betti": [res.rational_dimension for res in results]}
             if args.integral:
-                h = group.hirsch_length
-                per_degree = []
-                for j in range(h + 1):
-                    res = homology_free_nilpotent_c2(group.rank, j, integral=True)
-                    per_degree.append({
-                        "j": j,
-                        "cells": [{"cell": list(c), "free_rank": f,
-                                   "torsion": list(t)}
-                                  for c, f, t in (res.integral_cells or ())],
-                        "invariant_factors":
-                            list(res.invariant_factors)
-                            if res.invariant_factors is not None else None,
-                    })
-                payload["integral"] = per_degree
+                payload["integral"] = [{
+                    "j": res.j,
+                    "cells": [{"cell": list(c), "free_rank": f,
+                               "torsion": list(t)}
+                              for c, f, t in res.integral_cells],
+                    "invariant_factors":
+                        list(res.invariant_factors)
+                        if res.invariant_factors is not None else None,
+                } for res in results]
         else:
             raise ValueError("betti supports free nilpotent groups of class "
                              "<= 2 only; higher classes have no closed page")
@@ -202,8 +198,6 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--output", default=None,
                        help="write the JSON document to this path")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when a semidecision returns unknown")
 
     p = sub.add_parser("betti", help="rational Betti numbers (class <= 2)")
     p.add_argument("--group", required=True)
@@ -228,6 +222,8 @@ def _build_parser():
     p.add_argument("--witness", default=None,
                    help="direction vector as JSON, runs the witness search")
     p.add_argument("--degree-bound", type=int, default=8)
+    p.add_argument("--strict", action="store_true",
+                   help="exit 3 when the witness search returns unknown")
     add_common(p)
     p.set_defaults(func=_cmd_sigma)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (IntMatrix, RatMatrix, binomial, block_diag, image_matrix,
                      rank_kernel_image, require_commuting, require_matrices, solve)
-from .spectral import _class2_e3, equivariant_page
+from .spectral import _class2_cells, equivariant_page
 
 
 def tensor_degree_bound(c: int, j: int) -> int:
@@ -77,20 +77,18 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
         layers = (Layer(j, dim, ()),) if dim else ()
         exact = True
     elif c == 2:
-        e3 = _class2_e3(r)
-        layers = []
-        for i in range(1, j + 1):
-            d = e3.get((i, j - i), 0)
-            if d:
-                layers.append(Layer(2 * j - i, d, ((i, j - i),)))
+        cells = _class2_cells(r)
+        layers = [Layer(2 * j - i, d, ((i, j - i),))
+                  for i in range(1, min(j, r) + 1)
+                  if (d := cells.get((i, j - i), (0,))[0])]
         exact = True
     else:
         layers = []
-        for i in range(1, j + 1):
+        # the centre factor C(W, j - i) vanishes below i = j - W
+        w = witt_number(r, c)
+        for i in range(max(1, j - w), j + 1):
             q = j - i
-            lam = binomial(witt_number(r, c), q)
-            if lam == 0:
-                continue
+            lam = binomial(w, q)
             inner = filtration_certificate(FreeNilpotentSpec(r, c - 1), i)
             for lay in inner.layers:
                 layers.append(Layer(lay.tensor_degree + c * q,
@@ -193,7 +191,7 @@ def induced_homology_action(act: NilpotentAction, j: int):
     page = epage.page
     for deg in range(1, j + 1):
         blocks = [[] for _ in range(ngens)]
-        for i in range(1, deg + 1):
+        for i in range(1, min(deg, act.target.rank) + 1):
             q = deg - i
             if page.cell_dim(i, q) == 0:
                 continue

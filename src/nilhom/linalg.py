@@ -445,8 +445,12 @@ def smith_normal_form(m: IntMatrix) -> tuple:
 
     The nonzero diagonal d1 | d2 | ... of the Smith normal form, each
     positive, so its length is the rank.  Pivots are entries of least
-    absolute value; rows and columns are reduced modulo the pivot until
-    it divides its whole row, column and remaining block.
+    absolute value, the first in row order, so the search ends at a
+    unit; rows and columns are reduced modulo the pivot until it divides
+    its whole row, column and remaining block.  A unit divides
+    everything, so its block is not searched for a violation, and a
+    column operation touches only the rows with a nonzero in the pivot
+    column.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
@@ -455,35 +459,44 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     a = [list(r) for r in m.entries]
     t = 0
     while t < min(nr, nc):
-        best = min(((abs(a[i][j]), i, j) for i in range(t, nr)
-                    for j in range(t, nc) if a[i][j]), default=None)
-        if best is None:
+        least = 0
+        for i in range(t, nr):
+            seg = [abs(x) for x in a[i][t:]]
+            low = min(filter(None, seg), default=0)
+            if low and (not least or low < least):
+                least, bi, bj = low, i, t + seg.index(low)
+                if least == 1:
+                    break
+        if not least:
             break
-        _, bi, bj = best
         a[t], a[bi] = a[bi], a[t]
         for row in a:
             row[t], row[bj] = row[bj], row[t]
-        p = a[t][t]
+        top = a[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, nr):
             if a[i][t]:
                 q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
                 dirty = dirty or a[i][t] != 0
+        # finished rows are zero from column t on, so only these can change
+        live = [row for row in a[t:] if row[t]]
         for j in range(t + 1, nc):
-            if a[t][j]:
-                q = a[t][j] // p
-                for row in a:
+            if top[j]:
+                q = top[j] // p
+                for row in live:
                     row[j] -= q * row[t]
-                dirty = dirty or a[t][j] != 0
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
-        viol = next((i for i in range(t + 1, nr)
-                     if any(a[i][j] % p for j in range(t + 1, nc))), None)
+        viol = None if least == 1 else next(
+            (i for i in range(t + 1, nr)
+             if any(a[i][j] % p for j in range(t + 1, nc))), None)
         if viol is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[viol])]
+            a[t] = [x + y for x, y in zip(top, a[viol])]
             continue
-        a[t][t] = abs(p)
+        top[t] = least
         t += 1
     return tuple(a[i][i] for i in range(t))
 

@@ -16,24 +16,25 @@ higher differential is available.
 
 The free class-two page is graded by content, the multidegree in Z^r of
 a label, and d2 keeps it, so it is computed block by block: one block
-per content up to the permutations of the generators, whose ranks and
-Smith forms count once for every content in its orbit.  The integral
-free ranks are the rational dimensions (universal coefficients), so only
-the torsion takes Smith forms, one per block differential.  Rank 5 takes
-well under a second, with blocks at most 70 wide against cells up to
-2520 wide.  ``e2_page`` and ``ks_page`` still build the dense page, for
-``pages`` and as the reference the blocks are tested against.
-Equivariant pages use it only up to a total degree bound: a degree-j
-scan reads cells of total degree at most j + 1.
+per content up to the permutations of the generators, counted once for
+every content in its orbit.  Each block differential takes one Smith
+form, which gives both its rank (the rational dimensions, which are
+also the integral free ranks) and the torsion of its target cell.
+Rank 5 takes well under a second, with blocks at most 70 wide against
+cells up to 2520 wide.  ``e2_page`` and ``ks_page`` still build the
+dense page, for ``pages`` and as the reference the blocks are tested
+against.  Equivariant pages use it only up to a total degree bound: a
+degree-j scan reads cells of total degree at most j + 1.
 
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
 lexicographic order.  The dense page and ``d2_central`` both take their
 labels from ``_cell_labels``.  Each block is a ``Page`` on the labels
-of its content, so the dense page's shape and d2 o d2 = 0 checks and
-``e3_dimensions`` serve it.  The pairing is an integer matrix, so every
-d2 is one too, and only the equivariant check multiplies differentials
-by rational actions.
+of its content, so the dense page's shape and d2 o d2 = 0 checks serve
+it; ``e3_dimensions`` ranks a page's differentials by Bareiss
+elimination instead.  The pairing is an integer matrix, so every d2 is
+one too, and only the equivariant check multiplies differentials by
+rational actions.
 """
 
 from __future__ import annotations
@@ -90,20 +91,23 @@ class Page:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Rational dimension of one homology degree with cell provenance.
+    """One homology degree of a free class-two group, cell by cell.
 
-    ``provenance`` maps third-page cells (p, q) with p + q = j to their
-    dimensions.  When the integral data is requested, ``integral_cells``
-    maps cells to (free_rank, torsion) and ``invariant_factors`` gives the
-    factors of the whole degree whenever a single cell carries it (zeros
-    denote free summands, listed after the torsion factors).
+    ``integral_cells`` holds ((p, q), free_rank, torsion) for the cells
+    with p + q = j: the integral third page, H_*(n_2(Z^r); Z) of the
+    free two-step nilpotent Lie ring, cell by cell.  The free rank is the
+    rational dimension, and ``rational_dimension`` is their sum.  The
+    group's integral E-infinity page is a subquotient of these cells
+    with the same free ranks; that it equals them is not claimed.
+    ``invariant_factors`` gives the factors of the whole degree whenever
+    at most one cell is nonzero, else None (zeros denote free summands,
+    listed after the torsion factors).
     """
 
     j: int
     rational_dimension: int
-    provenance: tuple
-    invariant_factors: tuple = None
-    integral_cells: tuple = None
+    integral_cells: tuple
+    invariant_factors: tuple
 
 
 def _cell_labels(n, a, p, q):
@@ -248,70 +252,54 @@ def _class2_blocks(r: int):
 
 
 @lru_cache(maxsize=None)
-def _class2_e3(r: int):
-    """Third-page dimensions of the free class-two page, from the blocks.
+def _class2_cells(r: int):
+    """Integral third page of the free class-two page, from the blocks.
 
-    Same keys and values as ``e3_dimensions(ks_page(r))``; each block's
-    third page counts once per content in its orbit.
+    Maps every cell (p, q), 0 <= p <= r and 0 <= q <= C(r, 2), to its
+    rational dimension, which is also its integral free rank (universal
+    coefficients), and its invariant factors above 1 in divisibility
+    order.  One Smith form per block differential gives its rank (the
+    length) and the torsion of its target cell (p - 2, q + 1): for a
+    cell C, C / ker(d_out) is im(d_out), free, so C / im(d_in) is
+    ker(d_out) / im(d_in) plus a free summand, and both have the torsion
+    of the Smith diagonal of d_in.  Each block counts once for every
+    content in its orbit (a signed permutation is unimodular).
     """
-    e3 = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
-    for _, orbit, page in _class2_blocks(r):
-        for pq, dim in e3_dimensions(page).items():
-            e3[pq] += orbit * dim
-    return e3
-
-
-@lru_cache(maxsize=None)
-def _class2_torsion(r: int):
-    """Torsion of the integral cells of the free class-two page.
-
-    Maps each cell (p, q) with torsion to its invariant factors above 1,
-    in divisibility order.  For a cell C, C / ker(d_out) is im(d_out), a
-    submodule of a free module, so ker(d_out) is a direct summand of C
-    with a free complement F.  As im(d_in) lies in ker(d_out),
-    C / im(d_in) is ker(d_out) / im(d_in) plus F, and the two have the
-    same torsion: the Smith diagonal of d_in above 1.  So the Smith form
-    of each block differential is taken once and counts towards its
-    target cell (p - 2, q + 1), once for every block of its orbit (a
-    signed permutation is unimodular).  The free ranks are the rational
-    dimensions of ``_class2_e3``, by the universal coefficient theorem.
-    """
+    dims = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
     torsion = {}
     for _, orbit, page in _class2_blocks(r):
+        ranks = {}
         for (p, q), d in page.diffs.items():
-            factors = tuple(f for f in smith_normal_form(d) if f > 1)
+            diag = smith_normal_form(d)
+            ranks[(p, q)] = len(diag)
+            factors = tuple(f for f in diag if f > 1)
             if factors:
                 cell = (p - 2, q + 1)
                 torsion[cell] = merge_invariant_factors(torsion.get(cell, ()),
                                                         factors * orbit)
-    return torsion
+        for (p, q), labels in page.cells.items():
+            dims[(p, q)] += orbit * (len(labels) - ranks.get((p, q), 0)
+                                     - ranks.get((p + 2, q - 1), 0))
+    return {pq: (dim, torsion.get(pq, ())) for pq, dim in dims.items()}
 
 
-def homology_free_nilpotent_c2(r: int, j: int, integral: bool = False) -> HomologyResult:
+def homology_free_nilpotent_c2(r: int, j: int) -> HomologyResult:
     """Homology of the free nilpotent group of class two and rank r.
 
-    Dimensions are assembled from the third-page cells, which carry the
-    whole answer here (the page degenerates); the corner cells (0, j),
-    j > 0, die because the degree-(2, q) differential is onto.  With
-    ``integral`` set, each cell's free rank is its rational dimension and
-    its torsion is read from ``_class2_torsion``; the factors of the
-    whole degree are given whenever only one cell is nonzero.
+    Read from the third-page cells (p, j - p) of ``_class2_cells``, which
+    carry the whole answer here (the page degenerates); the corner cells
+    (0, j), j > 0, die because the degree-(2, q) differential is onto,
+    and no cell has p > r.  The factors of the whole degree are given
+    whenever at most one cell is nonzero.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    e3 = _class2_e3(r)
-    cells = [(p, j - p) for p in range(min(j, 1), j + 1) if (p, j - p) in e3]
-    prov = tuple((p, q, e3[(p, q)]) for p, q in cells)
-    dim = sum(d for _, _, d in prov)
-    factors = integral_cells = None
-    if integral:
-        tors = _class2_torsion(r)
-        integral_cells = tuple((pq, e3[pq], tors.get(pq, ())) for pq in cells)
-        nontrivial = [(t, free) for _, free, t in integral_cells if free or t]
-        if len(nontrivial) <= 1:
-            t, free = nontrivial[0] if nontrivial else ((), 0)
-            factors = t + (0,) * free
-    return HomologyResult(j, dim, prov, factors, integral_cells)
+    table = _class2_cells(r)
+    cells = tuple((pq, *table[pq]) for p in range(min(j, 1), min(j, r) + 1)
+                  if (pq := (p, j - p)) in table)
+    nonzero = [t + (0,) * free for _, free, t in cells if free or t]
+    factors = (nonzero or [()])[0] if len(nonzero) <= 1 else None
+    return HomologyResult(j, sum(free for _, free, _ in cells), cells, factors)
 
 
 def betti_free_nilpotent_c2(r: int):
@@ -330,8 +318,9 @@ def h2_class2(spec: FreeNilpotentSpec):
     """
     if spec.nil_class != 2:
         raise ValueError("only class two carries this two-step filtration")
-    e3 = _class2_e3(spec.rank)
-    return e3[(1, 1)], e3[(2, 0)]
+    cells = _class2_cells(spec.rank)
+    # rank 1 has neither cell: the group is Z
+    return tuple(cells.get(pq, (0,))[0] for pq in ((1, 1), (2, 0)))
 
 
 class EquivariantPage:

@@ -165,6 +165,19 @@ def test_filtration_verdict(capsys):
     assert cert["total_dimension"] == 2
 
 
+@pytest.mark.parametrize("nil_class", [2, 3])
+def test_filtration_far_past_the_hirsch_length(capsys, nil_class):
+    # the degree loops stop at the rank (class two) and at j - W (class
+    # three), so j = 10^8 answers at once
+    group = json.dumps({"type": "free_nilpotent", "rank": 2,
+                        "class": nil_class})
+    code, out, _ = run_cli(capsys, "filtration", "--group", group,
+                           "--j", str(10 ** 8))
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["layers"] == [] and cert["total_dimension"] == 0
+
+
 def test_pages_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "pages", "--group", HEIS)
     doc = json.loads(out)
@@ -197,6 +210,19 @@ def test_vbscan_constant_rows(capsys):
         assert code == 0
         assert [row["total"] for row in doc["scan"]["rows"]] == [total] * 6
         assert doc["scan"]["verdict"]["observed_bound"] == total
+
+
+def test_vbscan_far_past_the_hirsch_length(capsys):
+    action = json.dumps({
+        "type": "action",
+        "group": {"type": "free_nilpotent", "rank": 2, "class": 2},
+        "generators": [[["2", "1"], ["1", "1"]]],
+    })
+    code, out, _ = run_cli(capsys, "vbscan", "--group", action,
+                           "--j", "20000", "--m-max", "2")
+    assert code == 0
+    rows = json.loads(out)["scan"]["rows"]
+    assert [row["total"] for row in rows] == [0, 0]
 
 
 CLASS3 = '{"type":"free_nilpotent","rank":2,"class":3}'
@@ -431,6 +457,14 @@ def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--group", HEIS, "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_strict_is_a_sigma_flag_only(capsys):
+    # only the witness search can come back "unknown"
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--group", HEIS, "--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
 def test_non_principal_module_exit_2(capsys):

@@ -1,9 +1,11 @@
-"""The content-graded class-two page against two independent oracles.
+"""The content-graded class-two page against independent oracles.
 
-The block path (``_class2_blocks``) must agree with the dense page
+The block path (``_class2_blocks`` and its one Smith form per block
+differential in ``_class2_cells``) must agree with the dense page
 (``e3_dimensions`` and the dense Smith reduction in
-``reference_spectral``) for r <= 4, and with Sigg's closed form for the
-Betti numbers of free two-step nilpotent groups for r <= 5.
+``reference_spectral``) for r <= 4, with Bareiss ranks block by block
+for r = 5, and with Sigg's closed form for the Betti numbers of free
+two-step nilpotent groups for r <= 5.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ import pytest
 
 import nilhom.spectral as spectral
 from nilhom.linalg import matrix_rank, smith_normal_form
-from nilhom.spectral import (_class2_blocks, _class2_e3, _class2_torsion,
+from nilhom.spectral import (_class2_blocks, _class2_cells,
                              betti_free_nilpotent_c2, e3_dimensions,
                              homology_free_nilpotent_c2, ks_page)
 
@@ -32,7 +34,8 @@ def content(label, r):
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_block_third_page_equals_dense_page(r):
-    assert _class2_e3(r) == e3_dimensions(ks_page(r))
+    dims = {pq: dim for pq, (dim, _) in _class2_cells(r).items()}
+    assert dims == e3_dimensions(ks_page(r))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -41,7 +44,7 @@ def test_block_integral_cells_equal_dense_reference(r):
     torsion = {}
     for (p, q) in page.cells:
         if page.cell_dim(p, q):
-            got = (_class2_e3(r)[(p, q)], _class2_torsion(r).get((p, q), ()))
+            got = _class2_cells(r)[(p, q)]
             assert got == ref.integral_cell(page, p, q), (p, q)
             if got[1]:
                 torsion[(p, q)] = got[1]
@@ -62,6 +65,33 @@ def test_block_page_integral_cells_equal_dense_reference(r):
             got = (free, tuple(f for f in diag if f > 1))
             assert got == ref.integral_cell(blk, p, q), (p, q)
             assert free == e3[(p, q)], (p, q)
+
+
+def test_rank5_smith_lengths_equal_bareiss_ranks():
+    # Bareiss stays the oracle for the rank the Smith pass reads off
+    for _, _, blk in _class2_blocks(5):
+        for pq, d in blk.diffs.items():
+            assert len(smith_normal_form(d)) == matrix_rank(d), pq
+
+
+def test_one_smith_form_per_block_differential(monkeypatch):
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(m):
+            calls[name] += 1
+            return real(m)
+        monkeypatch.setattr(spectral, name, wrapper)
+
+    counted("smith_normal_form", smith_normal_form)
+    counted("matrix_rank", matrix_rank)
+    _class2_cells.cache_clear()
+    try:
+        _class2_cells(5)
+    finally:
+        _class2_cells.cache_clear()
+    assert sum(len(blk.diffs) for _, _, blk in _class2_blocks(5)) == 152
+    assert calls == {"smith_normal_form": 152}
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -160,10 +190,10 @@ def test_betti_numbers_equal_sigg_closed_form(r):
 def test_rank5_integral_free_ranks_equal_rational_cells():
     found = {}
     for j in range(5 + comb(5, 2) + 1):
-        res = homology_free_nilpotent_c2(5, j, integral=True)
-        by_cell = {(p, q): d for p, q, d in res.provenance}
-        for cell, free, torsion in res.integral_cells:
-            assert free == by_cell[cell]
+        res = homology_free_nilpotent_c2(5, j)
+        assert sum(free for _, free, _ in res.integral_cells) \
+            == res.rational_dimension == sigg_betti(5)[j]
+        for cell, _, torsion in res.integral_cells:
             assert all(t > 1 for t in torsion)
             assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
             if torsion:

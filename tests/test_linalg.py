@@ -201,17 +201,28 @@ def test_snf_random_properties():
     # the transform version (reference) satisfies U M V = D with U, V
     # unimodular; the library's factors are its nonzero diagonal
     rng = random.Random(2)
-    for trial in range(60):
+    unit_then_core = 0
+    for trial in range(100):
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-6, 6) for _ in range(nc)]
                        for _ in range(nr)])
-        if trial >= 30:
+        if 30 <= trial < 60:
             # a product through a narrow middle: low rank, larger factors
             k = rng.randint(1, 3)
             left = IntMatrix([[rng.randint(-3, 3) for _ in range(k)]
                               for _ in range(nr)])
             right = IntMatrix([[rng.randint(-3, 3) * rng.choice((1, 2, 3))
                                 for _ in range(nc)] for _ in range(k)])
+            m = left * right
+        elif trial >= 60:
+            # {-1, 0, 1}-heavy factors with some middle rows scaled: unit
+            # pivots come first and leave a core of larger factors
+            nr, nc, k = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 5)
+            left = IntMatrix([[rng.choice((-1, 0, 0, 1)) for _ in range(k)]
+                              for _ in range(nr)])
+            right = IntMatrix([[rng.choice((-1, 0, 0, 1)) * scale
+                                for _ in range(nc)]
+                               for scale in rng.choices((1, 1, 2, 3), k=k)])
             m = left * right
         u, d, v = ref.smith_normal_form(m)
         assert u * m * v == d
@@ -228,6 +239,8 @@ def test_snf_random_properties():
         factors = smith_normal_form(m)
         assert factors == tuple(x for x in diag if x)
         assert len(factors) == matrix_rank(m)
+        unit_then_core += trial >= 60 and factors[:1] == (1,) and factors[-1] > 1
+    assert unit_then_core >= 10
 
 
 def test_exterior_top_is_determinant():

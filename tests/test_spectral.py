@@ -192,20 +192,21 @@ def test_d_surjective_property_randomized():
 def test_integral_heisenberg():
     frozen = {0: (0,), 1: (0, 0), 2: (0, 0), 3: (0,)}
     for j, expect in frozen.items():
-        res = homology_free_nilpotent_c2(2, j, integral=True)
+        res = homology_free_nilpotent_c2(2, j)
         assert res.invariant_factors == expect, j
 
 
 def test_integral_rank3_cells_consistent():
     # free rank of each integral third-page cell equals its rational dim
+    e3 = e3_dimensions(ks_page(3))
     for j in range(1, 7):
-        res = homology_free_nilpotent_c2(3, j, integral=True)
-        by_cell = {(p, q): d for p, q, d in res.provenance}
+        res = homology_free_nilpotent_c2(3, j)
         for cell, free, torsion in res.integral_cells:
-            assert free == by_cell[cell]
+            assert free == e3[cell] and torsion == ()
 
 
 def test_h2_class2():
+    assert h2_class2(FreeNilpotentSpec(1, 2)) == (0, 0)
     assert h2_class2(FreeNilpotentSpec(2, 2)) == (2, 0)
     assert h2_class2(FreeNilpotentSpec(3, 2)) == (8, 0)
     for r in (2, 3, 4):
@@ -324,11 +325,23 @@ def test_equivariant_page_checks_a_free_spec_action(spec, gens, message):
         equivariant_page(spec, gens)
 
 
-def test_provenance_sums_to_dimension():
+def test_integral_cells_sum_to_dimension():
     for r in (2, 3):
         for j in range(r + comb(r, 2) + 1):
             res = homology_free_nilpotent_c2(r, j)
-            assert sum(d for _, _, d in res.provenance) == res.rational_dimension
+            assert sum(free for _, free, _ in res.integral_cells) \
+                == res.rational_dimension
+            assert [cell for cell, _, _ in res.integral_cells] \
+                == [(p, j - p) for p in range(min(j, 1), min(j, r) + 1)
+                    if j - p <= comb(r, 2)]
+
+
+def test_degrees_past_the_hirsch_length_read_no_cells():
+    # p <= r bounds the cells, so a huge degree is as cheap as a small one
+    for r in (1, 2, 3):
+        res = homology_free_nilpotent_c2(r, 10 ** 8)
+        assert res.integral_cells == ()
+        assert res.rational_dimension == 0 and res.invariant_factors == ()
 
 
 def _unimodular(rng, n):
