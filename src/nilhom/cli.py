@@ -101,7 +101,7 @@ def _cmd_pages(args):
         page = e2_page(group)
     else:
         raise ValueError("pages needs a free_nilpotent or central_extension spec")
-    return _document("pages", config, {"page": jsonio.page_json(page)})
+    return _document("pages", config, {"page": page})
 
 
 def _cmd_filtration(args):
@@ -259,12 +259,15 @@ _PARSER = _build_parser()
 
 
 def _emit(doc, output):
-    text = jsonio.dumps_json(doc) + "\n"
+    """Write the document and a newline to ``output``, or to stdout, in
+    the chunks ``jsonio.write_json`` hands over."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            jsonio.write_json(doc, fh.write)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        jsonio.write_json(doc, sys.stdout.write)
+        sys.stdout.write("\n")
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,11 @@ Ordering of keys and list elements is fixed so repeated runs are
 byte-identical.  Integer fields and integer matrix entries may be given
 as JSON numbers or strings, but must be integral: "1/2" or 2.9 is
 rejected, never truncated.  A JSON boolean is never read as a number.
+
+``write_json`` writes every document, as ``json.dumps(doc, indent=2)``
+would, through a ``write`` callable.  A ``Page`` is written directly,
+with no dict or string grid built for it: its cells and matrix rows go
+out one chunk each, so ``pages`` never holds its whole text.
 """
 
 from __future__ import annotations
@@ -24,11 +29,14 @@ from .vbscan import HypothesisReport, ScanReport
 SCHEMA = "v1"
 
 
-def dumps_json(doc) -> str:
-    """Exactly ``json.dumps(doc, indent=2)``, written without its pure-Python
-    encoder: flat lists of strings or of ints are joined at C speed.
+def write_json(doc, write):
+    """Write exactly ``json.dumps(doc, indent=2)`` through ``write``,
+    without its pure-Python encoder: flat lists of strings or of ints are
+    joined at C speed.  A ``Page`` in the document is written as its
+    cells and nonzero differentials (``_write_page``), one chunk per cell
+    and one per matrix row; the rest goes in one chunk.
 
-    >>> print(dumps_json({"betti": [1, 2], "ok": True}))
+    >>> write_json({"betti": [1, 2], "ok": True}, print)
     {
       "betti": [
         1,
@@ -38,13 +46,14 @@ def dumps_json(doc) -> str:
     }
     """
     out = []
-    _encode(doc, "\n", out)
-    return "".join(out)
+    _encode(doc, "\n", out, write)
+    write("".join(out))
 
 
-def _encode(x, pad, out):
+def _encode(x, pad, out, write):
     """Append the indent-2 text of ``x`` to ``out``; ``pad`` is the newline
-    and indentation of the line ``x`` starts on."""
+    and indentation of the line ``x`` starts on.  A ``Page`` flushes
+    ``out`` and writes itself through ``write``."""
     if isinstance(x, str):
         out.append(_string(x))
     elif isinstance(x, (list, tuple)):
@@ -60,7 +69,7 @@ def _encode(x, pad, out):
             sep = "["
             for v in x:
                 out.append(sep + inner)
-                _encode(v, inner, out)
+                _encode(v, inner, out, write)
                 sep = ","
             out.append(pad + "]")
     elif isinstance(x, dict):
@@ -76,16 +85,69 @@ def _encode(x, pad, out):
                                     f"None, not {type(k).__name__}")
                 k = _scalar(k)
             out.append(sep + inner + _string(k) + ": ")
-            _encode(v, inner, out)
+            _encode(v, inner, out, write)
             sep = ","
         out.append(pad + "}")
     elif isinstance(x, int) and not isinstance(x, bool):
         out.append(int.__repr__(x))
     elif x is None or isinstance(x, (bool, float)):
         out.append(_scalar(x))
+    elif isinstance(x, Page):
+        write("".join(out))
+        out.clear()
+        _write_page(x, pad, write)
     else:
         raise TypeError(f"Object of type {type(x).__name__} "
                         "is not JSON serializable")
+
+
+class _Texts(dict):
+    """Texts made once each: ``texts[key]`` is ``make(key)``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def _write_page(page: Page, pad, write):
+    """Write a page as the object {"cells": [...], "differentials": [...]}
+    at indentation ``pad``: each cell (p, q, dim and its basis of labels
+    [I, J]) in order of (p, q), then each differential that is neither
+    empty nor zero, its matrix as rows of integer strings.  One chunk
+    goes to ``write`` per cell and per matrix row; a label is joined from
+    the texts of its I and its J, each made once."""
+    p1, p2, p3, p4, p5, p6 = (pad + "  " * i for i in range(1, 7))
+
+    def seq(t):
+        return "[" + p6 + ("," + p6).join(map(str, t)) + p5 + "]" if t else "[]"
+
+    left = _Texts(lambda I: "[" + p5 + seq(I) + "," + p5)
+    right = _Texts(lambda J: seq(J) + p4 + "]")
+    cells = sorted(page.cells.items())
+    head = "{" + p1 + '"cells": ['
+    for (p, q), labels in cells:
+        basis = ("[" + p4 + ("," + p4).join([left[I] + right[J] for I, J in labels])
+                 + p3 + "]") if labels else "[]"
+        write(head + p2 + "{" + p3 + f'"p": {p},' + p3 + f'"q": {q},' + p3
+              + f'"dim": {len(labels)},' + p3 + '"basis": ' + basis + p2 + "}")
+        head = ","
+    head = (p1 + "]" if cells else head + "]") + "," + p1 + '"differentials": ['
+    diffs = [(pq, d) for pq, d in sorted(page.diffs.items())
+             if d.rows and d.cols and not d.is_zero()]
+    for i, ((p, q), d) in enumerate(diffs):
+        head += ("," if i else "") + p2 + "{" + p3 + f'"p": {p},' + p3 \
+            + f'"q": {q},' + p3 + '"matrix": ['
+        sep = ""
+        for row in d.entries:
+            write(head + sep + p4 + "[" + p5 + '"'
+                  + ('",' + p5 + '"').join(map(str, row)) + '"' + p4 + "]")
+            head, sep = "", ","
+        head = p3 + "]" + p2 + "}"
+    write(head + (p1 + "]" if diffs else "]") + pad + "}")
 
 
 def frac_str(x) -> str:
@@ -238,19 +300,6 @@ def parse_cones(doc, nvars=None) -> ConeUnion:
 def cones_json(cu: ConeUnion):
     return [{"ineqs": [list(map(str, row)) for row in c.ineqs],
              "eqs": [list(map(str, row)) for row in c.eqs]} for c in cu.cones]
-
-
-def page_json(page: Page):
-    cells = []
-    for (p, q), labels in sorted(page.cells.items()):
-        cells.append({"p": p, "q": q, "dim": len(labels),
-                      "basis": [[list(I), list(J)] for I, J in labels]})
-    diffs = []
-    for (p, q) in sorted(page.diffs):
-        d = page.diffs[(p, q)]
-        if d.rows and d.cols and not d.is_zero():
-            diffs.append({"p": p, "q": q, "matrix": int_matrix_json(d)})
-    return {"cells": cells, "differentials": diffs}
 
 
 def certificate_json(cert: FiltrationCertificate):

@@ -98,7 +98,7 @@ class _Matrix:
                            for j in range(self.cols)], self.cols, self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.shape == other.shape

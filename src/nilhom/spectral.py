@@ -22,27 +22,32 @@ form, which gives both its rank (the rational dimensions, which are
 also the integral free ranks) and the torsion of its target cell.
 Rank 5 takes well under a second, with blocks at most 70 wide against
 cells up to 2520 wide.  ``e2_page`` and ``ks_page`` still build the
-dense page, for ``pages`` and as the reference the blocks are tested
-against.  Equivariant pages use it only up to a total degree bound: a
-degree-j scan reads cells of total degree at most j + 1.
+dense page, for ``pages``, which prints it, and as the reference the
+blocks are tested against.  Equivariant pages use it only up to a total
+degree bound: a degree-j scan reads cells of total degree at most j + 1.
 
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
 lexicographic order.  The dense page and ``d2_central`` both take their
-labels from ``_cell_labels``.  Each block is a ``Page`` on the labels
-of its content, so the dense page's shape and d2 o d2 = 0 checks serve
-it; ``e3_dimensions`` ranks a page's differentials by Bareiss
-elimination instead.  The pairing is an integer matrix, so every d2 is
-one too, and only the equivariant check multiplies differentials by
-rational actions.
+labels from ``_cell_labels``, and every d2, dense or block, its entries
+from ``_d2_rows``, which tables the contractions of each I and the
+wedges into each J once.  Each block is a ``Page`` on the labels of its
+content, so the dense page's shape and d2 o d2 = 0 checks serve it.
+That check multiplies no matrices: each differential is read once as
+the nonzero entries of its rows, and each row of a composite is summed
+from those in exact integers and must vanish.  ``e3_dimensions`` ranks
+a page's differentials by Bareiss elimination.  The pairing is an
+integer matrix, so every d2 is one too, and only the equivariant check
+multiplies differentials by rational actions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, product
 from math import factorial, prod
 
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
@@ -57,9 +62,12 @@ class Page:
 
     ``cells`` maps (p, q) to the cell's basis, a tuple of distinct (I, J)
     labels in lexicographic order, which fixes the rows and columns of
-    every matrix on the page.  Differentials map cell (p, q) to cell
-    (p-2, q+1).  Construction checks that shapes match and that
-    consecutive differentials compose to zero.
+    every matrix on the page.  ``diffs`` maps (p, q) to the dense matrix
+    of d2 from cell (p, q) to cell (p-2, q+1); a missing one is zero.
+    Construction checks every shape, then that every consecutive pair of
+    differentials composes to zero, on the nonzero entries of their rows
+    (``_composes_to_zero``).  ``jsonio`` writes a page straight into the
+    ``pages`` document.
     """
 
     def __init__(self, cells, diffs):
@@ -82,11 +90,31 @@ class Page:
             if d.shape != want:
                 raise ValueError(f"differential at {(p, q)} has shape "
                                  f"{d.shape}, expected {want}")
+        sparse = {pq: _nonzero_rows(d) for pq, d in self.diffs.items()}
         for (p, q), d in self.diffs.items():
             nxt = self.diffs.get((p - 2, q + 1))
             if nxt is not None and nxt.rows and d.cols:
-                if not (nxt * d).is_zero():
+                if not _composes_to_zero(sparse[(p - 2, q + 1)], sparse[(p, q)]):
                     raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)}")
+
+
+def _nonzero_rows(m):
+    """Each row of the matrix ``m`` as its nonzero (column, entry) pairs."""
+    return [list(compress(enumerate(row), row)) for row in m.entries]
+
+
+def _composes_to_zero(left, right) -> bool:
+    """Whether the product of two matrices, given by ``_nonzero_rows``,
+    is zero: row i of it is the sum of x times row k of ``right`` over
+    the pairs (k, x) of row i of ``left``, in exact arithmetic."""
+    for terms in left:
+        acc = {}
+        for k, x in terms:
+            for j, y in right[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -115,8 +143,7 @@ def _cell_labels(n, a, p, q):
     (I, J) with |I| = p and |J| = q, in lexicographic order."""
     if p < 0 or q < 0 or p > n or q > a:
         return ()
-    return tuple((I, J) for I in combinations(range(n), p)
-                 for J in combinations(range(a), q))
+    return tuple(product(combinations(range(n), p), combinations(range(a), q)))
 
 
 def _pair_images(ext: CentralExtension):
@@ -134,24 +161,37 @@ def _d2_rows(src, tgt, images):
     ``images`` is the commutator pairing as ``_pair_images`` gives it.  The
     (k, l) contraction of (I, J) drops I[k] and I[l] and wedges alpha onto
     J, with the sign (-1)^(k+l-1) (positions 1-based) times the sign of
-    moving alpha past the smaller entries of J.  ``tgt`` must hold every
-    label a term lands on.
+    moving alpha past the smaller entries of J.  Both halves are tabled:
+    each distinct J once, as alpha -> (J2, sign) (None for alpha in J),
+    and each (k, l) contraction once per distinct I, applied to all the
+    columns of that I.  ``tgt`` must hold every label a term lands on.
     """
-    pos = {lab: i for i, lab in enumerate(tgt)}
-    mat = [[0] * len(src) for _ in tgt]
+    rows = {}
+    for i, (I, J) in enumerate(tgt):
+        rows.setdefault(I, {})[J] = i
+    top = 1 + max((alpha for terms in images.values() for alpha, _ in terms),
+                  default=-1)
+    wedges, columns = {}, {}
     for col, (I, J) in enumerate(src):
-        p = len(I)
-        for k in range(p):
-            for l in range(k + 1, p):
-                sgn = 1 if (k + l) % 2 == 1 else -1
-                I2 = I[:k] + I[k + 1:l] + I[l + 1:]
+        wedge = wedges.get(J)
+        if wedge is None:
+            wedge = wedges[J] = [
+                None if alpha in J else (J[:b] + (alpha,) + J[b:], -1 if b % 2 else 1)
+                for alpha in range(top) for b in (bisect_left(J, alpha),)]
+        columns.setdefault(I, []).append((col, wedge))
+    mat = [[0] * len(src) for _ in tgt]
+    for I, cols in columns.items():
+        for k in range(len(I)):
+            for l in range(k + 1, len(I)):
+                row_of = rows.get(I[:k] + I[k + 1:l] + I[l + 1:], {})
+                sgn = 1 if (k + l) % 2 else -1
                 for alpha, cval in images[(I[k], I[l])]:
-                    if alpha in J:
-                        continue
-                    before = sum(1 for jj in J if jj < alpha)
-                    J2 = tuple(sorted(J + (alpha,)))
-                    wedge_sgn = -1 if before % 2 else 1
-                    mat[pos[(I2, J2)]][col] += sgn * wedge_sgn * cval
+                    value = sgn * cval
+                    for col, wedge in cols:
+                        hit = wedge[alpha]
+                        if hit is not None:
+                            J2, wedge_sgn = hit
+                            mat[row_of[J2]][col] += wedge_sgn * value
     return mat
 
 

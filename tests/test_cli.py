@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from nilhom import cli, jsonio
+from nilhom import cli
 from nilhom.cli import main
+
+from reference_jsonio import DocumentCheck
 
 HEIS = '{"type":"free_nilpotent","rank":2,"class":2}'
 
@@ -11,14 +13,11 @@ HEIS = '{"type":"free_nilpotent","rank":2,"class":2}'
 @pytest.fixture(autouse=True)
 def emitter_matches_its_oracle(monkeypatch):
     """Every document a test here writes is checked, as a string, against
-    json.dumps(doc, indent=2)."""
-    emit = jsonio.dumps_json
-
-    def checked(doc):
-        text = emit(doc)
-        assert text == json.dumps(doc, indent=2)
-        return text
-    monkeypatch.setattr(jsonio, "dumps_json", checked)
+    json.dumps(doc, indent=2) with a page read as ``page_json``, and
+    counted against the documents written."""
+    check = DocumentCheck(monkeypatch)
+    yield
+    check.verify()
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +184,35 @@ def test_pages_roundtrip(capsys):
     assert cells[(2, 0)] == 1 and cells[(1, 1)] == 2
     diffs = {(d["p"], d["q"]): d["matrix"] for d in doc["page"]["differentials"]}
     assert diffs[(2, 0)] == [["1"]]
+
+
+def test_pages_writes_the_same_bytes_to_a_file(capsys, tmp_path):
+    group = '{"type":"free_nilpotent","rank":3,"class":2}'
+    code, out, _ = run_cli(capsys, "pages", "--group", group)
+    assert code == 0
+    path = tmp_path / "page.json"
+    code, printed, _ = run_cli(capsys, "pages", "--group", group,
+                               "--output", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_pages_are_written_in_chunks(monkeypatch):
+    # one write per cell and per matrix row: a rank-4 page is never
+    # joined into one string first
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(cli.sys, "stdout", Recorder())
+    assert main(["pages", "--group",
+                 '{"type":"free_nilpotent","rank":4,"class":2}']) == 0
+    page = json.loads("".join(writes))["page"]
+    rows = sum(len(d["matrix"]) for d in page["differentials"])
+    assert len(writes) >= len(page["cells"]) + rows > 1
 
 
 def test_pages_central_extension(capsys):

@@ -1,18 +1,25 @@
-"""``jsonio.dumps_json`` against its oracle, ``json.dumps(doc, indent=2)``.
+"""``jsonio.write_json`` against its oracle, ``json.dumps(doc, indent=2)``.
 
 The emitter must give the oracle's text exactly, compared as strings, on
-hand-made edge cases and on every document the command line writes for
-the computations of the four demos (the CLI tests check theirs through a
-fixture in ``test_cli.py``), and must raise TypeError wherever the
-oracle does.
+hand-made edge cases, on every document the command line writes for the
+computations of the four demos and on ``pages`` documents of edge-case
+and random extensions (the CLI tests check theirs through a fixture in
+``test_cli.py``), and must raise TypeError wherever the oracle does.  A
+page is read by the oracle as ``reference_jsonio.page_json``.
 """
 
 import json
+import random
+from math import comb
 
 import pytest
 
 from nilhom import cli, jsonio
+from nilhom.groups import heisenberg
 from nilhom.sigma import full_sphere
+from nilhom.spectral import Page, e2_page
+
+from reference_jsonio import DocumentCheck, dumps, oracle
 
 EDGE_CASES = [
     {}, [], [[]], [{}], {"a": {}}, {"a": []}, [[], [[]], {}],
@@ -38,7 +45,7 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("doc", EDGE_CASES, ids=range(len(EDGE_CASES)))
 def test_edge_cases_match_the_oracle(doc):
-    assert jsonio.dumps_json(doc) == json.dumps(doc, indent=2)
+    assert dumps(doc) == json.dumps(doc, indent=2)
 
 
 class Opaque:
@@ -55,7 +62,7 @@ def test_what_json_refuses_raises_type_error(doc):
     with pytest.raises(TypeError):
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError):
-        jsonio.dumps_json(doc)
+        dumps(doc)
 
 
 HEIS = '{"type":"free_nilpotent","rank":2,"class":2}'
@@ -104,13 +111,65 @@ DEMO_COMMANDS = {
 
 @pytest.mark.parametrize("demo", sorted(DEMO_COMMANDS))
 def test_demo_documents_match_the_oracle(demo, capsys, monkeypatch):
-    emit, seen = jsonio.dumps_json, []
-    monkeypatch.setattr(jsonio, "dumps_json",
-                        lambda doc: seen.append(doc) or emit(doc))
+    check = DocumentCheck(monkeypatch)
     for argv in DEMO_COMMANDS[demo]:
         assert cli.main(argv) == 0, argv
     out = capsys.readouterr().out
-    assert len(seen) == len(DEMO_COMMANDS[demo])
-    texts = [emit(doc) for doc in seen]
-    assert texts == [json.dumps(doc, indent=2) for doc in seen]
-    assert out == "".join(text + "\n" for text in texts)
+    check.verify()
+    assert len(check.docs) == len(DEMO_COMMANDS[demo])
+    assert out == "".join(oracle(doc) + "\n" for doc in check.docs)
+
+
+def _extension(q_rank, a_rank, pairing):
+    return json.dumps({"type": "central_extension", "q_rank": q_rank,
+                       "a_rank": a_rank,
+                       "pairing": [[str(x) for x in row] for row in pairing]})
+
+
+def _random_extensions(count, n, a):
+    rng = random.Random(19)
+    return [_extension(n, a, [[rng.randint(-3, 3) for _ in range(comb(n, 2))]
+                              for _ in range(a)]) for _ in range(count)]
+
+
+# pages whose labels, cells and matrix rows take every shape the writer
+# handles: empty I or J, empty and single-entry cells, no differential,
+# and multi-digit, negative and big entries
+PAGE_GROUPS = [_free(r, 2) for r in (1, 2, 3, 4)] + [
+    _extension(3, 0, []),
+    _extension(0, 2, [[], []]),
+    _extension(1, 2, [[], []]),
+    _extension(4, 1, [[0] * 6]),
+    _extension(3, 2, [[-12, -100, 2**70], [3, 0, -1]]),
+] + _random_extensions(20, 6, 4)
+
+
+@pytest.mark.parametrize("group", PAGE_GROUPS, ids=range(len(PAGE_GROUPS)))
+def test_page_documents_match_the_oracle(group, capsys, monkeypatch):
+    check = DocumentCheck(monkeypatch)
+    assert cli.main(["pages", "--group", group]) == 0
+    out = capsys.readouterr().out
+    check.verify()
+    assert len(check.docs) == 1
+    assert out == oracle(check.docs[0]) + "\n"
+
+
+def test_pages_anywhere_in_a_document_match_the_oracle():
+    # pages the command line never prints: no cells, an empty cell, and
+    # pages nested at other depths than a document's "page" key
+    heis = e2_page(heisenberg())
+    docs = [Page({}, {}), [Page({(0, 0): ()}, {})],
+            {"a": [{"b": heis}, heis], "c": Page({}, {})}, [[], heis, 1]]
+    for doc in docs:
+        assert dumps(doc) == oracle(doc)
+
+
+def test_page_cases_reach_every_shape(capsys):
+    pages = []
+    for group in PAGE_GROUPS:
+        assert cli.main(["pages", "--group", group]) == 0
+        pages.append(json.loads(capsys.readouterr().out)["page"])
+    entries = {x for page in pages for d in page["differentials"]
+               for row in d["matrix"] for x in row}
+    assert {"-12", "-100", str(2**70)} <= entries
+    assert sum(1 for page in pages if page["differentials"] == []) >= 5

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
@@ -6,10 +8,11 @@ import pytest
 
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
                            central_extension_of_class2, heisenberg)
-from nilhom.jsonio import frac_str, page_json
+from nilhom.jsonio import frac_str
 from nilhom.linalg import (IntMatrix, RatMatrix, matrix_rank,
                            rank_kernel_image, smith_normal_form)
 from nilhom.spectral import (EquivariantPage, Page, _class2_blocks,
+                             _composes_to_zero, _nonzero_rows,
                              betti_free_nilpotent_c2, d2_central, e2_page,
                              e3_dimensions, equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
@@ -17,6 +20,7 @@ from nilhom.spectral import (EquivariantPage, Page, _class2_blocks,
 import reference_filtration as ref_filtration
 import reference_linalg as ref
 import reference_spectral as ref_spectral
+from reference_jsonio import dumps
 
 
 def random_extension(rng, n_max=4, a_max=3):
@@ -230,6 +234,52 @@ def test_page_rejects_differentials_that_do_not_compose_to_zero():
         Page(page.cells, diffs)
 
 
+def _composable_pairs(page):
+    for (p, q), d in page.diffs.items():
+        nxt = page.diffs.get((p - 2, q + 1))
+        if nxt is not None and nxt.rows and d.cols:
+            yield nxt, d
+
+
+def test_sparse_composition_check_agrees_with_the_dense_product():
+    rng = random.Random(19)
+    pages = [e2_page(random_extension(rng, n_max=5, a_max=4))
+             for _ in range(100)]
+    pages += [ks_page(r) for r in (2, 3, 4)]
+    pages += [page for r in (2, 3, 4, 5) for _, _, page in _class2_blocks(r)]
+    verdicts = Counter()
+    for page in pages:
+        for nxt, d in _composable_pairs(page):
+            # the page's own pair, then one entry of d moved
+            grid = [list(row) for row in d.entries]
+            grid[rng.randrange(d.rows)][rng.randrange(d.cols)] += rng.choice((-1, 1))
+            for right in (d, IntMatrix(grid, d.rows, d.cols)):
+                sparse = _composes_to_zero(_nonzero_rows(nxt), _nonzero_rows(right))
+                assert sparse == (nxt * right).is_zero()
+                verdicts[sparse] += 1
+    # every page's own pairs vanish; most moved entries do not
+    assert verdicts[True] >= 150 and verdicts[False] >= 100
+
+
+def _three_cells(nxt, d):
+    cells = {(0, 2): (((), (0, 1)),),
+             (2, 1): (((0, 1), (0,)), ((0, 1), (1,))),
+             (4, 0): tuple(((0, 1, 2, i), ()) for i in (3, 4, 5))}
+    return Page(cells, {(2, 1): IntMatrix(nxt), (4, 0): IntMatrix(d)})
+
+
+def test_page_check_sees_one_nonzero_in_the_last_column():
+    # the composite is [[0, 0, 1]]
+    with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell \(4, 0\)"):
+        _three_cells([[1, 1]], [[1, 0, 0], [-1, 0, 1]])
+
+
+def test_page_check_passes_products_that_cancel():
+    # 1*1 + 1*(-1) and 1*2 + 1*(-2): every entry is a sum cancelling to 0
+    page = _three_cells([[1, 1]], [[1, 2, 0], [-1, -2, 0]])
+    assert (page.diffs[(2, 1)] * page.diffs[(4, 0)]).is_zero()
+
+
 def test_page_rejects_differential_of_wrong_shape():
     page = e2_page(heisenberg())
     diffs = dict(page.diffs)
@@ -411,6 +461,6 @@ def test_page_json_writes_integer_differentials_as_before():
              "matrix": [[frac_str(x) for x in row] for row in d.to_rat().entries]}
             for (p, q), d in sorted(page.diffs.items())
             if d.rows and d.cols and not d.is_zero()]
-    got = page_json(page)["differentials"]
+    got = json.loads(dumps(page))["differentials"]
     assert got == want
     assert any(x.startswith("-") for d in got for row in d["matrix"] for x in row)
