@@ -2,17 +2,18 @@
 
 Every command reads specs as inline JSON, a file path, or "-" for stdin,
 echoes its resolved configuration into the output document and writes a
-schema-versioned JSON payload.  Exit codes: 0 success, 2 input error or
-unsupported instance, 3 when ``sigma --witness --strict`` came back
-"unknown".
+schema-versioned JSON payload.  Exit codes: 0 success, 2 input error
+(an unreadable input or an ``--output`` that cannot be opened among
+them) or unsupported instance, 3 when ``sigma --witness --strict`` came
+back "unknown".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from contextlib import nullcontext
 
 from . import jsonio
 from .filtration import filtration_certificate
@@ -25,10 +26,6 @@ from .spectral import e2_page, homology_free_nilpotent_c2
 from .vbscan import hypothesis_report, vb_scan
 
 
-class UnknownOutcome(Exception):
-    pass
-
-
 def _load_json(value, what):
     """Resolve inline JSON, a path, or '-' (stdin) into a parsed document."""
     if value == "-":
@@ -38,15 +35,16 @@ def _load_json(value, what):
         try:
             return json.loads(value)
         except json.JSONDecodeError as inline_err:
-            if os.path.exists(value):
+            try:
                 with open(value, "r", encoding="utf-8") as fh:
                     text = fh.read()
-                source = value
-            else:
+            except (OSError, ValueError) as err:
                 raise ValueError(
                     f"{what}: not valid inline JSON (line {inline_err.lineno} "
                     f"column {inline_err.colno}: {inline_err.msg}) and not a "
-                    f"readable file") from None
+                    f"readable file: {value!r}: "
+                    f"{getattr(err, 'strerror', None) or err}") from None
+            source = value
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -136,10 +134,7 @@ def _cmd_sigma(args):
             }
     else:
         payload["sigma_complement"] = jsonio.cones_json(sigma_complement(spec))
-    doc = _document("sigma", config, payload)
-    if args.strict and payload.get("witness") == "unknown":
-        raise UnknownOutcome(doc)
-    return doc
+    return _document("sigma", config, payload)
 
 
 def _parse_cones(args, nvars):
@@ -258,30 +253,37 @@ def _build_parser():
 _PARSER = _build_parser()
 
 
-def _emit(doc, output):
-    """Write the document and a newline to ``output``, or to stdout, in
-    the chunks ``jsonio.write_json`` hands over."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            jsonio.write_json(doc, fh.write)
-            fh.write("\n")
-    else:
-        jsonio.write_json(doc, sys.stdout.write)
-        sys.stdout.write("\n")
+def _open_output(path):
+    """``path`` opened for writing, or stdout when there is none; a path
+    that cannot be opened raises ValueError naming it."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise ValueError(f"--output {path!r}: {err.strerror}") from None
+
+
+def _emit(doc, out):
+    """Write the document and a newline to the stream ``out``, in the
+    chunks ``jsonio.write_json`` hands over."""
+    jsonio.write_json(doc, out.write)
+    out.write("\n")
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         doc = args.func(args)
-    except UnknownOutcome as unk:
-        _emit(unk.args[0], args.output)
-        return 3
+        stream = _open_output(args.output)
     except (ValueError, KeyError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _emit(doc, args.output)
-    return 0
+    with stream as out:
+        _emit(doc, out)
+    # only the witness search can come back "unknown"
+    unknown = getattr(args, "strict", False) and doc.get("witness") == "unknown"
+    return 3 if unknown else 0
 
 
 if __name__ == "__main__":

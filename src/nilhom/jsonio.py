@@ -16,6 +16,7 @@ out one chunk each, so ``pages`` never holds its whole text.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from json import dumps as _scalar
 from json.encoder import encode_basestring_ascii as _string
 
@@ -101,18 +102,6 @@ def _encode(x, pad, out, write):
                         "is not JSON serializable")
 
 
-class _Texts(dict):
-    """Texts made once each: ``texts[key]`` is ``make(key)``."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
-
-
 def _write_page(page: Page, pad, write):
     """Write a page as the object {"cells": [...], "differentials": [...]}
     at indentation ``pad``: each cell (p, q, dim and its basis of labels
@@ -125,12 +114,18 @@ def _write_page(page: Page, pad, write):
     def seq(t):
         return "[" + p6 + ("," + p6).join(map(str, t)) + p5 + "]" if t else "[]"
 
-    left = _Texts(lambda I: "[" + p5 + seq(I) + "," + p5)
-    right = _Texts(lambda J: seq(J) + p4 + "]")
+    @cache
+    def left(I):
+        return "[" + p5 + seq(I) + "," + p5
+
+    @cache
+    def right(J):
+        return seq(J) + p4 + "]"
+
     cells = sorted(page.cells.items())
     head = "{" + p1 + '"cells": ['
     for (p, q), labels in cells:
-        basis = ("[" + p4 + ("," + p4).join([left[I] + right[J] for I, J in labels])
+        basis = ("[" + p4 + ("," + p4).join([left(I) + right(J) for I, J in labels])
                  + p3 + "]") if labels else "[]"
         write(head + p2 + "{" + p3 + f'"p": {p},' + p3 + f'"q": {q},' + p3
               + f'"dim": {len(labels)},' + p3 + '"basis": ' + basis + p2 + "}")

@@ -9,11 +9,15 @@ of f is attained at two or more points.  Membership, m-tameness and the
 finite-generation semidecisions below are all decided in exact rational
 arithmetic.  m-tameness is one search over sets of at most n + 1
 distinct cones (conic Caratheodory), one non-strict LP per set, which
-also yields the least failing m for hypothesis reports.  Cones are
-canonical from construction, with primitive integer rows, so every LP
-is stated in integers.  The witness search and the closure certificate
-share one fraction-free sparse reduction, ``_sparse_reduce``, on
-integer vectors; only a returned witness is divided by its lead.
+also yields the least failing m for hypothesis reports.  One builder,
+``_cone_points``, states "a nonzero vector in each cone" for that
+search and for ``Cone.has_nonzero_point``.  A Newton vertex is a
+support point that some direction strictly separates from the rest,
+one LP per point.  Cones are canonical from construction, with
+primitive integer rows, so every LP is stated in integers.  The
+witness search and the closure certificate share one fraction-free
+sparse reduction, ``_sparse_reduce``, on integer vectors; only a
+returned witness is divided by its lead.
 """
 
 from __future__ import annotations
@@ -177,16 +181,11 @@ class Cone:
         vanishes on a cone point only if the point is in the lineality
         space.
         """
-        return tuple(sum(col) for col in zip(*self.ineqs)) if self.ineqs \
-            else (0,) * self.nvars
+        return tuple(map(sum, zip(*self.ineqs))) if self.ineqs else (0,) * self.nvars
 
     def has_nonzero_point(self) -> bool:
-        if self.lineality_dim() > 0:
-            return True
-        cons = [(row, 0, lp.GE) for row in self.ineqs]
-        cons += [(row, 0, lp.EQ) for row in self.eqs]
-        cons.append((self.positive_functional(), -1, lp.GE))
-        return lp.feasible(cons, self.nvars)
+        return (self.lineality_dim() > 0
+                or lp.feasible(_cone_points((self,)), self.nvars))
 
     def key(self):
         return (self.nvars, self.ineqs, self.eqs)
@@ -250,27 +249,17 @@ class CyclicModuleSpec:
 def newton_polytope(f: LaurentPoly):
     """Vertices of the convex hull of the support, exact arithmetic.
 
-    A support point is a vertex exactly when it is not a convex
-    combination of the others, which is a rational feasibility problem.
+    A support point p is a vertex exactly when some direction v strictly
+    separates it from the others, and as the support is finite that is
+    v.(q - p) - 1 >= 0 for every other support point q: one LP in the
+    coordinates of v per point.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no Newton polytope")
-    pts = list(f.support)
-    if len(pts) == 1:
-        return [pts[0]]
-    verts = []
-    for idx, p in enumerate(pts):
-        others = [q for i, q in enumerate(pts) if i != idx]
-        k = len(others)
-        cons = []
-        for coord in range(f.nvars):
-            cons.append(([q[coord] for q in others], -p[coord], lp.EQ))
-        cons.append(([1] * k, -1, lp.EQ))
-        for i in range(k):
-            cons.append(([int(i == jj) for jj in range(k)], 0, lp.GE))
-        if not lp.feasible(cons, k):
-            verts.append(p)
-    return verts
+    pts = f.support
+    return [p for p in pts
+            if lp.feasible([([a - b for a, b in zip(q, p)], -1, lp.GE)
+                            for q in pts if q != p], f.nvars)]
 
 
 def full_sphere(nvars: int) -> ConeUnion:
@@ -410,6 +399,21 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     return None
 
 
+def _cone_points(cones):
+    """Constraints on one vector per cone, placed side by side: for each
+    cone its inequality rows, its equation rows and phi_c(v_c) - 1 >= 0
+    (phi_c its positive functional, so v_c is nonzero when c is
+    pointed)."""
+    n = cones[0].nvars
+    cons = []
+    for slot, c in enumerate(cones):
+        before, after = (0,) * (slot * n), (0,) * ((len(cones) - slot - 1) * n)
+        cons += [(before + row + after, 0, lp.GE) for row in c.ineqs]
+        cons += [(before + row + after, 0, lp.EQ) for row in c.eqs]
+        cons.append((before + c.positive_functional() + after, -1, lp.GE))
+    return cons
+
+
 def _least_failing_m(sc: ConeUnion, m_max: int):
     """Least m <= m_max at which sc is not m-tame, or None.
 
@@ -419,15 +423,10 @@ def _least_failing_m(sc: ConeUnion, m_max: int):
     is pointed: nonzero vectors of one cone add up to a nonzero vector
     of it, so a failure depends only on the *set* of distinct cones
     used, and failures are upward closed in m (halve one vector).  By
-    conic Caratheodory a minimal failing set has at most n + 1 cones.
-    So for k = 2 .. min(m_max, n + 1, #cones) and each set of k cones
-    one exact LP asks for one vector per cone with phi_c(v) - 1 >= 0
-    (phi_c is positive on the cone away from the origin) and the
-    vectors summing to zero.  The first feasible k is the least failing
-    m.  The union's cones are canonical and distinct by construction, and
-    every row is an integer row.  A cone that meets only the origin needs
-    no filter: phi_c(v) - 1 >= 0 has no solution on it, so no set that
-    holds it is ever feasible.
+    conic Caratheodory a minimal failing set has at most n + 1 cones,
+    so the first k whose cone sets admit vectors summing to zero is the
+    least failing m.  A cone that meets only the origin needs no
+    filter: no set that holds it is feasible.
     """
     cones = sc.cones
     if not cones:
@@ -435,24 +434,11 @@ def _least_failing_m(sc: ConeUnion, m_max: int):
     if any(c.lineality_dim() > 0 for c in cones):
         return 2
     n = sc.nvars
-    phis = [c.positive_functional() for c in cones]
     for k in range(2, min(m_max, n + 1, len(cones)) + 1):
-        nv = n * k
-        for choice in combinations(range(len(cones)), k):
-            cons = []
-            for slot, ci in enumerate(choice):
-                off = slot * n
-                for row in cones[ci].ineqs:
-                    cons.append((_embed(row, off, nv), 0, lp.GE))
-                for row in cones[ci].eqs:
-                    cons.append((_embed(row, off, nv), 0, lp.EQ))
-                cons.append((_embed(phis[ci], off, nv), -1, lp.GE))
-            for coord in range(n):
-                row = [0] * nv
-                for slot in range(k):
-                    row[slot * n + coord] = 1
-                cons.append((row, 0, lp.EQ))
-            if lp.feasible(cons, nv):
+        sums = [(((0,) * coord + (1,) + (0,) * (n - coord - 1)) * k, 0, lp.EQ)
+                for coord in range(n)]
+        for choice in combinations(cones, k):
+            if lp.feasible(_cone_points(choice) + sums, n * k):
                 return k
     return None
 
@@ -466,12 +452,6 @@ def m_tame(sc: ConeUnion, m: int) -> bool:
     if m < 2:
         raise ValueError("tameness is defined for m >= 2")
     return _least_failing_m(sc, m) is None
-
-
-def _embed(row, offset, nvars):
-    out = [0] * nvars
-    out[offset:offset + len(row)] = row
-    return out
 
 
 def tame_requirement(c: int, n: int) -> int:

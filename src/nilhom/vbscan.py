@@ -224,13 +224,10 @@ def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
     if not act.generators:
         raise ValueError("scan needs at least one acting generator")
     n = len(act.generators)
-    modules = {}
-    for q, mats in enumerate(induced_homology_action(act, j)):
-        dim = mats[0].rows
-        if dim:
-            modules[q] = QModuleFD(dim, tuple(mats))
     # only degrees whose Koszul degree j - q can carry homology
-    used = {q: mod for q, mod in modules.items() if j - q <= n}
+    used = {q: QModuleFD(mats[0].rows, tuple(mats))
+            for q, mats in enumerate(induced_homology_action(act, j))
+            if mats[0].rows and j - q <= n}
     period = _scan_period(used.values(), m_max)
     by_gcd = {}
     rows = []

@@ -1,5 +1,5 @@
-"""Reference m-tameness, strict-inequality LP, witness search and closure
-certificate for tests.
+"""Reference m-tameness, strict-inequality LP, Newton vertices, witness
+search and closure certificate for tests.
 
 ``m_tame`` enumerates every multiset of m cones and asks one exact LP
 per multiset, stating "v is nonzero" as a strict inequality; ``feasible``
@@ -14,7 +14,11 @@ verbatim copy: ``m_tame`` calls this module's ``feasible``,
 ``has_nonzero_point`` and ``canonical`` instead of the package's, and
 ``canonical``, the package's former ``Cone.canonical`` with its
 ``_primitive``, returns the key of the canonical cone rather than the
-cone, so tests can check the rows ``Cone`` stores against it.  The
+cone, so tests can check the rows ``Cone`` stores against it.
+``newton_polytope`` is the package's former convex-combination test (a
+support point is a vertex when it is no convex combination of the
+others, one LP in the weights of the others), calling this module's
+``feasible``; the package now asks for a separating direction instead.  The
 witness search is verbatim and shares only the package's data classes.
 ``closure_certifies`` is the package's former ``Fraction`` body of
 ``sigma._closure_certifies``, verbatim but for its public name: sparse
@@ -207,6 +211,32 @@ def canonical(cone):
         neg = tuple(-x for x in p)
         eqs.add(min(p, neg))
     return (cone.nvars, tuple(ineqs), tuple(sorted(eqs)))
+
+
+def newton_polytope(f: LaurentPoly):
+    """Vertices of the convex hull of the support, exact arithmetic.
+
+    A support point is a vertex exactly when it is not a convex
+    combination of the others, which is a rational feasibility problem.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial has no Newton polytope")
+    pts = list(f.support)
+    if len(pts) == 1:
+        return [pts[0]]
+    verts = []
+    for idx, p in enumerate(pts):
+        others = [q for i, q in enumerate(pts) if i != idx]
+        k = len(others)
+        cons = []
+        for coord in range(f.nvars):
+            cons.append(([q[coord] for q in others], -p[coord], EQ))
+        cons.append(([1] * k, -1, EQ))
+        for i in range(k):
+            cons.append(([int(i == jj) for jj in range(k)], 0, GE))
+        if not feasible(cons, k):
+            verts.append(p)
+    return verts
 
 
 def has_nonzero_point(cone) -> bool:

@@ -529,6 +529,22 @@ def test_file_input_and_output(tmp_path, capsys):
     assert json.loads(outfile.read_text())["betti"] == [1, 2, 2, 1]
 
 
+def test_a_directory_as_input_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "betti", "--group", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("where", ["missing/out.json", "."])
+def test_an_unwritable_output_exit_2(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "betti", "--group", HEIS,
+                             "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
     """Calls through the module's one parser give, call by call, the exit
     code and bytes of a freshly built parser: no flag or default carries

@@ -48,6 +48,51 @@ def test_newton_polytope():
         newton_polytope(LaurentPoly(1, {}))
 
 
+def _support_with_non_vertices(rng, n):
+    """Up to five random points in n variables, scaled by 6, plus
+    midpoints of pairs (3a + 3b) and centroids of triples (2a + 2b + 2c)
+    of them: points on edges or inside, never vertices.  Returns the
+    support and the added points that are not among the scaled ones."""
+    base = sorted({tuple(rng.randint(-2, 2) for _ in range(n))
+                   for _ in range(rng.randint(1, 5))})
+    pts = {tuple(6 * x for x in p) for p in base}
+    inner = set()
+    for k in (2, 3):
+        for _ in range(rng.randint(0, 2) if len(base) >= k else 0):
+            chosen = rng.sample(base, k)
+            inner.add(tuple((6 // k) * sum(col) for col in zip(*chosen)))
+    return pts | inner, inner - pts
+
+
+def test_newton_vertices_match_the_convex_combination_reference():
+    rng = random.Random(20)
+    non_vertices = 0
+    for _ in range(150):
+        n = rng.randint(0, 3)
+        support, inner = _support_with_non_vertices(rng, n)
+        f = poly(n, {e: rng.choice([1, -2, Fraction(1, 3)]) for e in support})
+        verts = newton_polytope(f)
+        assert verts == ref.newton_polytope(f), sorted(support)
+        assert not inner & set(verts)
+        non_vertices += len(support) - len(verts)
+    assert non_vertices >= 100
+
+
+def test_newton_polytope_asks_one_lp_in_nvars_per_point(monkeypatch):
+    from nilhom import lp
+    calls = []
+    feasible = lp.feasible
+
+    def recording(cons, nvars):
+        calls.append(nvars)
+        return feasible(cons, nvars)
+
+    monkeypatch.setattr(lp, "feasible", recording)
+    square = poly(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (2, 2): 1, (1, 1): 1})
+    assert newton_polytope(square) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert calls == [2] * 5
+
+
 def test_sigma_complement_t_minus_2_empty():
     assert not sigma_complement_principal(T_MINUS_2).cones
 
@@ -242,6 +287,26 @@ def test_witness_search_stops_in_the_first_shell():
     w = sigma_witness_search(spec, v, 0)
     assert w is not None and w.minimal_exponent == (0, 0, 0)
     assert sigma_witness_search(spec, v, 60) == w
+
+
+def test_has_nonzero_point_matches_strict_reference():
+    rng = random.Random(7)
+    cones = [Cone(2), Cone(3, [], [[1, 0, 0], [0, 1, 0]]),
+             Cone(2, [[1, 0], [-1, 0], [0, 1], [0, -1]]),
+             Cone(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1]])]
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        cones.append(Cone(n, [[rng.randint(-2, 2) for _ in range(n)]
+                              for _ in range(rng.randint(0, 4))],
+                          [[rng.randint(-1, 1) for _ in range(n)]
+                           for _ in range(rng.randint(0, 1))]))
+    seen = set()
+    for c in cones:
+        got = c.has_nonzero_point()
+        assert got == ref.has_nonzero_point(c), c.key()
+        seen.add((c.lineality_dim() > 0, got))
+    # cones with a line, pointed cones, and cones meeting only the origin
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_m_tame_empty_union():
