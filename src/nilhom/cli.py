@@ -113,13 +113,18 @@ def _cmd_filtration(args):
 
 
 def _cmd_sigma(args):
+    if args.degree_bound < 0:
+        raise ValueError("--degree-bound: a degree bound must be >= 0, "
+                         f"got {args.degree_bound}")
     spec = jsonio.parse_module(_load_json(args.module, "--module"))
     config = {"module": jsonio.module_json(spec),
               "degree_bound": args.degree_bound}
     payload = {}
     if args.witness is not None:
         direction = ValuationVector(tuple(
-            jsonio.parse_frac(x) for x in _load_json(args.witness, "--witness")))
+            jsonio.parse_frac(x) for x in jsonio._list(
+                _load_json(args.witness, "--witness"),
+                "--witness must be a list of rationals")))
         config["witness_direction"] = [jsonio.frac_str(x) for x in direction.v]
         found = sigma_witness_search(spec, direction, args.degree_bound)
         if found is None:
@@ -137,17 +142,18 @@ def _cmd_sigma(args):
     return _document("sigma", config, payload)
 
 
-def _parse_cones(args, nvars):
-    """Parse --sigma-complement; nvars serves cones with no constraints.
-
-    An explicit --nvars must agree with the dimension of the cones.
-    """
-    sc = jsonio.parse_cones(_load_json(args.sigma_complement,
-                                       "--sigma-complement"), nvars=nvars)
+def _agreeing(args, sc):
+    """``sc``, once an explicit --nvars is checked against its dimension."""
     if args.nvars is not None and args.nvars != sc.nvars:
-        raise ValueError(f"--nvars {args.nvars} disagrees with the cones' "
-                         f"dimension {sc.nvars}")
+        raise ValueError(f"--nvars {args.nvars} disagrees with the "
+                         f"dimension {sc.nvars} of the cones")
     return sc
+
+
+def _parse_cones(args, nvars):
+    """Parse --sigma-complement; nvars serves cones with no constraints."""
+    return _agreeing(args, jsonio.parse_cones(
+        _load_json(args.sigma_complement, "--sigma-complement"), nvars=nvars))
 
 
 def _cmd_tame(args):
@@ -155,7 +161,7 @@ def _cmd_tame(args):
         raise ValueError("tame needs exactly one of --module or --sigma-complement")
     if args.module is not None:
         spec = jsonio.parse_module(_load_json(args.module, "--module"))
-        sc = sigma_complement(spec)
+        sc = _agreeing(args, sigma_complement(spec))
         config = {"module": jsonio.module_json(spec), "m": args.m}
     else:
         sc = _parse_cones(args, args.nvars)
@@ -226,7 +232,8 @@ def _build_parser():
     p.add_argument("--module", default=None)
     p.add_argument("--sigma-complement", default=None)
     p.add_argument("--nvars", type=int, default=None,
-                   help="ambient dimension for an empty cone list")
+                   help="ambient dimension for an empty cone list; "
+                        "must agree with the input's")
     p.add_argument("--m", type=int, required=True)
     add_common(p)
     p.set_defaults(func=_cmd_tame)

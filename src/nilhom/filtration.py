@@ -5,8 +5,9 @@ a natural filtration whose layers are subquotients of tensor powers of
 the abelianised group, with tensor degree at most c(j-1)+1.  The
 certificates here make that bound inspectable: each layer records its
 tensor degree, its dimension and the trace of page cells it came from.
-For class <= 2 the page degenerates and the layer dimensions are exact;
-for higher class they are second-page upper bounds and flagged as such.
+For class <= 2 the page degenerates, the layers are third-page cells
+with exact dimensions, and an action is induced on each cell apart; for
+higher class they are second-page upper bounds and flagged as such.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
-from .linalg import (IntMatrix, RatMatrix, binomial, block_diag, image_matrix,
+from .linalg import (IntMatrix, RatMatrix, binomial, image_matrix,
                      rank_kernel_image, require_commuting, require_matrices, solve)
 from .spectral import _class2_cells, equivariant_page
 
@@ -150,7 +151,8 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
 
 
 def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, acts) -> list:
-    """Actions induced on ker(d_out) / im(d_in) by compatible operators."""
+    """Actions induced on ker(d_out) / im(d_in) by compatible operators,
+    or None when the quotient is zero."""
     kernel = rank_kernel_image(d_out)[1]
     image = rank_kernel_image(d_in)[2]
     # extend the image basis to a basis of the kernel: the image columns
@@ -158,7 +160,7 @@ def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, acts) -> list:
     basis = rank_kernel_image(RatMatrix.from_cols(image + kernel, d_out.cols))[2]
     extension = basis[len(image):]
     if not extension:
-        return [RatMatrix.zero(0, 0) for _ in acts]
+        return None
     cmat = RatMatrix.from_cols(extension, d_out.cols)
     # one solve for every operator: their images sit side by side
     images = [(act * cmat).entries for act in acts]
@@ -172,33 +174,26 @@ def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, acts) -> list:
 
 
 def induced_homology_action(act: NilpotentAction, j: int):
-    """Matrices of the action induced on rational homology of ``act.target``
-    in degrees 0..j.
+    """Actions induced on rational homology of ``act.target`` in degrees
+    0..j, one third-page cell at a time.
 
-    Entry q of the returned list holds one matrix per generator, acting
-    on degree-q homology.  All degrees are computed on the third-page
-    cells of one equivariant page, which is the whole homology for
-    class <= 2; a higher class is refused by the page.  Degree deg reads
-    the cells of total degree deg and the differentials into and out of
-    them, so the page is built only up to total degree j + 1.  Degree
-    zero always gives the identity on a line.
+    Entry q holds the nonzero cells (i, q - i) in increasing i, each as
+    one matrix per generator: the graded pieces of H_q, whose direct sum
+    it is for class <= 2 (a higher class is refused by the page).
+    Degree zero is one identity cell on a line, and a degree with no
+    homology an empty list.  Cell (i, q) reads the differentials into
+    and out of it, so the page is built only up to total degree j + 1.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    ngens = len(act.generators)
-    out = [[RatMatrix.identity(1) for _ in range(ngens)]]
     epage = equivariant_page(act.target, act.generators, max_degree=j + 1)
     page = epage.page
+    out = [[[RatMatrix.identity(1) for _ in act.generators]]]
     for deg in range(1, j + 1):
-        blocks = [[] for _ in range(ngens)]
-        for i in range(1, min(deg, act.target.rank) + 1):
-            q = deg - i
-            if page.cell_dim(i, q) == 0:
-                continue
-            cell = _subquotient_action(page.diff(i, q), page.diff(i + 2, q - 1),
-                                       epage.actions[(i, q)])
-            for gi, blk in enumerate(cell):
-                blocks[gi].append(blk)
-        out.append([block_diag(bl) if bl else RatMatrix.zero(0, 0)
-                    for bl in blocks])
+        cells = (_subquotient_action(page.diff(i, deg - i),
+                                     page.diff(i + 2, deg - i - 1),
+                                     epage.actions[(i, deg - i)])
+                 for i in range(1, min(deg, act.target.rank) + 1)
+                 if page.cell_dim(i, deg - i))
+        out.append([cell for cell in cells if cell is not None])
     return out

@@ -277,9 +277,12 @@ def parse_cones(doc, nvars=None) -> ConeUnion:
     if not isinstance(doc, list) or not all(isinstance(c, dict) for c in doc):
         raise ValueError("cone union must be a list of objects "
                          "with 'ineqs' and 'eqs'")
-    parsed = [([[parse_frac(x) for x in row] for row in c.get("ineqs", [])],
-               [[parse_frac(x) for x in row] for row in c.get("eqs", [])])
-              for c in doc]
+
+    def rows(cone, key):
+        what = f"cone field {key!r} must be a list of rows"
+        return [[parse_frac(x) for x in _list(row, what)]
+                for row in _list(cone.get(key, []), what)]
+    parsed = [(rows(c, "ineqs"), rows(c, "eqs")) for c in doc]
     first = next((row for ineqs, eqs in parsed for row in ineqs + eqs), None)
     if first is not None:
         nvars = len(first)

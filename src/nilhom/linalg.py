@@ -387,21 +387,6 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(entries, a.rows * b.rows, a.cols * b.cols)
 
 
-def block_diag(mats) -> RatMatrix:
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.entries[i][j]
-        r0 += m.rows
-        c0 += m.cols
-    return RatMatrix(out, rows, cols)
-
-
 def exterior_power_map(m: RatMatrix, k: int) -> RatMatrix:
     """Matrix of the k-th exterior power in the sorted-subset bases.
 

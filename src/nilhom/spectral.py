@@ -7,12 +7,13 @@ product against the extension class, realised by the commutator pairing:
     x tensor (a_1 ^ ... ^ a_q)  |->  (rho cap x) ^ a_1 ^ ... ^ a_q,
 
 extended to all p as the contraction of the pairing two-form, with the
-sign (-1)^(k+l-1) on the (k, l) contraction (positions 1-based).  For a
-free nilpotent group of class two the page degenerates at the third page
-and assembles the full rational homology; the integral table is the
-integral third page, cell by cell.  For a general central extension the
-third page is reported as an upper bound only, since no closed-form
-higher differential is available.
+sign (-1)^(k+l-1) on the (k, l) contraction (positions 1-based).  With
+d2 the page is the Chevalley-Eilenberg complex of the rational Malcev
+Lie algebra V + W (base V, centre W, bracket the pairing), so by Nomizu
+(1954) E3 = E-infinity rationally and the third-page totals are the
+Betti numbers of every extension here.  For free class two the integral
+table is the integral third page, cell by cell; integral higher
+differentials of other extensions are out of scope.
 
 The free class-two page is graded by content, the multidegree in Z^r of
 a label, and d2 keeps it, so it is computed block by block: one block
@@ -232,8 +233,9 @@ def ks_page(r: int) -> Page:
 def e3_dimensions(page: Page):
     """Third-page dimensions ker/im for every cell of a page.
 
-    For class-two free nilpotent groups this is the whole homology; for a
-    general central extension it is only an upper bound for the limit.
+    The page of a central extension is the Chevalley-Eilenberg complex of
+    its Malcev Lie algebra, so by Nomizu (1954) the third page is the
+    rational limit, and the totals in degree j are the j-th Betti number.
     """
     ranks = {pq: matrix_rank(d) for pq, d in page.diffs.items()}
     return {(p, q): len(labels) - ranks.get((p, q), 0) - ranks.get((p + 2, q - 1), 0)

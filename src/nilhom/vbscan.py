@@ -8,6 +8,10 @@ the boundedness phenomenon behind finite virtual Betti numbers.  All
 dimensions are exact; reports state the observed supremum over the
 scanned range, never a mathematical supremum.
 
+The coefficients H_q(N, Q) are taken one module per third-page cell
+(i, q - i), the graded pieces of H_q; Koszul homology is additive over
+direct sums, so it is summed over the cells of a degree.
+
 A scan needs the homology only at the divisors of one period.  Split a
 module over the algebraic closure into joint generalised eigenspaces.
 Where some eigenvalue lambda_i has lambda_i^m != 1, g_i^m - 1 is
@@ -212,10 +216,10 @@ def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
     """Scan sum_p dim H_p((Z^n)^m, H_{j-p}(N, Q)) for m = 1..m_max, where
     N is ``act.target``.
 
-    Needs class <= 2 so the coefficient modules and their actions are
-    computable from the degenerate page; a higher class is refused
-    there.  Only power subgroups are scanned; the report records the
-    observed supremum over the range.  Row m is computed at gcd(m, L),
+    Needs class <= 2 so the coefficient modules, one per third-page
+    cell, are computable from the degenerate page; a higher class is
+    refused there.  Only power subgroups are scanned; the report records
+    the observed supremum over the range.  Row m is computed at gcd(m, L),
     once per distinct value, where L is the period of the module
     docstring (``ScanReport.period``).
     """
@@ -224,19 +228,20 @@ def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
     if not act.generators:
         raise ValueError("scan needs at least one acting generator")
     n = len(act.generators)
-    # only degrees whose Koszul degree j - q can carry homology
-    used = {q: QModuleFD(mats[0].rows, tuple(mats))
-            for q, mats in enumerate(induced_homology_action(act, j))
-            if mats[0].rows and j - q <= n}
-    period = _scan_period(used.values(), m_max)
+    # one module per third-page cell, in the degrees whose Koszul degree
+    # j - q can carry homology
+    cells = {q: [QModuleFD(mats[0].rows, tuple(mats)) for mats in degree]
+             for q, degree in enumerate(induced_homology_action(act, j))
+             if j - q <= n}
+    period = _scan_period([mod for mods in cells.values() for mod in mods], m_max)
     by_gcd = {}
     rows = []
     for m in range(1, m_max + 1):
         g = gcd(m, period)
         if g not in by_gcd:
             by_gcd[g] = tuple(
-                koszul_homology(power_subgroup(used[j - p], g), p)
-                if j - p in used else 0 for p in range(j + 1))
+                sum(koszul_homology(power_subgroup(mod, g), p)
+                    for mod in cells.get(j - p, ())) for p in range(j + 1))
         by_p = by_gcd[g]
         rows.append(ScanRow(m, by_p, sum(by_p)))
     sup = max(r.total for r in rows)

@@ -6,16 +6,19 @@ coefficient module once more by its first power and takes the Koszul
 homology afresh, so entries grow like lambda^m.  ``koszul_differential``
 is the Koszul matrix as the library built it before the integer
 assembly, entry by entry in ``Fraction``.  Kept so tests can check the
-period argument of ``nilhom.vbscan.vb_scan`` and the integer
-``_koszul_differential`` against them.
+period argument of ``nilhom.vbscan.vb_scan``, its sum over the cells of
+a degree, and the integer ``_koszul_differential`` against them: the
+scan takes one module per degree, the direct sum of its cells, from
+``reference_filtration.induced_homology_action``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from nilhom.filtration import induced_homology_action
 from nilhom.linalg import RatMatrix
 from nilhom.vbscan import QModuleFD, ScanRow, koszul_homology
+
+from reference_filtration import induced_homology_action
 
 
 def koszul_differential(module: QModuleFD, p: int) -> RatMatrix:

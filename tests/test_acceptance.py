@@ -236,11 +236,11 @@ def test_criterion_09_nilpotent_action_desk_check():
         c = rng.choice([1, 2])
         spec = FreeNilpotentSpec(r, c)
         act = NilpotentAction(spec, _random_unipotent_family(rng, r, rng.randint(1, 2)))
-        for mats in induced_homology_action(act, 3):
-            if mats[0].rows == 0:
-                continue
-            if not is_nilpotent_action(mats).nilpotent:
-                ok = False
+        # a direct sum acts nilpotently exactly when each cell does
+        for cells in induced_homology_action(act, 3):
+            for mats in cells:
+                if not is_nilpotent_action(mats).nilpotent:
+                    ok = False
     _verdict(9, ok, "20 random unipotent actions act nilpotently on H_j, j <= 3")
 
 

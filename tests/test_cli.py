@@ -123,6 +123,15 @@ def test_explicit_nvars_must_match_the_cones(capsys):
     code, out, _ = run_cli(capsys, "tame", "--sigma-complement", "[{}]",
                            "--nvars", "2", "--m", "2")
     assert code == 0 and json.loads(out)["tame"] is False
+    # one rule for a module's complement: its dimension is the module's
+    mod = '{"nvars":1,"ideal":[]}'
+    code, out, err = run_cli(capsys, "tame", "--module", mod,
+                             "--nvars", "3", "--m", "2")
+    assert code == 2 and out == ""
+    assert "--nvars 3" in err and "1" in err
+    code, out, _ = run_cli(capsys, "tame", "--module", mod,
+                           "--nvars", "1", "--m", "2")
+    assert code == 0 and json.loads(out)["tame"] is False
     # --nvars 0 is a dimension like any other, not an unset flag
     code, out, err = run_cli(capsys, "report", "--c", "1", "--n", "2",
                              "--nvars", "0", "--sigma-complement", "[]")
@@ -297,14 +306,19 @@ def test_sigma_witness_and_strict(capsys):
 
 
 def test_sigma_witness_rejects_a_negative_degree_bound(capsys):
-    # a bound below 0 searches nothing, so "unknown" would be a false verdict
+    # a bound below 0 searches nothing, so "unknown" would be a false
+    # verdict; without --witness it is refused all the same, not echoed
     for mod in ('{"nvars":1,"ideal":[]}',
                 '{"nvars":1,"ideal":[[{"coeff":"1","exp":[1]},'
                 '{"coeff":"-2","exp":[0]}]]}'):
-        code, out, err = run_cli(capsys, "sigma", "--module", mod,
-                                 "--witness", "[1]", "--degree-bound", "-1")
-        assert code == 2 and out == ""
-        assert "degree bound" in err
+        for witness in (("--witness", "[1]"), ()):
+            code, out, err = run_cli(capsys, "sigma", "--module", mod,
+                                     *witness, "--degree-bound", "-1")
+            assert code == 2 and out == ""
+            assert "degree bound" in err and "-1" in err
+    code, out, _ = run_cli(capsys, "sigma", "--module",
+                           '{"nvars":1,"ideal":[]}', "--degree-bound", "0")
+    assert code == 0 and json.loads(out)["config"]["degree_bound"] == 0
 
 
 def test_sigma_output_feeds_tame_input(capsys):
@@ -384,11 +398,27 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
      "module term field 'exp' must be a list, got 5"),
     (["sigma", "--module", '{"nvars":1,"ideal":[["x"]]}'],
      "module term must be an object, got 'x'"),
+    # cone rows and witness directions: not read by letters or keys
+    (["tame", "--sigma-complement", '[{"ineqs":["12"],"eqs":[]}]', "--m", "2"],
+     "cone field 'ineqs' must be a list of rows, got '12'"),
+    (["tame", "--sigma-complement", '[{"ineqs":{"1":2}}]', "--m", "2"],
+     "cone field 'ineqs' must be a list of rows, got {'1': 2}"),
+    (["tame", "--sigma-complement", '[{"ineqs":5}]', "--m", "2"],
+     "cone field 'ineqs' must be a list of rows, got 5"),
+    (["report", "--c", "1", "--n", "1", "--sigma-complement",
+      '[{"eqs":"12"}]'],
+     "cone field 'eqs' must be a list of rows, got '12'"),
+    (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", '"12"'],
+     "--witness must be a list of rationals, got '12'"),
+    (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", '{"1":2}'],
+     "--witness must be a list of rationals, got {'1': 2}"),
 ], ids=["missing-class", "missing-pairing", "missing-generators",
         "flat-pairing", "object-pairing", "string-generators",
         "number-generators", "object-generators", "negative-a-rank",
         "term-without-exp", "term-without-coeff", "number-ideal",
-        "number-generator", "number-exp", "string-term"])
+        "number-generator", "number-exp", "string-term", "string-cone-row",
+        "object-cone-rows", "number-cone-rows", "string-cone-eqs",
+        "string-witness", "object-witness"])
 def test_malformed_group_spec_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

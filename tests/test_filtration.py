@@ -9,7 +9,8 @@ from nilhom.filtration import (filtration_certificate, induced_homology_action,
                                is_nilpotent_action, tensor_degree_bound)
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix
-from nilhom.spectral import equivariant_page, homology_free_nilpotent_c2
+from nilhom.spectral import (_class2_cells, equivariant_page,
+                             homology_free_nilpotent_c2)
 
 
 def test_bound_values():
@@ -145,16 +146,17 @@ def test_is_nilpotent_validates_input():
 def test_induced_homology_identity():
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
-    for j, (m,) in enumerate(induced_homology_action(act, 3)):
+    for j, cells in enumerate(induced_homology_action(act, 3)):
         dim = homology_free_nilpotent_c2(2, j).rational_dimension
-        assert m == RatMatrix.identity(dim)
+        assert all(m == RatMatrix.identity(m.rows) for (m,) in cells)
+        assert sum(m.rows for (m,) in cells) == dim
 
 
 def test_induced_homology_degree_one_is_abelianisation():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (g,))
-    (m,) = induced_homology_action(act, 1)[1]
+    [(m,)] = induced_homology_action(act, 1)[1]
     assert m == g.to_rat()
 
 
@@ -162,7 +164,7 @@ def test_induced_homology_degree_three_heisenberg():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     act = NilpotentAction(spec, (g,))
-    (m,) = induced_homology_action(act, 3)[3]
+    [(m,)] = induced_homology_action(act, 3)[3]
     assert m == RatMatrix([[1]])
 
 
@@ -179,13 +181,18 @@ def test_induced_homology_all_degrees_from_one_page(monkeypatch):
     act = NilpotentAction(spec, (g, IntMatrix.identity(3)))
     by_degree = induced_homology_action(act, 3)
     assert len(pages) == 1
-    assert [mats[0].rows for mats in by_degree] == [
+    # one nonzero cell per nonzero third-page cell (i, j - i), in order
+    third = _class2_cells(3)
+    assert [[cell[0].rows for cell in cells] for cells in by_degree] == [[1]] + [
+        [d for i in range(1, j + 1) if (d := third.get((i, j - i), (0,))[0])]
+        for j in range(1, 4)]
+    assert [sum(cell[0].rows for cell in cells) for cells in by_degree] == [
         homology_free_nilpotent_c2(3, j).rational_dimension for j in range(4)]
     # each list extends the one of the degree below
     assert induced_homology_action(act, 2) == by_degree[:3]
-    assert by_degree[1] == [g.to_rat(), RatMatrix.identity(3)]
-    assert all(m == RatMatrix.identity(m.rows) for m in
-               (mats[1] for mats in by_degree))
+    assert by_degree[1] == [[g.to_rat(), RatMatrix.identity(3)]]
+    assert all(cell[1] == RatMatrix.identity(cell[1].rows)
+               for cells in by_degree for cell in cells)
 
 
 @pytest.mark.parametrize("rank, nil_class", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -195,10 +202,15 @@ def test_induced_homology_action_matches_the_full_page(rank, nil_class):
     top = spec.hirsch_length + 1
     for _ in range(3):
         act = ref_filtration.random_action(rng, spec)
-        # the reference reads the whole page; degree j is its prefix
+        ngens = len(act.generators)
+        # the reference reads the whole page and sums the cells of each
+        # degree; degree j is its prefix
         want = ref_filtration.induced_homology_action(act, top)
         for j in range(top + 1):
-            assert induced_homology_action(act, j) == want[:j + 1], (act, j)
+            got = induced_homology_action(act, j)
+            assert [ref_filtration.direct_sum(cells, ngens)
+                    for cells in got] == want[:j + 1], (act, j)
+            assert all(cell[0].rows for cells in got for cell in cells)
 
 
 def test_induced_homology_rejects_class3():
@@ -244,7 +256,7 @@ def test_unipotent_actions_act_nilpotently_on_homology():
         c = rng.choice([1, 2])
         spec = FreeNilpotentSpec(r, c)
         act = NilpotentAction(spec, tuple(_random_unipotent_family(rng, r, 2)))
-        for j, mats in enumerate(induced_homology_action(act, 3)):
-            if mats[0].rows == 0:
-                continue
-            assert is_nilpotent_action(mats).nilpotent, (r, c, j)
+        # a direct sum acts nilpotently exactly when each summand does
+        for j, cells in enumerate(induced_homology_action(act, 3)):
+            for mats in cells:
+                assert is_nilpotent_action(mats).nilpotent, (r, c, j)

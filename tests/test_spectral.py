@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb, prod
 
 import pytest
@@ -191,6 +192,42 @@ def test_d_surjective_property_randomized():
                 assert rank_kernel_image(d)[0] == d.rows, (ext, q)
             if q >= 1:
                 assert e3[(0, q)] == 0
+
+
+def _e3_totals(ext):
+    """Per total degree, the sum of the third page of an extension."""
+    totals = [0] * (ext.q_rank + ext.a_rank + 1)
+    for (p, q), d in e3_dimensions(e2_page(ext)).items():
+        totals[p + q] += d
+    return totals
+
+
+def test_e3_totals_of_symplectic_heisenberg_groups():
+    # the page with d2 is the Chevalley-Eilenberg complex of the Malcev
+    # Lie algebra, so by Nomizu its totals are the Betti numbers:
+    # Santharoubane's b_k = C(2n, k) - C(2n, k - 2) for k <= n, mirrored
+    want = {1: [1, 2, 2, 1], 2: [1, 4, 5, 5, 4, 1],
+            3: [1, 6, 14, 14, 14, 14, 6, 1]}
+    for n, betti in want.items():
+        pairs = list(combinations(range(2 * n), 2))
+        omega = IntMatrix([[int(j == i + 1 and i % 2 == 0) for i, j in pairs]])
+        assert _e3_totals(CentralExtension(2 * n, 1, omega)) == betti, n
+        assert betti[:n + 1] == [comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
+                                 for k in range(n + 1)]
+
+
+def test_e3_totals_of_random_extensions_satisfy_poincare_duality():
+    # rational Betti numbers of a nilmanifold of dimension h >= 1:
+    # b_j = b_{h - j}, and the Euler characteristic vanishes
+    rng = random.Random(71)
+    for _ in range(12):
+        ext = random_extension(rng)
+        totals = _e3_totals(ext)
+        assert totals == totals[::-1], ext
+        assert sum((-1) ** j * b for j, b in enumerate(totals)) == 0, ext
+        # H_1 is the Lie algebra modulo its commutators
+        assert totals[0] == 1 and totals[1] == (
+            ext.q_rank + ext.a_rank - matrix_rank(ext.pairing)), ext
 
 
 def test_integral_heisenberg():

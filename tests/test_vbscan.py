@@ -4,13 +4,14 @@ from math import comb
 
 import pytest
 
+import reference_filtration as ref_filtration
 import reference_vbscan as ref
 from nilhom.filtration import is_nilpotent_action
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
-from nilhom.linalg import IntMatrix, RatMatrix, det, matrix_rank
+from nilhom.linalg import IntMatrix, RatMatrix, det, matrix_rank, solve
 from nilhom.sigma import Cone, ConeUnion, finite_dimensional_is_fully_tame, full_sphere
 from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics,
-                           _koszul_differential, hirsch_bound,
+                           _koszul_differential, _scan_period, hirsch_bound,
                            hypothesis_report, koszul_homology, power_subgroup,
                            vb_scan)
 
@@ -176,7 +177,7 @@ def test_vb_scan_root_of_unity_bounded_by_universal_power():
     assert all(t == (3 if row.m % 4 == 0 else 1)
                for t, row in zip(totals, report.rows))
     from nilhom.filtration import induced_homology_action
-    mats = induced_homology_action(act, 1)[1]
+    [mats] = induced_homology_action(act, 1)[1]
     mod = QModuleFD(2, tuple(mats))
     at_840 = koszul_homology(power_subgroup(mod, 840), 0) + 1
     assert report.observed_sup <= at_840 == 3
@@ -194,11 +195,11 @@ def _padded(block, sign):
      (_padded([[2, 1], [1, 1]], 1), _padded([[1, 1], [1, 0]], -1)), 8),
 ])
 def test_vb_scan_matches_power_subgroups_from_scratch(spec, gens, m_max):
-    from nilhom.filtration import induced_homology_action
     act = NilpotentAction(spec, gens)
     for j in (1, 2, 3):
+        # one module per degree, the direct sum of its cells
         modules = {}
-        for q, mats in enumerate(induced_homology_action(act, j)):
+        for q, mats in enumerate(ref_filtration.induced_homology_action(act, j)):
             if mats[0].rows:
                 modules[q] = QModuleFD(mats[0].rows, tuple(mats))
         report = vb_scan(act, j, m_max)
@@ -256,6 +257,67 @@ def test_vb_scan_agrees_with_running_powers(rank, gens, m_max, js, period):
         assert report.period == period, j
         assert report.rows == ref.scan_rows(act, j, m_max), j
         assert report.observed_sup == max(row.total for row in report.rows)
+
+
+@pytest.mark.parametrize("rank, count, js, m_max", [
+    (2, 6, (1, 2, 3), 12), (3, 4, (1, 2, 3), 12), (4, 1, (2,), 6)])
+def test_vb_scan_matches_the_assembled_reference(rank, count, js, m_max):
+    # seeded actions: the scan over the cells of each degree against
+    # running powers of their direct sum, read off the whole page
+    rng = random.Random(rank)
+    spec = FreeNilpotentSpec(rank, 2)
+    for _ in range(count):
+        act = ref_filtration.random_action(rng, spec)
+        n = len(act.generators)
+        summed = ref_filtration.induced_homology_action(act, max(js))
+        for j in js:
+            report = vb_scan(act, j, m_max)
+            assert report.rows == ref.scan_rows(act, j, m_max), (act, j)
+            modules = [QModuleFD(mats[0].rows, tuple(mats))
+                       for q, mats in enumerate(summed[:j + 1])
+                       if mats[0].rows and j - q <= n]
+            assert report.period == _scan_period(modules, m_max), (act, j)
+
+
+def _random_block(rng, n):
+    """Module of dimension 1..3 on n generators: signed or scaled powers
+    of one unipotent or finite-order matrix, conjugated by a unimodular
+    one, so the generators commute and the module often has homology."""
+    d = rng.randint(1, 3)
+    if d == 2 and rng.random() < 0.5:
+        base = IntMatrix(rng.choice([ROT3, ROT4, ROT6]))
+    else:
+        base = IntMatrix([[1 if a == b else rng.randint(-1, 1) if b > a else 0
+                           for b in range(d)] for a in range(d)])
+    s = IntMatrix.identity(d)
+    for _ in range(d if d > 1 else 0):
+        e = [[int(a == b) for b in range(d)] for a in range(d)]
+        a, b = rng.sample(range(d), 2)
+        e[a][b] = rng.randint(-1, 1)
+        s = s * IntMatrix(e)
+    base = (s * base).to_rat() * solve(s.to_rat(), RatMatrix.identity(d))
+    gens = tuple(base ** rng.randint(0, 2) * rng.choice([1, 1, -1, 2, Fraction(1, 3)])
+                 for _ in range(n))
+    return QModuleFD(d, gens)
+
+
+def test_koszul_homology_and_period_are_additive_over_direct_sums():
+    rng = random.Random(23)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        blocks = [_random_block(rng, n) for _ in range(rng.randint(1, 3))]
+        whole = QModuleFD(sum(b.dim for b in blocks), tuple(
+            ref_filtration.direct_sum([b.generators for b in blocks], n)))
+        for p in range(n + 1):
+            got = koszul_homology(whole, p)
+            assert got == sum(koszul_homology(b, p) for b in blocks), p
+            nonzero += got > 0
+        # Phi_d is irreducible: it divides a block-diagonal characteristic
+        # polynomial exactly when it divides a block's
+        for m_max in (4, 12):
+            assert _scan_period(blocks, m_max) == _scan_period([whole], m_max)
+    assert nonzero >= 20
 
 
 def test_cyclotomic_polynomials_closed_forms():
