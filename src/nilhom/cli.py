@@ -22,7 +22,8 @@ from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
 from .sigma import (ValuationVector, m_tame, sigma_complement,
                     sigma_witness_search)
 from .linalg import binomial
-from .spectral import e2_page, homology_free_nilpotent_c2
+from .spectral import (betti_free_nilpotent_c2, e2_page,
+                       homology_free_nilpotent_c2)
 from .vbscan import hypothesis_report, vb_scan
 
 
@@ -68,20 +69,21 @@ def _cmd_betti(args):
                                  "nilpotent group of class two")
             payload = {"betti": [binomial(group.rank, j)
                                  for j in range(group.rank + 1)]}
+        elif group.nil_class == 2 and not args.integral:
+            payload = {"betti": betti_free_nilpotent_c2(group.rank)}
         elif group.nil_class == 2:
             results = [homology_free_nilpotent_c2(group.rank, j)
                        for j in range(group.hirsch_length + 1)]
             payload = {"betti": [res.rational_dimension for res in results]}
-            if args.integral:
-                payload["integral"] = [{
-                    "j": res.j,
-                    "cells": [{"cell": list(c), "free_rank": f,
-                               "torsion": list(t)}
-                              for c, f, t in res.integral_cells],
-                    "invariant_factors":
-                        list(res.invariant_factors)
-                        if res.invariant_factors is not None else None,
-                } for res in results]
+            payload["integral"] = [{
+                "j": res.j,
+                "cells": [{"cell": list(c), "free_rank": f,
+                           "torsion": list(t)}
+                          for c, f, t in res.integral_cells],
+                "invariant_factors":
+                    list(res.invariant_factors)
+                    if res.invariant_factors is not None else None,
+            } for res in results]
         else:
             raise ValueError("betti supports free nilpotent groups of class "
                              "<= 2 only; higher classes have no closed page")
@@ -121,10 +123,12 @@ def _cmd_sigma(args):
               "degree_bound": args.degree_bound}
     payload = {}
     if args.witness is not None:
-        direction = ValuationVector(tuple(
-            jsonio.parse_frac(x) for x in jsonio._list(
-                _load_json(args.witness, "--witness"),
-                "--witness must be a list of rationals")))
+        entries = jsonio._list(_load_json(args.witness, "--witness"),
+                               "--witness must be a list of rationals")
+        if len(entries) != spec.nvars:
+            raise ValueError(f"--witness has length {len(entries)}, but the "
+                             f"module has nvars {spec.nvars}")
+        direction = ValuationVector(tuple(map(jsonio.parse_frac, entries)))
         config["witness_direction"] = [jsonio.frac_str(x) for x in direction.v]
         found = sigma_witness_search(spec, direction, args.degree_bound)
         if found is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (IntMatrix, RatMatrix, binomial, image_matrix,
                      rank_kernel_image, require_commuting, require_matrices, solve)
-from .spectral import _class2_cells, equivariant_page
+from .spectral import _class2_dims, equivariant_page
 
 
 def tensor_degree_bound(c: int, j: int) -> int:
@@ -78,10 +78,10 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
         layers = (Layer(j, dim, ()),) if dim else ()
         exact = True
     elif c == 2:
-        cells = _class2_cells(r)
+        cells = _class2_dims(r)
         layers = [Layer(2 * j - i, d, ((i, j - i),))
                   for i in range(1, min(j, r) + 1)
-                  if (d := cells.get((i, j - i), (0,))[0])]
+                  if (d := cells.get((i, j - i), 0))]
         exact = True
     else:
         layers = []

@@ -191,6 +191,15 @@ def _field(doc, key, what):
         raise ValueError(f"{what} lacks the field {key!r}") from None
 
 
+def _known(doc, keys, what):
+    """A ValueError naming the first field of the object ``doc`` outside
+    ``keys``: a misspelt field would otherwise read as an absent one."""
+    extra = sorted(set(doc) - set(keys))
+    if extra:
+        raise ValueError(f"{what} has the unknown field {extra[0]!r}; it "
+                         f"takes {' and '.join(map(repr, keys))}")
+
+
 def _list(x, what):
     """``x`` if it is a list, else a ValueError "``what``, got ``x``":
     iterating would read an object by its keys, a string by its letters."""
@@ -239,14 +248,16 @@ def group_json(obj):
 
 
 def parse_module(doc) -> CyclicModuleSpec:
-    if not isinstance(doc, dict) or "nvars" not in doc:
-        raise ValueError("module spec must be an object with 'nvars' and 'ideal'")
-    n = _integer(doc["nvars"])
+    """A module spec {"nvars": n, "ideal": [...]}; both fields are
+    required and no other is read."""
+    n = _integer(_field(doc, "nvars", "module spec"))
+    _known(doc, ("nvars", "ideal"), "module spec")
     # before any generator is read, whose exponents would fail on arity
     if n < 0:
         raise ValueError(f"nvars must be nonnegative, got {n}")
     gens = []
-    for g in _list(doc.get("ideal", []), "ideal must be a list of generators"):
+    for g in _list(_field(doc, "ideal", "module spec"),
+                   "ideal must be a list of generators"):
         terms = {}
         for t in _list([g] if isinstance(g, dict) else g,
                        "an ideal generator must be a list of terms or one term"):
@@ -272,11 +283,14 @@ def parse_cones(doc, nvars=None) -> ConeUnion:
 
     The rows of any cone fix the dimension, and a cone with no rows takes
     it; ``nvars`` serves only when no cone has a row.  Anything but a
-    list of objects, or cones whose rows disagree, raise ValueError.
+    list of objects with no fields but 'ineqs' and 'eqs' (each optional),
+    or cones whose rows disagree, raise ValueError.
     """
     if not isinstance(doc, list) or not all(isinstance(c, dict) for c in doc):
         raise ValueError("cone union must be a list of objects "
                          "with 'ineqs' and 'eqs'")
+    for c in doc:
+        _known(c, ("ineqs", "eqs"), "cone")
 
     def rows(cone, key):
         what = f"cone field {key!r} must be a list of rows"

@@ -412,13 +412,34 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
      "--witness must be a list of rationals, got '12'"),
     (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", '{"1":2}'],
      "--witness must be a list of rationals, got {'1': 2}"),
+    # a misspelt or missing field is named, never read as absent
+    (["tame", "--sigma-complement", '[{"ineq":[[1,0]]}]', "--nvars", "2",
+      "--m", "2"],
+     "cone has the unknown field 'ineq'; it takes 'ineqs' and 'eqs'"),
+    (["report", "--c", "1", "--n", "1", "--sigma-complement",
+      '[{"ineqs":[[1]],"eqs":[],"rays":[]}]'],
+     "cone has the unknown field 'rays'"),
+    (["sigma", "--module",
+      '{"nvars":2,"idael":[[{"coeff":"1","exp":[1,0]}]]}'],
+     "module spec has the unknown field 'idael'; it takes 'nvars' and 'ideal'"),
+    (["tame", "--module", '{"nvars":2}', "--m", "2"],
+     "module spec lacks the field 'ideal'"),
+    (["sigma", "--module", '{"ideal":[]}'],
+     "module spec lacks the field 'nvars'"),
+    # the direction's length against the module's, before the search
+    (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", "[1]"],
+     "--witness has length 1, but the module has nvars 2"),
+    (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", "[]"],
+     "--witness has length 0, but the module has nvars 2"),
 ], ids=["missing-class", "missing-pairing", "missing-generators",
         "flat-pairing", "object-pairing", "string-generators",
         "number-generators", "object-generators", "negative-a-rank",
         "term-without-exp", "term-without-coeff", "number-ideal",
         "number-generator", "number-exp", "string-term", "string-cone-row",
         "object-cone-rows", "number-cone-rows", "string-cone-eqs",
-        "string-witness", "object-witness"])
+        "string-witness", "object-witness", "misspelt-cone-field",
+        "unknown-cone-field", "misspelt-ideal", "missing-ideal",
+        "missing-nvars", "short-witness", "empty-witness"])
 def test_malformed_group_spec_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

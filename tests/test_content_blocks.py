@@ -5,9 +5,13 @@ differential in ``_class2_cells``) must agree with the dense page
 (``e3_dimensions`` and the dense Smith reduction in
 ``reference_spectral``) for r <= 4, with Bareiss ranks block by block
 for r = 5, and with Sigg's closed form for the Betti numbers of free
-two-step nilpotent groups for r <= 5.
+two-step nilpotent groups for r <= 5.  The closed-form cells
+(``_class2_dims``), which the rational paths read, are checked against
+the blocks cell by cell and against the box walk of ``sigg_betti``,
+which stays independent of them.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -17,9 +21,12 @@ import pytest
 
 import nilhom.spectral as spectral
 from nilhom.linalg import matrix_rank, smith_normal_form
-from nilhom.spectral import (_class2_blocks, _class2_cells,
+from nilhom.cli import main
+from nilhom.filtration import filtration_certificate
+from nilhom.groups import FreeNilpotentSpec
+from nilhom.spectral import (_class2_blocks, _class2_cells, _class2_dims,
                              betti_free_nilpotent_c2, e3_dimensions,
-                             homology_free_nilpotent_c2, ks_page)
+                             h2_class2, homology_free_nilpotent_c2, ks_page)
 
 import reference_spectral as ref
 
@@ -203,3 +210,60 @@ def test_rank5_integral_free_ranks_equal_rational_cells():
     counts = dict(zip([(1, q) for q in range(3, 8)], [30, 70, 45, 10, 1]))
     counts.update(zip([(2, q) for q in range(4, 9)], [1, 10, 45, 70, 30]))
     assert found == {cell: (3,) * k for cell, k in counts.items()}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_closed_form_cells_equal_the_blocks(r):
+    # the block ranks by Bareiss, apart from the Smith pass that
+    # _class2_cells checks against the closed form
+    dims = Counter()
+    for _, orbit, blk in _class2_blocks(r):
+        for pq, dim in e3_dimensions(blk).items():
+            dims[pq] += orbit * dim
+    closed = _class2_dims(r)
+    assert set(closed) == {(p, q) for p in range(r + 1)
+                           for q in range(comb(r, 2) + 1)}
+    assert {pq: dim for pq, dim in closed.items() if dim} == +dims
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_closed_form_totals_equal_sigg_box_walk(r):
+    # betti_free_nilpotent_c2 sums the closed-form cells by degree
+    assert betti_free_nilpotent_c2(r) == sigg_betti(r)
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_closed_form_totals_are_palindromic_with_euler_characteristic_0(r):
+    # Poincare duality of the nilmanifold, of dimension the Hirsch length
+    betti = betti_free_nilpotent_c2(r)
+    assert betti == betti[::-1]
+    assert betti[0] == 1 and betti[1] == r
+    assert sum((-1) ** j * b for j, b in enumerate(betti)) == 0
+
+
+def test_rank6_rational_paths_build_no_blocks(capsys):
+    misses = _class2_blocks.cache_info().misses
+    group = '{"type":"free_nilpotent","rank":6,"class":2}'
+    assert main(["betti", "--group", group]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == sigg_betti(6)
+    assert main(["filtration", "--group", group, "--j", "10"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["total_dimension"] == sigg_betti(6)[10]
+    assert cert["dimensions_exact"] and cert["bound_satisfied"]
+    # class three recurses through the class-two certificate
+    assert filtration_certificate(FreeNilpotentSpec(6, 3), 3).layers
+    assert sum(h2_class2(FreeNilpotentSpec(6, 2))) == sigg_betti(6)[2]
+    assert _class2_blocks.cache_info().misses == misses
+
+
+def test_integral_path_checks_the_closed_form(monkeypatch):
+    wrong = dict(_class2_dims(3))
+    wrong[(1, 1)] += 1
+    monkeypatch.setattr(spectral, "_class2_dims", lambda r: wrong)
+    _class2_cells.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"cell \(1, 1\) has dimension 8 "
+                           r"from the blocks but 9 by Sigg's closed form"):
+            homology_free_nilpotent_c2(3, 2)
+    finally:
+        _class2_cells.cache_clear()
