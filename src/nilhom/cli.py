@@ -2,16 +2,18 @@
 
 Every command reads specs as inline JSON, a file path, or "-" for stdin,
 echoes its resolved configuration into the output document and writes a
-schema-versioned JSON payload.  Exit codes: 0 success, 2 input error
-(an unreadable input or an ``--output`` that cannot be opened among
-them) or unsupported instance, 3 when ``sigma --witness --strict`` came
-back "unknown".
+schema-versioned JSON payload.  Exit codes: 0 success, 1 when the
+reader closed the output pipe before the document was written (nothing
+goes to stderr), 2 input error (an unreadable input or an ``--output``
+that cannot be opened among them) or unsupported instance, 3 when
+``sigma --witness --strict`` came back "unknown".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -128,7 +130,11 @@ def _cmd_sigma(args):
         if len(entries) != spec.nvars:
             raise ValueError(f"--witness has length {len(entries)}, but the "
                              f"module has nvars {spec.nvars}")
-        direction = ValuationVector(tuple(map(jsonio.parse_frac, entries)))
+        values = tuple(map(jsonio.parse_frac, entries))
+        if not any(values):
+            raise ValueError("--witness is the zero direction, but a "
+                             "direction must be nonzero")
+        direction = ValuationVector(values)
         config["witness_direction"] = [jsonio.frac_str(x) for x in direction.v]
         found = sigma_witness_search(spec, direction, args.degree_bound)
         if found is None:
@@ -290,8 +296,17 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    with stream as out:
-        _emit(doc, out)
+    try:
+        with stream as out:
+            _emit(doc, out)
+            # a short document still sits in stdout's buffer: a closed pipe
+            # must show here, not at shutdown
+            out.flush()
+    except BrokenPipeError:
+        # the reader is gone (``| head``): stop quietly, and point stdout at
+        # the null device so that its flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # only the witness search can come back "unknown"
     unknown = getattr(args, "strict", False) and doc.get("witness") == "unknown"
     return 3 if unknown else 0

@@ -108,7 +108,8 @@ def _write_page(page: Page, pad, write):
     [I, J]) in order of (p, q), then each differential that is neither
     empty nor zero, its matrix as rows of integer strings.  One chunk
     goes to ``write`` per cell and per matrix row; a label is joined from
-    the texts of its I and its J, each made once."""
+    the texts of its I and its J, each made once, and a row from a row of
+    "0" texts with the row's nonzero entries put in place."""
     p1, p2, p3, p4, p5, p6 = (pad + "  " * i for i in range(1, 7))
 
     def seq(t):
@@ -136,10 +137,13 @@ def _write_page(page: Page, pad, write):
     for i, ((p, q), d) in enumerate(diffs):
         head += ("," if i else "") + p2 + "{" + p3 + f'"p": {p},' + p3 \
             + f'"q": {q},' + p3 + '"matrix": ['
-        sep = ""
-        for row in d.entries:
+        sep, zeros = "", ["0"] * d.cols
+        for terms in d.terms:
+            row = zeros.copy()
+            for j, x in terms:
+                row[j] = str(x)
             write(head + sep + p4 + "[" + p5 + '"'
-                  + ('",' + p5 + '"').join(map(str, row)) + '"' + p4 + "]")
+                  + ('",' + p5 + '"').join(row) + '"' + p4 + "]")
             head, sep = "", ","
         head = p3 + "]" + p2 + "}"
     write(head + (p1 + "]" if diffs else "]") + pad + "}")

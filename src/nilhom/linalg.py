@@ -7,6 +7,9 @@ differ only in how an entry is coerced: rational matrices hold
 ``fractions.Fraction`` entries, integer matrices hold Python ints and
 raise on a ``Fraction`` or float rather than truncate it.  Both are
 immutable after construction and safe to share between threads.
+``SparseIntMatrix`` holds an integer matrix as the nonzero entries of
+its rows, the form of the degree-2 differentials of spectral pages; it
+carries no algebra and turns into an ``IntMatrix`` where one is needed.
 
 Every dense rank, kernel, image, solve and determinant runs through one
 fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
@@ -194,6 +197,42 @@ class IntMatrix(_Matrix):
 
     def __repr__(self):
         return f"IntMatrix({[list(row) for row in self.entries]})"
+
+
+class SparseIntMatrix:
+    """Integer matrix held as the nonzero entries of its rows.
+
+    ``terms[i]`` lists the (column, entry) pairs of row i, each column at
+    most once and in any order; every entry not listed is zero.  It does
+    no algebra of its own: ``dense`` gives the ``IntMatrix``.
+
+    >>> m = SparseIntMatrix([[(2, -1)], []], 2, 3)
+    >>> m.dense().entries
+    ((0, 0, -1), (0, 0, 0))
+    """
+
+    __slots__ = ("rows", "cols", "terms")
+
+    def __init__(self, terms, rows: int, cols: int):
+        if len(terms) != rows:
+            raise ValueError("row terms do not match declared dimensions")
+        self.rows = rows
+        self.cols = cols
+        self.terms = terms
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def is_zero(self) -> bool:
+        return not any(x for row in self.terms for _, x in row)
+
+    def dense(self) -> IntMatrix:
+        grid = [[0] * self.cols for _ in self.terms]
+        for out, row in zip(grid, self.terms):
+            for j, x in row:
+                out[j] = x
+        return IntMatrix(grid, self.rows, self.cols)
 
 
 def _kind(a, b):

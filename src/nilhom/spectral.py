@@ -32,23 +32,29 @@ its rank and the torsion of its target cell; the dimensions from the
 ranks (the integral free ranks) are checked against the closed form.
 Rank 5 takes well under a second, with blocks at most 70 wide against
 cells up to 2520 wide.  ``e2_page`` and ``ks_page`` still build the
-dense page, for ``pages``, which prints it, and as the reference the
+whole page, for ``pages``, which prints it, and as the reference the
 blocks are tested against.  Equivariant pages use it only up to a total
 degree bound: a degree-j scan reads cells of total degree at most j + 1.
 
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
-lexicographic order.  The dense page and ``d2_central`` both take their
-labels from ``_cell_labels``, and every d2, dense or block, its entries
-from ``_d2_rows``, which tables the contractions of each I and the
-wedges into each J once.  Each block is a ``Page`` on the labels of its
-content, so the dense page's shape and d2 o d2 = 0 checks serve it.
-That check multiplies no matrices: each differential is read once as
-the nonzero entries of its rows, and each row of a composite is summed
-from those in exact integers and must vanish.  ``e3_dimensions`` ranks
-a page's differentials by Bareiss elimination.  The pairing is an
-integer matrix, so every d2 is one too, and only the equivariant check
-multiplies differentials by rational actions.
+lexicographic order.  The whole page and ``d2_central`` both take their
+labels from ``_cell_labels``, and every d2, of a page or a block, its
+entries from ``_d2_rows``, which tables the contractions of each I and
+the wedges into each J once.  A d2 is a ``SparseIntMatrix``, each row
+its nonzero (column, entry) pairs: a column out of cell (p, q) has at
+most C(p, 2)·a nonzeros (C(p, 2) for free class two), so no dense grid
+is built for ``pages`` and its memory is bounded by the nonzeros.  Each
+block is a ``Page`` on the labels of its content, so the page's shape
+and d2 o d2 = 0 checks serve it.  That check multiplies no matrices:
+each row of a composite is summed from the rows of the two
+differentials in exact integers and must vanish.  The dense algebra
+takes ``dense()`` of a differential: ``e3_dimensions`` ranks it by
+Bareiss elimination, ``_class2_cells`` takes its Smith form, the
+equivariant check multiplies it by the actions, and ``Page.diff`` hands
+it to the filtration.  The pairing is an integer matrix, so every d2 is
+one too, and only the equivariant check multiplies differentials by
+rational actions.
 """
 
 from __future__ import annotations
@@ -57,14 +63,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from math import factorial, prod
 
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
                      central_extension_of_class2, induced_action_on_quotient)
-from .linalg import (IntMatrix, RatMatrix, binomial, exterior_power_map,
-                     kron, matrix_rank, merge_invariant_factors,
-                     smith_normal_form, solve)
+from .linalg import (IntMatrix, RatMatrix, SparseIntMatrix, binomial,
+                     exterior_power_map, kron, matrix_rank,
+                     merge_invariant_factors, smith_normal_form, solve)
 
 
 class Page:
@@ -72,12 +78,13 @@ class Page:
 
     ``cells`` maps (p, q) to the cell's basis, a tuple of distinct (I, J)
     labels in lexicographic order, which fixes the rows and columns of
-    every matrix on the page.  ``diffs`` maps (p, q) to the dense matrix
-    of d2 from cell (p, q) to cell (p-2, q+1); a missing one is zero.
-    Construction checks every shape, then that every consecutive pair of
-    differentials composes to zero, on the nonzero entries of their rows
-    (``_composes_to_zero``).  ``jsonio`` writes a page straight into the
-    ``pages`` document.
+    every matrix on the page.  ``diffs`` maps (p, q) to d2 from cell
+    (p, q) to cell (p-2, q+1) as a ``SparseIntMatrix``; a missing one is
+    zero, and ``diff`` gives either as a dense ``IntMatrix``.
+    Construction checks every type and shape, then that every
+    consecutive pair of differentials composes to zero, on the rows'
+    nonzero entries (``_composes_to_zero``).  ``jsonio`` writes a page
+    straight into the ``pages`` document.
     """
 
     def __init__(self, cells, diffs):
@@ -92,31 +99,29 @@ class Page:
         d = self.diffs.get((p, q))
         if d is None:
             return IntMatrix.zero(self.cell_dim(p - 2, q + 1), self.cell_dim(p, q))
-        return d
+        return d.dense()
 
     def _validate(self):
         for (p, q), d in self.diffs.items():
+            if not isinstance(d, SparseIntMatrix):
+                raise TypeError(f"differential at {(p, q)} must be a "
+                                f"SparseIntMatrix, got {type(d).__name__}")
             want = (self.cell_dim(p - 2, q + 1), self.cell_dim(p, q))
             if d.shape != want:
                 raise ValueError(f"differential at {(p, q)} has shape "
                                  f"{d.shape}, expected {want}")
-        sparse = {pq: _nonzero_rows(d) for pq, d in self.diffs.items()}
         for (p, q), d in self.diffs.items():
             nxt = self.diffs.get((p - 2, q + 1))
             if nxt is not None and nxt.rows and d.cols:
-                if not _composes_to_zero(sparse[(p - 2, q + 1)], sparse[(p, q)]):
+                if not _composes_to_zero(nxt.terms, d.terms):
                     raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)}")
 
 
-def _nonzero_rows(m):
-    """Each row of the matrix ``m`` as its nonzero (column, entry) pairs."""
-    return [list(compress(enumerate(row), row)) for row in m.entries]
-
-
 def _composes_to_zero(left, right) -> bool:
-    """Whether the product of two matrices, given by ``_nonzero_rows``,
-    is zero: row i of it is the sum of x times row k of ``right`` over
-    the pairs (k, x) of row i of ``left``, in exact arithmetic."""
+    """Whether the product of two matrices, given by the ``terms`` of
+    their rows, is zero: row i of it is the sum of x times row k of
+    ``right`` over the pairs (k, x) of row i of ``left``, in exact
+    arithmetic."""
     for terms in left:
         acc = {}
         for k, x in terms:
@@ -166,7 +171,8 @@ def _pair_images(ext: CentralExtension):
 
 
 def _d2_rows(src, tgt, images):
-    """Integer entries of d2 from the labels ``src`` to the labels ``tgt``.
+    """The rows of d2 from the labels ``src`` to the labels ``tgt``, each
+    as its nonzero (column, entry) pairs (``SparseIntMatrix.terms``).
 
     ``images`` is the commutator pairing as ``_pair_images`` gives it.  The
     (k, l) contraction of (I, J) drops I[k] and I[l] and wedges alpha onto
@@ -175,11 +181,18 @@ def _d2_rows(src, tgt, images):
     each distinct J once, as alpha -> (J2, sign) (None for alpha in J),
     and each (k, l) contraction once per distinct I, applied to all the
     columns of that I.  ``tgt`` must hold every label a term lands on.
+
+    Each term is appended to its row as it is found, with no grid: the
+    target label (I minus {I[k], I[l]}, J plus alpha) fixes both the
+    contracted pair and alpha, so an entry receives at most one term,
+    and that term is nonzero (``images`` holds no zero value).  No entry
+    needs summing and no zero needs filtering out.
     """
+    terms = [[] for _ in tgt]
     rows = {}
-    for i, (I, J) in enumerate(tgt):
-        rows.setdefault(I, {})[J] = i
-    top = 1 + max((alpha for terms in images.values() for alpha, _ in terms),
+    for (I, J), row in zip(tgt, terms):
+        rows.setdefault(I, {})[J] = row
+    top = 1 + max((alpha for pair in images.values() for alpha, _ in pair),
                   default=-1)
     wedges, columns = {}, {}
     for col, (I, J) in enumerate(src):
@@ -189,7 +202,6 @@ def _d2_rows(src, tgt, images):
                 None if alpha in J else (J[:b] + (alpha,) + J[b:], -1 if b % 2 else 1)
                 for alpha in range(top) for b in (bisect_left(J, alpha),)]
         columns.setdefault(I, []).append((col, wedge))
-    mat = [[0] * len(src) for _ in tgt]
     for I, cols in columns.items():
         for k in range(len(I)):
             for l in range(k + 1, len(I)):
@@ -201,11 +213,11 @@ def _d2_rows(src, tgt, images):
                         hit = wedge[alpha]
                         if hit is not None:
                             J2, wedge_sgn = hit
-                            mat[row_of[J2]][col] += wedge_sgn * value
-    return mat
+                            row_of[J2].append((col, wedge_sgn * value))
+    return terms
 
 
-def d2_central(ext: CentralExtension, p: int, q: int) -> IntMatrix:
+def d2_central(ext: CentralExtension, p: int, q: int) -> SparseIntMatrix:
     """Degree-2 differential of the page of a central extension.
 
     The matrix is stated in the canonical (subset, subset) bases.  For
@@ -215,7 +227,8 @@ def d2_central(ext: CentralExtension, p: int, q: int) -> IntMatrix:
     n, a = ext.q_rank, ext.a_rank
     src = _cell_labels(n, a, p, q)
     tgt = _cell_labels(n, a, p - 2, q + 1)
-    return IntMatrix(_d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
+    return SparseIntMatrix(_d2_rows(src, tgt, _pair_images(ext)),
+                           len(tgt), len(src))
 
 
 def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
@@ -235,7 +248,7 @@ def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
 
 @lru_cache(maxsize=None)
 def ks_page(r: int) -> Page:
-    """Cached dense class-two page of rank r."""
+    """Cached whole class-two page of rank r."""
     return e2_page(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
 
 
@@ -246,7 +259,7 @@ def e3_dimensions(page: Page):
     its Malcev Lie algebra, so by Nomizu (1954) the third page is the
     rational limit, and the totals in degree j are the j-th Betti number.
     """
-    ranks = {pq: matrix_rank(d) for pq, d in page.diffs.items()}
+    ranks = {pq: matrix_rank(d.dense()) for pq, d in page.diffs.items()}
     return {(p, q): len(labels) - ranks.get((p, q), 0) - ranks.get((p + 2, q - 1), 0)
             for (p, q), labels in page.cells.items()}
 
@@ -268,8 +281,9 @@ def _class2_blocks(r: int):
     carries each block onto the block of the permuted content by a
     signed permutation, so only weakly decreasing contents are kept.
     Returns (content, orbit, page) triples: ``page`` is the ``Page`` (so
-    d2 o d2 = 0 is checked) on the labels of that content, in dense cell
-    order, and ``orbit`` counts the distinct permutations of the content.
+    d2 o d2 = 0 is checked) on the labels of that content, in the whole
+    page's cell order, and ``orbit`` counts the distinct permutations of
+    the content.
     """
     # the pairing is the identity: centre generator alpha is [x_i, x_j]
     # for the alpha-th pair (i, j)
@@ -295,7 +309,8 @@ def _class2_blocks(r: int):
     blocks = []
     for content in sorted(groups, reverse=True):
         cells = {pq: tuple(sorted(labs)) for pq, labs in groups[content].items()}
-        diffs = {pq: IntMatrix(_d2_rows(src, tgt, images), len(tgt), len(src))
+        diffs = {pq: SparseIntMatrix(_d2_rows(src, tgt, images),
+                                     len(tgt), len(src))
                  for pq, src in cells.items()
                  if (tgt := cells.get((pq[0] - 2, pq[1] + 1)))}
         blocks.append((content, _orbit_size(content), Page(cells, diffs)))
@@ -356,7 +371,7 @@ def _class2_cells(r: int):
     for _, orbit, page in _class2_blocks(r):
         ranks = {}
         for (p, q), d in page.diffs.items():
-            diag = smith_normal_form(d)
+            diag = smith_normal_form(d.dense())
             ranks[(p, q)] = len(diag)
             factors = tuple(f for f in diag if f > 1)
             if factors:
@@ -451,6 +466,7 @@ class EquivariantPage:
             tgt = self.actions.get((p - 2, q + 1))
             if tgt is None:
                 continue
+            d = d.dense()
             for gi, (src_act, tgt_act) in enumerate(zip(self.actions[(p, q)], tgt)):
                 if d * src_act != tgt_act * d:
                     raise ValueError(

@@ -2,7 +2,9 @@
 
 ``page_json`` is the dict a ``Page`` stood for in a ``pages`` document
 before ``jsonio`` wrote pages directly; ``oracle`` is then
-``json.dumps(doc, indent=2)`` with a page read as that dict.
+``json.dumps(doc, indent=2)`` with a page read as that dict.  It reads
+each differential as the dense matrix ``Page.diff`` gives, so it stays
+independent of the writer, which works from the sparse rows.
 ``DocumentCheck`` makes a test's every emitted document pass through
 ``oracle``, compared as a string.
 """
@@ -20,9 +22,10 @@ def page_json(page: Page):
     cells = [{"p": p, "q": q, "dim": len(labels),
               "basis": [[list(I), list(J)] for I, J in labels]}
              for (p, q), labels in sorted(page.cells.items())]
+    dense = [((p, q), page.diff(p, q)) for p, q in sorted(page.diffs)]
     diffs = [{"p": p, "q": q,
               "matrix": [[str(x) for x in row] for row in d.entries]}
-             for (p, q), d in sorted(page.diffs.items())
+             for (p, q), d in dense
              if d.rows and d.cols and not d.is_zero()]
     return {"cells": cells, "differentials": diffs}
 

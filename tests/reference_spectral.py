@@ -1,14 +1,71 @@
-"""Reference integral homology of the dense class-two page.
+"""Reference d2 and integral homology of the dense class-two page.
 
-The Smith reduction of whole page cells, as the library ran it before
-the content blocks and before torsion was read off the incoming map
-alone; kept so tests can check both against it.
+``d2_rows`` is the dense construction of d2 the library ran before it
+held differentials as sparse rows: a grid of zeros that every term is
+added into.  ``nonzero_rows`` reads a dense matrix back into the rows of
+a ``SparseIntMatrix``, as the library's d2 o d2 check once did.  The
+Smith reduction of whole page cells is as the library ran it before the
+content blocks and before torsion was read off the incoming map alone;
+kept so tests can check both against it.
 """
+
+from bisect import bisect_left
+from itertools import compress
 
 from reference_linalg import smith_normal_form, solve
 
-from nilhom.linalg import IntMatrix, RatMatrix
-from nilhom.spectral import Page
+from nilhom.groups import CentralExtension
+from nilhom.linalg import IntMatrix, RatMatrix, SparseIntMatrix
+from nilhom.spectral import Page, _cell_labels, _pair_images
+
+
+def d2_rows(src, tgt, images):
+    """Integer entries of d2 from the labels ``src`` to the labels ``tgt``,
+    as a dense grid (see ``spectral._d2_rows`` for the terms)."""
+    rows = {}
+    for i, (I, J) in enumerate(tgt):
+        rows.setdefault(I, {})[J] = i
+    top = 1 + max((alpha for terms in images.values() for alpha, _ in terms),
+                  default=-1)
+    wedges, columns = {}, {}
+    for col, (I, J) in enumerate(src):
+        wedge = wedges.get(J)
+        if wedge is None:
+            wedge = wedges[J] = [
+                None if alpha in J else (J[:b] + (alpha,) + J[b:], -1 if b % 2 else 1)
+                for alpha in range(top) for b in (bisect_left(J, alpha),)]
+        columns.setdefault(I, []).append((col, wedge))
+    mat = [[0] * len(src) for _ in tgt]
+    for I, cols in columns.items():
+        for k in range(len(I)):
+            for l in range(k + 1, len(I)):
+                row_of = rows.get(I[:k] + I[k + 1:l] + I[l + 1:], {})
+                sgn = 1 if (k + l) % 2 else -1
+                for alpha, cval in images[(I[k], I[l])]:
+                    value = sgn * cval
+                    for col, wedge in cols:
+                        hit = wedge[alpha]
+                        if hit is not None:
+                            J2, wedge_sgn = hit
+                            mat[row_of[J2]][col] += wedge_sgn * value
+    return mat
+
+
+def d2_dense(ext: CentralExtension, p: int, q: int) -> IntMatrix:
+    """The dense d2 out of cell (p, q) of an extension's page."""
+    src = _cell_labels(ext.q_rank, ext.a_rank, p, q)
+    tgt = _cell_labels(ext.q_rank, ext.a_rank, p - 2, q + 1)
+    return IntMatrix(d2_rows(src, tgt, _pair_images(ext)), len(tgt), len(src))
+
+
+def nonzero_rows(m):
+    """Each row of the matrix ``m`` as its nonzero (column, entry) pairs."""
+    return [list(compress(enumerate(row), row)) for row in m.entries]
+
+
+def sparse(m) -> SparseIntMatrix:
+    """The integer matrix ``m`` held as the nonzero entries of its rows."""
+    return SparseIntMatrix(nonzero_rows(m), m.rows, m.cols)
 
 
 def integral_homology(d_out: IntMatrix, d_in: IntMatrix):

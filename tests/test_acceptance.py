@@ -39,7 +39,7 @@ def test_criterion_01_heisenberg_betti():
     # oracle: rank-nullity on the explicit degree-two differentials with the
     # reference Fraction elimination, then Euler characteristic and duality
     page = ks_page(2)
-    ranks = {pq: ref.rank_kernel_image(d)[0] for pq, d in page.diffs.items()}
+    ranks = {pq: ref.rank_kernel_image(page.diff(*pq))[0] for pq in page.diffs}
     oracle = [1]
     for j in range(1, 4):
         total = 0
@@ -78,15 +78,15 @@ def test_criterion_03_differential_laws():
                              for _ in range(a)])
         ext = CentralExtension(n, a, pairing)
         page = e2_page(ext)  # construction verifies shapes
-        for (p, q), d in page.diffs.items():
-            nxt = page.diff(p - 2, q + 1)
+        for p, q in page.diffs:
+            nxt, d = page.diff(p - 2, q + 1), page.diff(p, q)
             if nxt.rows and d.cols and not (nxt * d).is_zero():
                 ok = False
         count += 1
     for r in range(2, 5):
         page = ks_page(r)
-        for (p, q), d in page.diffs.items():
-            nxt = page.diff(p - 2, q + 1)
+        for p, q in page.diffs:
+            nxt, d = page.diff(p - 2, q + 1), page.diff(p, q)
             if nxt.rows and d.cols and not (nxt * d).is_zero():
                 ok = False
     _verdict(3, ok, "d2 o d2 = 0 on 100 random extensions and KS pages r <= 4")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from nilhom.cli import main
 from reference_jsonio import DocumentCheck
 
 HEIS = '{"type":"free_nilpotent","rank":2,"class":2}'
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -216,12 +221,41 @@ def test_pages_are_written_in_chunks(monkeypatch):
             writes.append(text)
             return len(text)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(cli.sys, "stdout", Recorder())
     assert main(["pages", "--group",
                  '{"type":"free_nilpotent","rank":4,"class":2}']) == 0
     page = json.loads("".join(writes))["page"]
     rows = sum(len(d["matrix"]) for d in page["differentials"])
     assert len(writes) >= len(page["cells"]) + rows > 1
+
+
+@pytest.mark.parametrize("argv, keep", [
+    # the rank-4 page is far larger than a pipe's buffer, so the writer
+    # meets the closed pipe (`nilhom pages ... | head -c 10`)
+    (["pages", "--group", '{"type":"free_nilpotent","rank":4,"class":2}'], 10),
+    # the whole document waits in stdout's buffer for the last flush
+    (["betti", "--group", HEIS], 0),
+], ids=["mid-document", "at-the-flush"])
+def test_a_closed_pipe_exits_1_in_silence(argv, keep):
+    # stdout block-buffered, as it is in a shell pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen([sys.executable, "-m", "nilhom.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        assert proc.stdout.read(keep) == b'{\n  "schem'[:keep]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def test_pages_central_extension(capsys):
@@ -431,6 +465,8 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
      "--witness has length 1, but the module has nvars 2"),
     (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", "[]"],
      "--witness has length 0, but the module has nvars 2"),
+    (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", '[0,"0/3"]'],
+     "--witness is the zero direction, but a direction must be nonzero"),
 ], ids=["missing-class", "missing-pairing", "missing-generators",
         "flat-pairing", "object-pairing", "string-generators",
         "number-generators", "object-generators", "negative-a-rank",
@@ -439,7 +475,7 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
         "object-cone-rows", "number-cone-rows", "string-cone-eqs",
         "string-witness", "object-witness", "misspelt-cone-field",
         "unknown-cone-field", "misspelt-ideal", "missing-ideal",
-        "missing-nvars", "short-witness", "empty-witness"])
+        "missing-nvars", "short-witness", "empty-witness", "zero-witness"])
 def test_malformed_group_spec_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -77,7 +77,8 @@ def test_block_page_integral_cells_equal_dense_reference(r):
 def test_rank5_smith_lengths_equal_bareiss_ranks():
     # Bareiss stays the oracle for the rank the Smith pass reads off
     for _, _, blk in _class2_blocks(5):
-        for pq, d in blk.diffs.items():
+        for pq in blk.diffs:
+            d = blk.diff(*pq)
             assert len(smith_normal_form(d)) == matrix_rank(d), pq
 
 
@@ -107,7 +108,8 @@ def test_blocks_are_the_dense_differential_restricted(r):
     pos = {pq: {lab: i for i, lab in enumerate(cell)}
            for pq, cell in page.cells.items()}
     # d2 never joins labels of different content
-    for (p, q), d in page.diffs.items():
+    for p, q in page.diffs:
+        d = page.diff(p, q)
         if d.rows and d.cols:
             src = page.cells[(p, q)]
             tgt = page.cells[(p - 2, q + 1)]
@@ -136,8 +138,8 @@ def test_blocks_are_the_dense_differential_restricted(r):
 def test_blocks_check_that_d2_composes_to_zero(monkeypatch):
     # rank 4 is the least with composable d2 (cell (4, 0) to (0, 2)); an
     # all-ones "differential" on every block cannot square to zero
-    monkeypatch.setattr(spectral, "_d2_rows",
-                        lambda src, tgt, images: [[1] * len(src) for _ in tgt])
+    monkeypatch.setattr(spectral, "_d2_rows", lambda src, tgt, images: [
+        [(j, 1) for j in range(len(src))] for _ in tgt])
     _class2_blocks.cache_clear()
     try:
         with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell"):

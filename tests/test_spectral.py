@@ -10,10 +10,10 @@ import pytest
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
                            central_extension_of_class2, heisenberg)
 from nilhom.jsonio import frac_str
-from nilhom.linalg import (IntMatrix, RatMatrix, matrix_rank,
-                           rank_kernel_image, smith_normal_form)
+from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix,
+                           matrix_rank, rank_kernel_image, smith_normal_form)
 from nilhom.spectral import (EquivariantPage, Page, _class2_blocks,
-                             _composes_to_zero, _nonzero_rows,
+                             _composes_to_zero, _pair_images,
                              betti_free_nilpotent_c2, d2_central, e2_page,
                              e3_dimensions, equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
@@ -22,6 +22,7 @@ import reference_filtration as ref_filtration
 import reference_linalg as ref
 import reference_spectral as ref_spectral
 from reference_jsonio import dumps
+from reference_spectral import nonzero_rows, sparse
 
 
 def random_extension(rng, n_max=4, a_max=3):
@@ -84,14 +85,14 @@ def test_d2_zero_pairing_is_zero():
 
 def test_d2_heisenberg_matches_formula():
     d = d2_central(heisenberg(), 2, 0)
-    assert d.entries == ((Fraction(1),),)
+    assert d.dense().entries == ((Fraction(1),),)
 
 
 def test_d2_rank3_single_pair():
     ext = CentralExtension(3, 1, IntMatrix([[1, 0, 0]]))
     d = d2_central(ext, 2, 0)
     # basis order (e1^e2, e1^e3, e2^e3)
-    assert d.entries == ((Fraction(1), Fraction(0), Fraction(0)),)
+    assert d.dense().entries == ((Fraction(1), Fraction(0), Fraction(0)),)
 
 
 def test_d2_low_p_is_zero_shape():
@@ -112,8 +113,8 @@ def test_d2_squared_zero_randomized():
     for _ in range(30):
         ext = random_extension(rng)
         page = e2_page(ext)  # constructor checks d o d == 0
-        for (p, q), d in page.diffs.items():
-            nxt = page.diff(p - 2, q + 1)
+        for p, q in page.diffs:
+            nxt, d = page.diff(p - 2, q + 1), page.diff(p, q)
             if nxt.rows and d.cols:
                 assert (nxt * d).is_zero()
 
@@ -121,8 +122,8 @@ def test_d2_squared_zero_randomized():
 def test_ks_pages_compose_to_zero():
     for r in range(2, 5):
         page = ks_page(r)
-        for (p, q), d in page.diffs.items():
-            nxt = page.diff(p - 2, q + 1)
+        for p, q in page.diffs:
+            nxt, d = page.diff(p - 2, q + 1), page.diff(p, q)
             if nxt.rows and d.cols:
                 assert (nxt * d).is_zero()
 
@@ -141,7 +142,7 @@ def test_betti_oracle_rational_elimination():
     # Fraction elimination instead of the library's fraction-free kernel
     for r in (2, 3):
         page = ks_page(r)
-        ranks = {pq: ref.rank_kernel_image(d)[0] for pq, d in page.diffs.items()}
+        ranks = {pq: ref.rank_kernel_image(page.diff(*pq))[0] for pq in page.diffs}
         h = r + comb(r, 2)
         for j in range(h + 1):
             if j == 0:
@@ -262,10 +263,10 @@ def test_page_rejects_differentials_that_do_not_compose_to_zero():
     ext = CentralExtension(4, 2,
                            IntMatrix([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]))
     page = e2_page(ext)
-    nxt = page.diffs[(2, 1)]
+    nxt = page.diff(2, 1)
     k = next(i for i, x in enumerate(nxt.entries[0]) if x)
     diffs = dict(page.diffs)
-    diffs[(4, 0)] = RatMatrix([[int(i == k)] for i in range(nxt.cols)])
+    diffs[(4, 0)] = sparse(IntMatrix([[int(i == k)] for i in range(nxt.cols)]))
     Page(page.cells, page.diffs)
     with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell \(4, 0\)"):
         Page(page.cells, diffs)
@@ -278,6 +279,45 @@ def _composable_pairs(page):
             yield nxt, d
 
 
+def _one_term_per_entry(d):
+    """Every listed entry of ``d`` is nonzero, each column once a row."""
+    for row in d.terms:
+        assert all(x for _, x in row)
+        assert len({j for j, _ in row}) == len(row)
+
+
+def test_sparse_d2_equals_the_dense_reference():
+    # several alpha per pair: a contracted pair lands on every centre
+    # generator its commutator has, so each entry still takes one term
+    rng = random.Random(23)
+    several = 0
+    for _ in range(100):
+        ext = random_extension(rng, n_max=5, a_max=4)
+        several += sum(len(t) > 1 for t in _pair_images(ext).values())
+        for p in range(ext.q_rank + 1):
+            for q in range(ext.a_rank + 1):
+                d = d2_central(ext, p, q)
+                assert d.dense() == ref_spectral.d2_dense(ext, p, q), (ext, p, q)
+                _one_term_per_entry(d)
+    assert several >= 200
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_block_d2_equals_the_dense_reference(r):
+    images = _pair_images(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
+    for _, _, blk in _class2_blocks(r):
+        # a block differential exactly where both cells are nonempty
+        assert set(blk.diffs) == {(p, q) for p, q in blk.cells
+                                  if blk.cells.get((p - 2, q + 1))}
+        for (p, q), d in blk.diffs.items():
+            src, tgt = blk.cells[(p, q)], blk.cells[(p - 2, q + 1)]
+            want = IntMatrix(ref_spectral.d2_rows(src, tgt, images),
+                             len(tgt), len(src))
+            assert isinstance(d, SparseIntMatrix)
+            assert d.dense() == want, (p, q)
+            _one_term_per_entry(d)
+
+
 def test_sparse_composition_check_agrees_with_the_dense_product():
     rng = random.Random(19)
     pages = [e2_page(random_extension(rng, n_max=5, a_max=4))
@@ -288,12 +328,14 @@ def test_sparse_composition_check_agrees_with_the_dense_product():
     for page in pages:
         for nxt, d in _composable_pairs(page):
             # the page's own pair, then one entry of d moved
-            grid = [list(row) for row in d.entries]
+            dense = d.dense()
+            grid = [list(row) for row in dense.entries]
             grid[rng.randrange(d.rows)][rng.randrange(d.cols)] += rng.choice((-1, 1))
-            for right in (d, IntMatrix(grid, d.rows, d.cols)):
-                sparse = _composes_to_zero(_nonzero_rows(nxt), _nonzero_rows(right))
-                assert sparse == (nxt * right).is_zero()
-                verdicts[sparse] += 1
+            moved = IntMatrix(grid, d.rows, d.cols)
+            for right, terms in ((dense, d.terms), (moved, nonzero_rows(moved))):
+                verdict = _composes_to_zero(nxt.terms, terms)
+                assert verdict == (nxt.dense() * right).is_zero()
+                verdicts[verdict] += 1
     # every page's own pairs vanish; most moved entries do not
     assert verdicts[True] >= 150 and verdicts[False] >= 100
 
@@ -302,7 +344,7 @@ def _three_cells(nxt, d):
     cells = {(0, 2): (((), (0, 1)),),
              (2, 1): (((0, 1), (0,)), ((0, 1), (1,))),
              (4, 0): tuple(((0, 1, 2, i), ()) for i in (3, 4, 5))}
-    return Page(cells, {(2, 1): IntMatrix(nxt), (4, 0): IntMatrix(d)})
+    return Page(cells, {(2, 1): sparse(IntMatrix(nxt)), (4, 0): sparse(IntMatrix(d))})
 
 
 def test_page_check_sees_one_nonzero_in_the_last_column():
@@ -314,16 +356,24 @@ def test_page_check_sees_one_nonzero_in_the_last_column():
 def test_page_check_passes_products_that_cancel():
     # 1*1 + 1*(-1) and 1*2 + 1*(-2): every entry is a sum cancelling to 0
     page = _three_cells([[1, 1]], [[1, 2, 0], [-1, -2, 0]])
-    assert (page.diffs[(2, 1)] * page.diffs[(4, 0)]).is_zero()
+    assert (page.diff(2, 1) * page.diff(4, 0)).is_zero()
 
 
 def test_page_rejects_differential_of_wrong_shape():
     page = e2_page(heisenberg())
     diffs = dict(page.diffs)
-    diffs[(2, 0)] = RatMatrix.zero(1, 2)
+    diffs[(2, 0)] = sparse(IntMatrix.zero(1, 2))
     with pytest.raises(ValueError, match=r"at \(2, 0\) has shape \(1, 2\), "
                                          r"expected \(1, 1\)"):
         Page(page.cells, diffs)
+
+
+def test_page_rejects_a_dense_differential():
+    page = e2_page(heisenberg())
+    for dense in (page.diff(2, 0), page.diff(2, 0).to_rat()):
+        with pytest.raises(TypeError, match=r"at \(2, 0\) must be a "
+                                            r"SparseIntMatrix"):
+            Page(page.cells, {(2, 0): dense})
 
 
 def test_equivariant_page_rejects_noncommuting_action():
@@ -356,7 +406,8 @@ def test_equivariant_differentials_commute():
     g = IntMatrix([[2, 1], [1, 1]])
     spec = FreeNilpotentSpec(2, 2)
     ep = equivariant_page(spec, [g])
-    for (p, q), d in ep.page.diffs.items():
+    for p, q in ep.page.diffs:
+        d = ep.page.diff(p, q)
         if d.rows == 0 or d.cols == 0:
             continue
         src = ep.actions[(p, q)][0]
@@ -373,8 +424,9 @@ def test_bounded_page_of_an_extension_is_the_full_page_cut():
             cut = e2_page(ext, max_degree=bound)
             assert cut.cells == {pq: c for pq, c in full.cells.items()
                                  if sum(pq) <= bound}
-            assert cut.diffs == {pq: d for pq, d in full.diffs.items()
-                                 if sum(pq) <= bound}
+            assert set(cut.diffs) == {pq for pq in full.diffs if sum(pq) <= bound}
+            for pq in cut.diffs:
+                assert cut.diff(*pq) == full.diff(*pq)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -391,7 +443,7 @@ def test_bounded_equivariant_page_is_the_full_page_cut(rank):
             assert set(cut.actions) == kept
             for pq in kept:
                 assert cut.page.cells[pq] == full.page.cells[pq]
-                assert cut.page.diffs[pq] == full.page.diffs[pq]
+                assert cut.page.diff(*pq) == full.page.diff(*pq)
                 assert cut.actions[pq] == full.actions[pq], (act, bound, pq)
 
 
@@ -493,10 +545,11 @@ def test_page_json_writes_integer_differentials_as_before():
     pairing = IntMatrix([[1, -2, 0, 3, -1, 0], [0, 2, -3, 0, 1, -1]])
     ext = CentralExtension(4, 2, pairing)
     page = e2_page(ext)
-    assert all(isinstance(d, IntMatrix) for d in page.diffs.values())
+    assert all(isinstance(d, SparseIntMatrix) for d in page.diffs.values())
+    dense = [(pq, ref_spectral.d2_dense(ext, *pq)) for pq in sorted(page.diffs)]
     want = [{"p": p, "q": q,
              "matrix": [[frac_str(x) for x in row] for row in d.to_rat().entries]}
-            for (p, q), d in sorted(page.diffs.items())
+            for (p, q), d in dense
             if d.rows and d.cols and not d.is_zero()]
     got = json.loads(dumps(page))["differentials"]
     assert got == want
