@@ -206,26 +206,19 @@ def _build_parser():
                     "and finite-index Betti scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--output", default=None,
-                       help="write the JSON document to this path")
-
     p = sub.add_parser("betti", help="rational Betti numbers (class <= 2)")
     p.add_argument("--group", required=True)
     p.add_argument("--integral", action="store_true",
                    help="add per-cell integral invariant factors")
-    add_common(p)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("pages", help="serialise a spectral page")
     p.add_argument("--group", required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_pages)
 
     p = sub.add_parser("filtration", help="tensor-degree filtration certificate")
     p.add_argument("--group", required=True)
     p.add_argument("--j", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_filtration)
 
     p = sub.add_parser("sigma", help="polyhedral complement or a witness search")
@@ -235,7 +228,6 @@ def _build_parser():
     p.add_argument("--degree-bound", type=int, default=8)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the witness search returns unknown")
-    add_common(p)
     p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("tame", help="exact m-tameness decision")
@@ -245,7 +237,6 @@ def _build_parser():
                    help="ambient dimension for an empty cone list; "
                         "must agree with the input's")
     p.add_argument("--m", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_tame)
 
     p = sub.add_parser("vbscan", help="finite-index homology scan")
@@ -253,7 +244,6 @@ def _build_parser():
                    help="action spec (free nilpotent group plus generators)")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--m-max", type=int, default=16)
-    add_common(p)
     p.set_defaults(func=_cmd_vbscan)
 
     p = sub.add_parser("report", help="tameness hypothesis report")
@@ -261,8 +251,10 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma-complement", required=True)
     p.add_argument("--nvars", type=int, default=None)
-    add_common(p)
     p.set_defaults(func=_cmd_report)
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None,
+                       help="write the JSON document to this path")
     return parser
 
 

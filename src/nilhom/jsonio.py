@@ -200,8 +200,9 @@ def _known(doc, keys, what):
     ``keys``: a misspelt field would otherwise read as an absent one."""
     extra = sorted(set(doc) - set(keys))
     if extra:
+        *head, last = map(repr, keys)
         raise ValueError(f"{what} has the unknown field {extra[0]!r}; it "
-                         f"takes {' and '.join(map(repr, keys))}")
+                         f"takes {', '.join(head)} and {last}")
 
 
 def _list(x, what):
@@ -219,9 +220,11 @@ def parse_group(doc):
     kind = doc["type"]
     what = f"{kind} spec"
     if kind == "free_nilpotent":
+        _known(doc, ("type", "rank", "class"), what)
         return FreeNilpotentSpec(_integer(_field(doc, "rank", what)),
                                  _integer(_field(doc, "class", what)))
     if kind == "central_extension":
+        _known(doc, ("type", "q_rank", "a_rank", "pairing"), what)
         q_rank = _integer(_field(doc, "q_rank", what))
         a_rank = _integer(_field(doc, "a_rank", what))
         grid = _field(doc, "pairing", what)
@@ -230,6 +233,7 @@ def parse_group(doc):
         pairing = parse_int_matrix(grid, None if grid else binomial(q_rank, 2))
         return CentralExtension(q_rank, a_rank, pairing)
     if kind == "action":
+        _known(doc, ("type", "group", "generators"), what)
         group = parse_group(_field(doc, "group", what))
         if not isinstance(group, FreeNilpotentSpec):
             raise ValueError("actions are specified on free nilpotent groups")

@@ -432,6 +432,8 @@ def exterior_power_map(m: RatMatrix, k: int) -> RatMatrix:
     The (I, J) entry is the k x k minor of ``m`` on rows I and columns J,
     so the result has binomial(rows, k) rows and binomial(cols, k)
     columns; when k exceeds a dimension the corresponding side is empty.
+    Each k-minor is the Laplace expansion of the (k-1)-minors along its
+    first row, in integers, on the rows of ``m`` scaled by ``_integral_rows``.
     Functorial: the exterior power of a product is the product of the
     exterior powers (Cauchy-Binet).
 
@@ -440,15 +442,16 @@ def exterior_power_map(m: RatMatrix, k: int) -> RatMatrix:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    row_idx = list(combinations(range(m.rows), k))
-    col_idx = list(combinations(range(m.cols), k))
-    entries = [[_minor(m, I, J) for J in col_idx] for I in row_idx]
-    return RatMatrix(entries, len(row_idx), len(col_idx))
-
-
-def _minor(m: RatMatrix, I, J) -> Fraction:
-    sub = RatMatrix([[m.entries[i][j] for j in J] for i in I], len(I), len(J))
-    return det(sub)
+    a, scales = _integral_rows(m.entries)
+    rows, cols, minors = [()], [()], {((), ()): 1}
+    for size in range(1, k + 1):
+        rows = list(combinations(range(m.rows), size))
+        cols = list(combinations(range(m.cols), size))
+        minors = {(I, J): sum((-1) ** t * a[I[0]][c] * minors[I[1:], J[:t] + J[t + 1:]]
+                              for t, c in enumerate(J) if a[I[0]][c])
+                  for I in rows for J in cols}
+    return RatMatrix([[Fraction(minors[I, J], prod(scales[i] for i in I))
+                       for J in cols] for I in rows], len(rows), len(cols))
 
 
 def tensor_power_map(m: RatMatrix, s: int) -> RatMatrix:

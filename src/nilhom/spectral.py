@@ -21,7 +21,8 @@ free two-step nilpotent Lie algebra is the sum of the Schur functors
 S_lambda(Q^r) over the self-conjugate lambda with lambda_1 <= r, each in
 one cell, and by Nomizu it is the rational homology of the group.  The
 rational Betti numbers, the class-two filtration and ``h2_class2`` read
-only it, so they take milliseconds at any rank.
+only it, one term per set of Frobenius arms, so they build no
+differential.
 
 The integral page needs the differentials.  The free class-two page is
 graded by content, the multidegree in Z^r of a label, and d2 keeps it,
@@ -330,22 +331,19 @@ def _class2_dims(r: int):
     coordinates (a | a), a set of arms a in range(r) (diagonal hooks
     2a + 1), so there are 2^r of them.  S_lambda has polynomial degree
     |lambda| = p + 2q and lies in the cell with p = d, the Durfee rank
-    (the number of arms), so in (d, sum of the arms).  Its dimension is
-    the hook-content formula.
+    (the number of arms), so in (d, sum of the arms).  Its dimension,
+    the hook-content formula read from the arms, is the product of
+    C(r + a, 2a + 1) C(2a, a) over the arms times ((b - a)/(a + b + 1))^2
+    over the pairs a < b.
     """
     dims = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
+    single = [binomial(r + a, 2 * a + 1) * binomial(2 * a, a) for a in range(r)]
     for d in range(r + 1):
-        for arms in combinations(range(r - 1, -1, -1), d):
-            # lambda_i is a_i + i + 1 within the Durfee square; below it,
-            # lambda being self-conjugate, the number of columns k whose
-            # length a_k + k + 1 passes row i
-            lam = [arms[i] + i + 1 if i < d
-                   else sum(a + k >= i for k, a in enumerate(arms))
-                   for i in range(arms[0] + 1 if d else 0)]
-            boxes = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+        for arms in combinations(range(r), d):
+            pairs = list(combinations(arms, 2))
             dims[(d, sum(arms))] += (
-                prod(r + j - i for i, j in boxes)
-                // prod(lam[i] - j + lam[j] - i - 1 for i, j in boxes))
+                prod(single[a] for a in arms) * prod(b - a for a, b in pairs) ** 2
+                // prod(a + b + 1 for a, b in pairs) ** 2)
     return dims
 
 
@@ -448,12 +446,10 @@ class EquivariantPage:
 
     def __init__(self, page: Page, v_action, w_action):
         self.page = page
-        self.v_action = list(v_action)
-        self.w_action = list(w_action)
         ps = {p for p, _ in page.cells}
         qs = {q for _, q in page.cells}
-        v_ext = [{p: exterior_power_map(g, p) for p in ps} for g in self.v_action]
-        w_ext = [{q: exterior_power_map(g, q) for q in qs} for g in self.w_action]
+        v_ext = [{p: exterior_power_map(g, p) for p in ps} for g in v_action]
+        w_ext = [{q: exterior_power_map(g, q) for q in qs} for g in w_action]
         self.actions = {(p, q): [kron(gv[p], gw[q])
                                  for gv, gw in zip(v_ext, w_ext)]
                         for (p, q) in page.cells}
@@ -463,9 +459,8 @@ class EquivariantPage:
         for (p, q), d in self.page.diffs.items():
             if d.rows == 0 or d.cols == 0:
                 continue
-            tgt = self.actions.get((p - 2, q + 1))
-            if tgt is None:
-                continue
+            # a nonempty target is a cell of the page, so it has an action
+            tgt = self.actions[(p - 2, q + 1)]
             d = d.dense()
             for gi, (src_act, tgt_act) in enumerate(zip(self.actions[(p, q)], tgt)):
                 if d * src_act != tgt_act * d:

@@ -28,12 +28,13 @@ cover m = 1..m_max and power subgroups only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 from .filtration import induced_homology_action
 from .groups import NilpotentAction
-from .linalg import (IntMatrix, RatMatrix, binomial, det, matrix_rank,
+from .linalg import (IntMatrix, RatMatrix, binomial, matrix_rank,
                      require_commuting, require_matrices)
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
@@ -66,6 +67,13 @@ class QModuleFD:
         return len(self.generators)
 
 
+def _scaled(mats):
+    """The lcm s of the denominators in ``mats``, and s times each as int rows."""
+    s = lcm(1, *(x.denominator for g in mats for row in g.entries for x in row))
+    return s, [[[x.numerator * (s // x.denominator) for x in row]
+                for row in g.entries] for g in mats]
+
+
 def _koszul_differential(module: QModuleFD, p: int) -> IntMatrix:
     """Differential C_p -> C_{p-1} of the Koszul complex on the g_i - 1,
     times s, the lcm of the denominators of all generators.
@@ -75,11 +83,10 @@ def _koszul_differential(module: QModuleFD, p: int) -> IntMatrix:
     whole matrix keeps its rank, which is all ``koszul_homology`` reads.
     """
     n, d = module.n, module.dim
-    s = lcm(1, *(x.denominator for g in module.generators
-                 for row in g.entries for x in row))
-    shifted = [[[x.numerator * (s // x.denominator) - (s if i == k else 0)
-                 for k, x in enumerate(row)] for i, row in enumerate(g.entries)]
-               for g in module.generators]
+    s, shifted = _scaled(module.generators)
+    for blk in shifted:
+        for i, row in enumerate(blk):
+            row[i] -= s
     signed = [(blk, [[-x for x in row] for row in blk]) for blk in shifted]
     src = list(combinations(range(n), p))
     tgt = list(combinations(range(n), p - 1))
@@ -152,26 +159,24 @@ def _cyclotomics(limit: int, dim: int) -> dict:
 def _charpoly(g: RatMatrix) -> list:
     """Coefficients of det(kI - g), lowest degree first.
 
-    With s the common denominator of g, det(yI - sg) is evaluated at
-    y = 0..dim, one integer determinant each, and interpolated by
-    Newton's divided differences on those nodes; the coefficient of y^i
-    is s^(dim - i) times that of k^i.
+    Berkowitz's division-free recurrence (Inf. Proc. Letters 18, 1984)
+    on h = s g, s the common denominator of g: from the bottom row up,
+    the polynomial of the trailing block at row i is the lower-triangular
+    Toeplitz matrix on 1, -h_ii, -R C, -R M C, ... times that of M, the
+    block below, with R and C the rest of row and column i.  The
+    coefficient of k^i is that of y^i in det(yI - h) over s^(dim - i).
     """
-    dim = g.rows
-    s = lcm(*(x.denominator for row in g.entries for x in row))
-    h = [[x.numerator * (s // x.denominator) for x in row] for row in g.entries]
-    c = [det(IntMatrix([[y - x if i == t else -x for t, x in enumerate(row)]
-                        for i, row in enumerate(h)], dim, dim))
-         for y in range(dim + 1)]
-    for level in range(1, dim + 1):
-        for i in range(dim, level - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / level
-    poly = [c[dim]]
-    for i in range(dim - 1, -1, -1):
-        # poly * (y - i) + c[i]
-        poly = ([c[i] - i * poly[0]]
-                + [lo - i * hi for hi, lo in zip(poly[1:], poly)] + [poly[-1]])
-    return [a / s ** (dim - i) for i, a in enumerate(poly)]
+    s, (h,) = _scaled([g])
+    poly = [1]
+    for i in reversed(range(g.rows)):
+        row, block = h[i][i + 1:], [r[i + 1:] for r in h[i + 1:]]
+        col, toeplitz = [r[i] for r in h[i + 1:]], [1, -h[i][i]]
+        for _ in poly[1:]:
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(r, col)) for r in block]
+        poly = [sum(toeplitz[t - u] * c for u, c in enumerate(poly[:t + 1]))
+                for t in range(len(poly) + 1)]
+    return [Fraction(a, s ** i) for i, a in enumerate(poly)][::-1]
 
 
 def _scan_period(modules, m_max: int) -> int:

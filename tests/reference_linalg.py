@@ -6,9 +6,12 @@ kernel and the sparse integer product in :mod:`nilhom.linalg` so that
 tests and oracles can check those against them.  ``smith_normal_form``
 is the library's former Smith reduction with its unimodular transforms,
 the oracle for the diagonal-only routine that replaced it.
+``exterior_power_map`` takes every minor with its own ``det``, as the
+library did before it expanded each size of minor from the one below.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from nilhom.linalg import IntMatrix, RatMatrix
 
@@ -101,6 +104,17 @@ def det(m) -> Fraction:
                 f = work[i][c] / pv
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return out
+
+
+def exterior_power_map(m, k: int) -> RatMatrix:
+    """Matrix of the k-th exterior power: the (I, J) entry is the minor
+    of ``m`` on rows I and columns J, one determinant each."""
+    row_idx = list(combinations(range(m.rows), k))
+    col_idx = list(combinations(range(m.cols), k))
+    return RatMatrix([[det(RatMatrix([[m.entries[i][j] for j in J] for i in I],
+                                     k, k))
+                       for J in col_idx] for I in row_idx],
+                     len(row_idx), len(col_idx))
 
 
 def smith_normal_form(m: IntMatrix):

@@ -6,11 +6,15 @@ added into.  ``nonzero_rows`` reads a dense matrix back into the rows of
 a ``SparseIntMatrix``, as the library's d2 o d2 check once did.  The
 Smith reduction of whole page cells is as the library ran it before the
 content blocks and before torsion was read off the incoming map alone;
-kept so tests can check both against it.
+kept so tests can check both against it.  ``class2_dims`` is the closed
+form as the library took it before it read dimensions from the
+Frobenius arms: each self-conjugate lambda rebuilt row by row, and the
+hook-content formula multiplied out over its boxes.
 """
 
 from bisect import bisect_left
-from itertools import compress
+from itertools import combinations, compress
+from math import comb, prod
 
 from reference_linalg import smith_normal_form, solve
 
@@ -94,3 +98,23 @@ def integral_homology(d_out: IntMatrix, d_in: IntMatrix):
 def integral_cell(page: Page, p: int, q: int):
     """Free rank and torsion of the integral ker/im at one cell."""
     return integral_homology(page.diff(p, q), page.diff(p + 2, q - 1))
+
+
+def class2_dims(r: int):
+    """Every cell (p, q) of the rational third page of free class two
+    and rank r, mapped to the sum of dim S_lambda(Q^r) over the
+    self-conjugate lambda = (a | a) with d arms summing to q, p = d."""
+    dims = {(p, q): 0 for p in range(r + 1) for q in range(comb(r, 2) + 1)}
+    for d in range(r + 1):
+        for arms in combinations(range(r - 1, -1, -1), d):
+            # lambda_i is a_i + i + 1 within the Durfee square; below it,
+            # lambda being self-conjugate, the number of columns k whose
+            # length a_k + k + 1 passes row i
+            lam = [arms[i] + i + 1 if i < d
+                   else sum(a + k >= i for k, a in enumerate(arms))
+                   for i in range(arms[0] + 1 if d else 0)]
+            boxes = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+            dims[(d, sum(arms))] += (
+                prod(r + j - i for i, j in boxes)
+                // prod(lam[i] - j + lam[j] - i - 1 for i, j in boxes))
+    return dims

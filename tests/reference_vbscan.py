@@ -9,16 +9,20 @@ assembly, entry by entry in ``Fraction``.  Kept so tests can check the
 period argument of ``nilhom.vbscan.vb_scan``, its sum over the cells of
 a degree, and the integer ``_koszul_differential`` against them: the
 scan takes one module per degree, the direct sum of its cells, from
-``reference_filtration.induced_homology_action``.
+``reference_filtration.induced_homology_action``.  ``charpoly`` is the
+characteristic polynomial as the library took it before Berkowitz's
+recurrence: one determinant per node, then Newton interpolation.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from nilhom.linalg import RatMatrix
 from nilhom.vbscan import QModuleFD, ScanRow, koszul_homology
 
 from reference_filtration import induced_homology_action
+from reference_linalg import det
 
 
 def koszul_differential(module: QModuleFD, p: int) -> RatMatrix:
@@ -61,3 +65,28 @@ def scan_rows(act, j: int, m_max: int) -> tuple:
                      for p in range(j + 1))
         rows.append(ScanRow(m, by_p, sum(by_p)))
     return tuple(rows)
+
+
+def charpoly(g: RatMatrix) -> list:
+    """Coefficients of det(kI - g), lowest degree first.
+
+    With s the common denominator of g, det(yI - sg) is evaluated at
+    y = 0..dim, one determinant each, and interpolated by Newton's
+    divided differences on those nodes; the coefficient of y^i is
+    s^(dim - i) times that of k^i.
+    """
+    dim = g.rows
+    s = lcm(*(x.denominator for row in g.entries for x in row))
+    h = [[x.numerator * (s // x.denominator) for x in row] for row in g.entries]
+    c = [det(RatMatrix([[y - x if i == t else -x for t, x in enumerate(row)]
+                        for i, row in enumerate(h)], dim, dim))
+         for y in range(dim + 1)]
+    for level in range(1, dim + 1):
+        for i in range(dim, level - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / level
+    poly = [c[dim]]
+    for i in range(dim - 1, -1, -1):
+        # poly * (y - i) + c[i]
+        poly = ([c[i] - i * poly[0]]
+                + [lo - i * hi for hi, lo in zip(poly[1:], poly)] + [poly[-1]])
+    return [a / s ** (dim - i) for i, a in enumerate(poly)]

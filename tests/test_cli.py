@@ -460,6 +460,23 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
      "module spec lacks the field 'ideal'"),
     (["sigma", "--module", '{"ideal":[]}'],
      "module spec lacks the field 'nvars'"),
+    (["betti", "--group", '{"type":"free_nilpotent","rank":2,"class":2,'
+                          '"extra":1}'],
+     "free_nilpotent spec has the unknown field 'extra'; it takes 'type', "
+     "'rank' and 'class'"),
+    (["pages", "--group", '{"type":"central_extension","q_rank":2,'
+                          '"a_rank":1,"pairing":[["1"]],"pairng":[]}'],
+     "central_extension spec has the unknown field 'pairng'; it takes "
+     "'type', 'q_rank', 'a_rank' and 'pairing'"),
+    (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
+                           '"rank":2,"class":2},"generators":[[[1,0],[0,1]]],'
+                           '"gens":[]}', "--j", "1"],
+     "action spec has the unknown field 'gens'; it takes 'type', 'group' "
+     "and 'generators'"),
+    (["vbscan", "--group", '{"type":"action","group":{"type":"free_nilpotent",'
+                           '"rank":2,"class":2,"clas":2},'
+                           '"generators":[[[1,0],[0,1]]]}', "--j", "1"],
+     "free_nilpotent spec has the unknown field 'clas'"),
     # the direction's length against the module's, before the search
     (["sigma", "--module", '{"nvars":2,"ideal":[]}', "--witness", "[1]"],
      "--witness has length 1, but the module has nvars 2"),
@@ -475,7 +492,8 @@ def test_non_integral_integer_fields_exit_2(capsys, argv, value):
         "object-cone-rows", "number-cone-rows", "string-cone-eqs",
         "string-witness", "object-witness", "misspelt-cone-field",
         "unknown-cone-field", "misspelt-ideal", "missing-ideal",
-        "missing-nvars", "short-witness", "empty-witness", "zero-witness"])
+        "missing-nvars", "unknown-free-field", "misspelt-pairing",
+        "unknown-action-field", "unknown-nested-group-field", "short-witness", "empty-witness", "zero-witness"])
 def test_malformed_group_spec_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

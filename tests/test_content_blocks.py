@@ -7,8 +7,9 @@ differential in ``_class2_cells``) must agree with the dense page
 for r = 5, and with Sigg's closed form for the Betti numbers of free
 two-step nilpotent groups for r <= 5.  The closed-form cells
 (``_class2_dims``), which the rational paths read, are checked against
-the blocks cell by cell and against the box walk of ``sigg_betti``,
-which stays independent of them.
+the blocks and against ``reference_spectral.class2_dims`` cell by cell,
+and against the box walk of ``sigg_betti``, which stays independent of
+them.
 """
 
 import json
@@ -226,6 +227,13 @@ def test_closed_form_cells_equal_the_blocks(r):
     assert set(closed) == {(p, q) for p in range(r + 1)
                            for q in range(comb(r, 2) + 1)}
     assert {pq: dim for pq, dim in closed.items() if dim} == +dims
+
+
+@pytest.mark.parametrize("r", range(13))
+def test_closed_form_cells_equal_the_box_walk(r):
+    # the dimensions from the Frobenius arms, against the hook-content
+    # formula multiplied out over the boxes of each lambda
+    assert _class2_dims(r) == ref.class2_dims(r)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

@@ -272,6 +272,30 @@ def test_exterior_functorial():
             exterior_power_map(m, 2) * exterior_power_map(n, 2)
 
 
+def test_exterior_power_matches_one_determinant_per_minor():
+    # every shape up to 5 x 5, empty sides included; entries are often
+    # zero, and one matrix per shape has a zero row and a zero column
+    rng = random.Random(24)
+    for rows in range(6):
+        for cols in range(6):
+            ints = IntMatrix([[rng.choice((0, 0, 1, -1, 2, -3))
+                               for _ in range(cols)] for _ in range(rows)],
+                             rows, cols)
+            grid = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                     for _ in range(cols)] for _ in range(rows)]
+            rats = RatMatrix(grid, rows, cols)
+            if rows and cols:
+                zi, zj = rng.randrange(rows), rng.randrange(cols)
+                grid = [[0 if i == zi or j == zj else x
+                         for j, x in enumerate(row)] for i, row in enumerate(grid)]
+            holed = RatMatrix(grid, rows, cols)
+            for m in (ints, rats, holed):
+                for k in range(7):
+                    got = exterior_power_map(m, k)
+                    assert got == ref.exterior_power_map(m, k), (m, k)
+                    assert got.shape == (comb(rows, k), comb(cols, k))
+
+
 def test_tensor_power_basics():
     assert tensor_power_map(RatMatrix([[5]]), 0) == RatMatrix([[1]])
     d = tensor_power_map(RatMatrix([[2, 0], [0, 3]]), 2)

@@ -243,6 +243,6 @@ def test_blands_leaving_rule_ends_a_cycling_tableau(monkeypatch):
 
 
 def test_tame_requirement_is_twice_the_tensor_degree_bound():
-    for c in range(1, 5):
-        for n in range(1, 5):
+    for c in range(1, 7):
+        for n in range(1, 7):
             assert tame_requirement(c, n) == 2 * tensor_degree_bound(c, n)

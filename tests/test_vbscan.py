@@ -346,6 +346,19 @@ def test_charpoly_evaluates_to_the_determinant():
             assert value == det(RatMatrix.identity(d) * k - g), (g, k)
 
 
+def test_charpoly_matches_interpolation_by_determinants():
+    rng = random.Random(24)
+    for trial in range(330):
+        d = trial % 9
+        if trial % 3:
+            g = RatMatrix([[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+                            for _ in range(d)] for _ in range(d)], d, d)
+        else:
+            g = IntMatrix([[rng.randint(-3, 3) for _ in range(d)]
+                           for _ in range(d)], d, d)
+        assert _charpoly(g) == ref.charpoly(g), g
+
+
 def test_vb_scan_rejects_class3():
     spec = FreeNilpotentSpec(2, 3)
     act = NilpotentAction(spec, (IntMatrix.identity(2),))
