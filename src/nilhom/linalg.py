@@ -20,6 +20,12 @@ right columns are scaled to integers, only nonzero entries are
 multiplied, and each entry is divided back exactly once.  Operands of
 either type mix: integer with integer gives an integer matrix (so
 integer powers stay integral), and a rational operand a rational one.
+The same rule holds for the graded maps: the exterior power of an
+integer matrix has its minors as entries and the Kronecker product of
+integer matrices has products of integers, so ``exterior_power_map``,
+``kron`` and ``tensor_power_map`` give an ``IntMatrix`` for integer
+input, and a ``RatMatrix`` as soon as a factor is rational.  An action
+of GL_r(Z) thus stays integral through every exterior and tensor power.
 
 Graded bases are fixed once and for all and carry no object of their
 own: an exterior basis is the strictly increasing index tuples in the
@@ -418,15 +424,17 @@ def det(m) -> Fraction:
     return Fraction(sign * d, prod(scales))
 
 
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product with the first factor as the major index."""
+def kron(a: _Matrix, b: _Matrix) -> _Matrix:
+    """Kronecker product with the first factor as the major index; an
+    ``IntMatrix`` when both factors are, since products of integers are
+    integers, and a ``RatMatrix`` otherwise."""
     entries = [[a.entries[ia][ja] * b.entries[ib][jb]
                 for ja in range(a.cols) for jb in range(b.cols)]
                for ia in range(a.rows) for ib in range(b.rows)]
-    return RatMatrix(entries, a.rows * b.rows, a.cols * b.cols)
+    return _kind(a, b)(entries, a.rows * b.rows, a.cols * b.cols)
 
 
-def exterior_power_map(m: RatMatrix, k: int) -> RatMatrix:
+def exterior_power_map(m: _Matrix, k: int) -> _Matrix:
     """Matrix of the k-th exterior power in the sorted-subset bases.
 
     The (I, J) entry is the k x k minor of ``m`` on rows I and columns J,
@@ -434,11 +442,15 @@ def exterior_power_map(m: RatMatrix, k: int) -> RatMatrix:
     columns; when k exceeds a dimension the corresponding side is empty.
     Each k-minor is the Laplace expansion of the (k-1)-minors along its
     first row, in integers, on the rows of ``m`` scaled by ``_integral_rows``.
+    The minors of an integer matrix are integers, so an ``IntMatrix``
+    gives an ``IntMatrix`` and a ``RatMatrix`` a ``RatMatrix``.
     Functorial: the exterior power of a product is the product of the
     exterior powers (Cauchy-Binet).
 
     >>> exterior_power_map(RatMatrix([[1, 2], [3, 4]]), 2).entries
     ((Fraction(-2, 1),),)
+    >>> exterior_power_map(IntMatrix([[1, 2], [3, 4]]), 2)
+    IntMatrix([[-2]])
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -450,18 +462,24 @@ def exterior_power_map(m: RatMatrix, k: int) -> RatMatrix:
         minors = {(I, J): sum((-1) ** t * a[I[0]][c] * minors[I[1:], J[:t] + J[t + 1:]]
                               for t, c in enumerate(J) if a[I[0]][c])
                   for I in rows for J in cols}
-    return RatMatrix([[Fraction(minors[I, J], prod(scales[i] for i in I))
-                       for J in cols] for I in rows], len(rows), len(cols))
+    out = []
+    for I in rows:
+        # every scale of an integer matrix is 1
+        s = prod(scales[i] for i in I)
+        out.append([minors[I, J] if s == 1 else Fraction(minors[I, J], s)
+                    for J in cols])
+    return type(m)(out, len(rows), len(cols))
 
 
-def tensor_power_map(m: RatMatrix, s: int) -> RatMatrix:
-    """Matrix of the s-th tensor (Kronecker) power in the word bases.
+def tensor_power_map(m: _Matrix, s: int) -> _Matrix:
+    """Matrix of the s-th tensor (Kronecker) power in the word bases, of
+    the type of ``m`` (``kron`` keeps integer factors integral).
 
     ``s = 0`` is the empty tensor, a 1 x 1 identity.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    out = RatMatrix.identity(1)
+    out = type(m).identity(1)
     for _ in range(s):
         out = kron(out, m)
     return out

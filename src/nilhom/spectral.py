@@ -69,7 +69,7 @@ from math import factorial, prod
 
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
                      central_extension_of_class2, induced_action_on_quotient)
-from .linalg import (IntMatrix, RatMatrix, SparseIntMatrix, binomial,
+from .linalg import (IntMatrix, SparseIntMatrix, binomial,
                      exterior_power_map, kron, matrix_rank,
                      merge_invariant_factors, smith_normal_form, solve)
 
@@ -438,10 +438,16 @@ class EquivariantPage:
     Each cell (p, q) carries the Kronecker product of the p-th exterior
     power of the base action and the q-th of the centre action, whose
     basis is the cell's labels in order; each exterior power is computed
-    once per generator and degree.  Only the cells the page holds get an
-    action (all of them, or those up to the page's degree bound); the
-    differentials are checked exactly to commute with every generator,
-    and a failure names the offending cell.
+    once per generator and degree.  The actions are ``IntMatrix`` when
+    both the base and the centre action are: the base action of a free
+    nilpotent group lies in GL_r(Z), its action on the weight-two layer
+    is integral in the Hall basis, and exterior powers and Kronecker
+    products of integer matrices are integer matrices.  A rational centre
+    action (solved from a pairing) makes them ``RatMatrix``.  Only the
+    cells the page holds get an action (all of them, or those up to the
+    page's degree bound); the differentials are checked exactly to
+    commute with every generator, and a failure names the offending
+    cell.
     """
 
     def __init__(self, page: Page, v_action, w_action):
@@ -480,7 +486,9 @@ def _action_on_centre(ext: CentralExtension, gens):
     for g in gens:
         rhs = pairing * exterior_power_map(g, 2)
         ga = solve(pairing.transpose(), rhs.transpose()).transpose()
-        if ga * pairing != rhs:
+        # == is type-strict, and ga is rational where rhs is integral
+        # for an integer g
+        if not (ga * pairing - rhs).is_zero():
             raise ValueError("pairing is not equivariant under the action")
         out.append(ga)
     return out
@@ -504,7 +512,7 @@ def equivariant_page(source, gens, max_degree: int = None) -> EquivariantPage:
         if source.nil_class == 2:
             w_act = induced_action_on_quotient(act, 2)
         else:
-            w_act = [RatMatrix.zero(0, 0) for _ in v_act]
+            w_act = [IntMatrix.zero(0, 0) for _ in v_act]
     elif isinstance(source, CentralExtension):
         ext = source
         if any(g.shape != (ext.q_rank, ext.q_rank) for g in v_act):

@@ -34,8 +34,8 @@ from math import gcd, lcm
 
 from .filtration import induced_homology_action
 from .groups import NilpotentAction
-from .linalg import (IntMatrix, RatMatrix, binomial, matrix_rank,
-                     require_commuting, require_matrices)
+from .linalg import (IntMatrix, RatMatrix, binomial, integral_row,
+                     matrix_rank, require_commuting, require_matrices)
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
 
@@ -186,11 +186,15 @@ def _scan_period(modules, m_max: int) -> int:
     An order d shows as Phi_d dividing a characteristic polynomial, and
     phi(d) <= dim bounds the candidates, as does d <= 2 dim^2 + 2 (since
     phi(d) >= sqrt(d / 2)).  Orders above m_max divide no scanned m and
-    are left out.
+    are left out.  Each test runs in Z[x]: Phi_d is monic and primitive,
+    so by Gauss's lemma it divides a rational f exactly when it divides
+    the integer polynomial D f, D the lcm of f's denominators, and the
+    division by a monic integer polynomial never leaves the integers.
     """
     dim = max((mod.dim for mod in modules), default=0)
     cyclo = _cyclotomics(min(m_max, 2 * dim * dim + 2), dim)
-    polys = [_charpoly(g) for mod in modules for g in mod.generators]
+    polys = [integral_row(_charpoly(g))[0]
+             for mod in modules for g in mod.generators]
     return lcm(1, *(d for d, phi in cyclo.items()
                     if any(not any(_poly_divmod(f, phi)[1]) for f in polys)))
 
@@ -217,16 +221,27 @@ class ScanReport:
     period: int
 
 
+def _narrowed(mats) -> tuple:
+    """A cell's ``RatMatrix`` generators as ``IntMatrix`` when all of
+    them are integral, else as given."""
+    try:
+        return tuple(g.to_int() for g in mats)
+    except ValueError:
+        return tuple(mats)
+
+
 def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
     """Scan sum_p dim H_p((Z^n)^m, H_{j-p}(N, Q)) for m = 1..m_max, where
     N is ``act.target``.
 
     Needs class <= 2 so the coefficient modules, one per third-page
     cell, are computable from the degenerate page; a higher class is
-    refused there.  Only power subgroups are scanned; the report records
-    the observed supremum over the range.  Row m is computed at gcd(m, L),
-    once per distinct value, where L is the period of the module
-    docstring (``ScanReport.period``).
+    refused there.  A cell whose generator matrices are all integral
+    becomes an ``IntMatrix`` module, so its checks, powers,
+    characteristic polynomials and Koszul ranks run in ints.  Only power
+    subgroups are scanned; the report records the observed supremum over
+    the range.  Row m is computed at gcd(m, L), once per distinct value,
+    where L is the period of the module docstring (``ScanReport.period``).
     """
     if j < 0 or m_max < 1:
         raise ValueError("need j >= 0 and m_max >= 1")
@@ -235,7 +250,7 @@ def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
     n = len(act.generators)
     # one module per third-page cell, in the degrees whose Koszul degree
     # j - q can carry homology
-    cells = {q: [QModuleFD(mats[0].rows, tuple(mats)) for mats in degree]
+    cells = {q: [QModuleFD(mats[0].rows, _narrowed(mats)) for mats in degree]
              for q, degree in enumerate(induced_homology_action(act, j))
              if j - q <= n}
     period = _scan_period([mod for mods in cells.values() for mod in mods], m_max)

@@ -12,6 +12,9 @@ scan takes one module per degree, the direct sum of its cells, from
 ``reference_filtration.induced_homology_action``.  ``charpoly`` is the
 characteristic polynomial as the library took it before Berkowitz's
 recurrence: one determinant per node, then Newton interpolation.
+``scan_period`` is the period as the library read it before the
+divisibility tests ran in Z[x]: each cyclotomic polynomial divides the
+characteristic polynomial with its ``Fraction`` coefficients.
 """
 
 from fractions import Fraction
@@ -19,7 +22,8 @@ from itertools import combinations
 from math import lcm
 
 from nilhom.linalg import RatMatrix
-from nilhom.vbscan import QModuleFD, ScanRow, koszul_homology
+from nilhom.vbscan import (QModuleFD, ScanRow, _cyclotomics, _poly_divmod,
+                           koszul_homology)
 
 from reference_filtration import induced_homology_action
 from reference_linalg import det
@@ -90,3 +94,13 @@ def charpoly(g: RatMatrix) -> list:
         poly = ([c[i] - i * poly[0]]
                 + [lo - i * hi for hi, lo in zip(poly[1:], poly)] + [poly[-1]])
     return [a / s ** (dim - i) for i, a in enumerate(poly)]
+
+
+def scan_period(modules, m_max: int) -> int:
+    """lcm of the orders d <= m_max (with phi(d) <= dim and d <= 2 dim^2 + 2)
+    whose Phi_d divides some generator's ``charpoly`` over Q."""
+    dim = max((mod.dim for mod in modules), default=0)
+    cyclo = _cyclotomics(min(m_max, 2 * dim * dim + 2), dim)
+    polys = [charpoly(g) for mod in modules for g in mod.generators]
+    return lcm(1, *(d for d, phi in cyclo.items()
+                    if any(not any(_poly_divmod(f, phi)[1]) for f in polys)))

@@ -292,7 +292,11 @@ def test_exterior_power_matches_one_determinant_per_minor():
             for m in (ints, rats, holed):
                 for k in range(7):
                     got = exterior_power_map(m, k)
-                    assert got == ref.exterior_power_map(m, k), (m, k)
+                    want = ref.exterior_power_map(m, k)
+                    # the minors of an integer matrix come as an IntMatrix
+                    if m is ints:
+                        want = want.to_int()
+                    assert got == want, (m, k)
                     assert got.shape == (comb(rows, k), comb(cols, k))
 
 
@@ -428,6 +432,33 @@ def test_integer_powers_stay_integral(monkeypatch):
             assert type(got) is IntMatrix and got == want[k]
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]]) ** 2
+
+
+def test_graded_maps_keep_integer_input_integral():
+    # every shape up to 4 x 4, empty sides included: exterior and tensor
+    # powers for k = 0..5 and the Kronecker product of every pair, each
+    # against the same map of the rational twin (== is type-strict)
+    rng = random.Random(25)
+    ints = [IntMatrix([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)],
+                      r, c) for r in range(5) for c in range(5)]
+    for m in ints:
+        for k in range(6):
+            want = exterior_power_map(m.to_rat(), k)
+            assert type(want) is RatMatrix
+            assert exterior_power_map(m, k) == want.to_int(), (m, k)
+            # the rational twins of the 3 x 4, 4 x 3 and 4 x 4 fifth
+            # powers (up to 4^10 entries) take seconds
+            if (m.rows * m.cols) ** k <= 4 ** 8:
+                want = tensor_power_map(m.to_rat(), k)
+                assert type(want) is RatMatrix
+                assert tensor_power_map(m, k) == want.to_int(), (m, k)
+    for a in ints:
+        for b in ints:
+            want = kron(a.to_rat(), b.to_rat())
+            assert type(want) is RatMatrix
+            assert kron(a, b) == want.to_int(), (a, b)
+            # one rational factor makes the product rational
+            assert kron(a, b.to_rat()) == kron(a.to_rat(), b) == want
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9])

@@ -392,7 +392,8 @@ def test_equivariant_identity_action():
     ep = equivariant_page(spec, [IntMatrix.identity(2)])
     for (p, q), mats in ep.actions.items():
         dim = ep.page.cell_dim(p, q)
-        assert mats[0] == RatMatrix.identity(dim)
+        # an integer action stays integral on every cell (== is type-strict)
+        assert mats[0] == IntMatrix.identity(dim)
 
 
 def test_equivariant_heisenberg_cells():

@@ -6,14 +6,14 @@ import pytest
 
 import reference_filtration as ref_filtration
 import reference_vbscan as ref
-from nilhom.filtration import is_nilpotent_action
+from nilhom.filtration import induced_homology_action, is_nilpotent_action
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix, det, matrix_rank, solve
 from nilhom.sigma import Cone, ConeUnion, finite_dimensional_is_fully_tame, full_sphere
 from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics,
-                           _koszul_differential, _scan_period, hirsch_bound,
-                           hypothesis_report, koszul_homology, power_subgroup,
-                           vb_scan)
+                           _koszul_differential, _narrowed, _scan_period,
+                           hirsch_bound, hypothesis_report, koszul_homology,
+                           power_subgroup, vb_scan)
 
 ANOSOV = IntMatrix([[2, 1], [1, 1]])
 
@@ -318,6 +318,60 @@ def test_koszul_homology_and_period_are_additive_over_direct_sums():
         for m_max in (4, 12):
             assert _scan_period(blocks, m_max) == _scan_period([whole], m_max)
     assert nonzero >= 20
+
+
+def test_scan_period_divides_in_the_integers():
+    # Gauss's lemma: Phi_d divides a rational f exactly when it divides
+    # D f in Z[x]; the oracle divides f with its Fraction coefficients
+    quarter_half = QModuleFD(3, (RatMatrix([[0, -1, 0], [1, 0, 0],
+                                            [0, 0, "1/2"]]),))
+    half = QModuleFD(1, (RatMatrix([["1/2"]]),))
+    for m_max in (4, 12):
+        for mod, want in ((quarter_half, 4), (half, 1)):
+            assert _scan_period([mod], m_max) == want
+            assert ref.scan_period([mod], m_max) == want
+    rng = random.Random(25)
+    periods = set()
+    for _ in range(60):
+        n = rng.randint(1, 2)
+        blocks = [_random_block(rng, n) for _ in range(rng.randint(1, 3))]
+        whole = QModuleFD(sum(b.dim for b in blocks), tuple(
+            ref_filtration.direct_sum([b.generators for b in blocks], n)))
+        for m_max in (4, 12):
+            got = _scan_period([whole], m_max)
+            assert got == ref.scan_period([whole], m_max), (whole, m_max)
+        if any(c.denominator > 1 for g in whole.generators for c in _charpoly(g)):
+            periods.add(got)
+    # non-integral polynomials, both with and without a cyclotomic factor
+    assert 1 in periods and len(periods) > 1
+
+
+def test_integral_cells_scan_like_their_rational_twins():
+    # fifteen seeded actions: each cell module as vb_scan hands it over
+    # (IntMatrix when integral) and as a RatMatrix module give the same
+    # Koszul rows and the same period
+    rng = random.Random(26)
+    narrowed = 0
+    for rank, count in ((2, 8), (3, 7)):
+        spec = FreeNilpotentSpec(rank, 2)
+        for _ in range(count):
+            act = ref_filtration.random_action(rng, spec)
+            n = len(act.generators)
+            for cells in induced_homology_action(act, 3):
+                rats = [QModuleFD(mats[0].rows, tuple(mats)) for mats in cells]
+                ints = [QModuleFD(mats[0].rows, _narrowed(mats)) for mats in cells]
+                narrowed += sum(type(mod.generators[0]) is IntMatrix for mod in ints)
+                assert _scan_period(ints, 12) == _scan_period(rats, 12), act
+                for m in range(1, 7):
+                    for r_mod, i_mod in zip(rats, ints):
+                        r_pow, i_pow = power_subgroup(r_mod, m), power_subgroup(i_mod, m)
+                        assert [koszul_homology(i_pow, p) for p in range(n + 1)] == \
+                            [koszul_homology(r_pow, p) for p in range(n + 1)], (act, m)
+    assert narrowed >= 15
+    # one rational generator keeps the whole cell rational
+    cell = (RatMatrix([[1]]), RatMatrix([["1/2"]]))
+    assert _narrowed(cell) == cell
+    assert _narrowed(cell[:1]) == (IntMatrix([[1]]),)
 
 
 def test_cyclotomic_polynomials_closed_forms():
