@@ -64,33 +64,32 @@ def _document(command, config, payload):
 def _cmd_betti(args):
     group = jsonio.parse_group(_load_json(args.group, "--group"))
     config = {"group": jsonio.group_json(group), "integral": bool(args.integral)}
-    if isinstance(group, FreeNilpotentSpec):
-        if group.nil_class == 1:
-            if args.integral:
-                raise ValueError("integral invariant factors need a free "
-                                 "nilpotent group of class two")
-            payload = {"betti": [binomial(group.rank, j)
-                                 for j in range(group.rank + 1)]}
-        elif group.nil_class == 2 and not args.integral:
-            payload = {"betti": betti_free_nilpotent_c2(group.rank)}
-        elif group.nil_class == 2:
-            results = [homology_free_nilpotent_c2(group.rank, j)
-                       for j in range(group.hirsch_length + 1)]
-            payload = {"betti": [res.rational_dimension for res in results]}
-            payload["integral"] = [{
-                "j": res.j,
-                "cells": [{"cell": list(c), "free_rank": f,
-                           "torsion": list(t)}
-                          for c, f, t in res.integral_cells],
-                "invariant_factors":
-                    list(res.invariant_factors)
-                    if res.invariant_factors is not None else None,
-            } for res in results]
-        else:
-            raise ValueError("betti supports free nilpotent groups of class "
-                             "<= 2 only; higher classes have no closed page")
-    else:
+    if not isinstance(group, FreeNilpotentSpec):
         raise ValueError("betti needs a free_nilpotent group spec")
+    if group.nil_class > 2:
+        raise ValueError("betti supports free nilpotent groups of class "
+                         "<= 2 only; higher classes have no closed page")
+    if group.nil_class == 1:
+        if args.integral:
+            raise ValueError("integral invariant factors need a free "
+                             "nilpotent group of class two")
+        payload = {"betti": [binomial(group.rank, j)
+                             for j in range(group.rank + 1)]}
+    else:
+        # the integral cells' free ranks are checked against this closed
+        # form, so it serves with and without --integral
+        payload = {"betti": betti_free_nilpotent_c2(group.rank)}
+    if args.integral:
+        results = [homology_free_nilpotent_c2(group.rank, j)
+                   for j in range(group.hirsch_length + 1)]
+        payload["integral"] = [{
+            "j": res.j,
+            "cells": [{"cell": list(c), "free_rank": f, "torsion": list(t)}
+                      for c, f, t in res.integral_cells],
+            "invariant_factors":
+                list(res.invariant_factors)
+                if res.invariant_factors is not None else None,
+        } for res in results]
     return _document("betti", config, payload)
 
 

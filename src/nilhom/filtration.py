@@ -19,6 +19,10 @@ from .linalg import (IntMatrix, RatMatrix, binomial, image_matrix,
                      rank_kernel_image, require_commuting, require_matrices, solve)
 from .spectral import _class2_dims, equivariant_page
 
+# every class up to c is lifted in turn and has its Witt number computed,
+# so a class of millions would run for hours instead of failing at once
+MAX_CLASS = 1000
+
 
 def tensor_degree_bound(c: int, j: int) -> int:
     """Largest tensor degree a filtration layer can carry: c(j-1)+1.
@@ -59,48 +63,54 @@ class FiltrationCertificate:
 def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertificate:
     """Certificate for the tensor-degree bound in homological degree j.
 
-    Layers are enumerated by recursing through the lower-central pages:
-    the page of the top lower-central layer contributes cells (i, j-i),
-    whose base factor is handled by the class-(c-1) certificate and whose
-    fibre factor is a subquotient of the c(j-i)-th tensor power.  Corner
-    cells (0, j) are dropped since the degree-(2, q) differential is onto
-    them.  Ties in the enumeration are broken by the lexicographic order
-    of the origin traces.
+    Layers are built bottom-up through the lower-central pages, one table
+    of layers per degree.  Its first row is class two, whose layers are
+    the third-page cells (i, j-i) of the closed form; corner cells (0, j)
+    are dropped since the degree-(2, q) differential is onto them.  Class
+    k lifts the whole table at once: in degree j its page has cells
+    (i, q), q = j-i, whose base factor is the class-(k-1) row in degree i
+    and whose fibre factor, C(W_k, q)-dimensional (W_k the k-th Witt
+    number), is a subquotient of the kq-th tensor power.  So a lift adds
+    kq to the tensor degree, multiplies the dimension by C(W_k, q) and
+    prefixes (i, q) to the origin.  Class k reads its row only from
+    degree j minus the Witt numbers above k (and at least 1), which keeps
+    a huge j as cheap as a small one.  Layers come in the lexicographic
+    order of their origin traces.  Class one is one binomial layer, and
+    a class above ``MAX_CLASS`` is refused.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
     r, c = spec.rank, spec.nil_class
+    if c > MAX_CLASS:
+        raise ValueError(f"filtration certificates take class <= {MAX_CLASS}, "
+                         f"got class {c}")
     if j == 0:
-        layers = (Layer(0, 1, ()),)
-        return FiltrationCertificate(spec, 0, layers, 0, True, True)
+        return FiltrationCertificate(spec, 0, (Layer(0, 1, ()),), 0, True, True)
     if c == 1:
-        dim = binomial(r, j)
-        layers = (Layer(j, dim, ()),) if dim else ()
-        exact = True
-    elif c == 2:
-        cells = _class2_dims(r)
-        layers = [Layer(2 * j - i, d, ((i, j - i),))
-                  for i in range(1, min(j, r) + 1)
-                  if (d := cells.get((i, j - i), 0))]
-        exact = True
+        layers = (Layer(j, d, ()),) if (d := binomial(r, j)) else ()
     else:
-        layers = []
-        # the centre factor C(W, j - i) vanishes below i = j - W
-        w = witt_number(r, c)
-        for i in range(max(1, j - w), j + 1):
-            q = j - i
-            lam = binomial(w, q)
-            inner = filtration_certificate(FreeNilpotentSpec(r, c - 1), i)
-            for lay in inner.layers:
-                layers.append(Layer(lay.tensor_degree + c * q,
-                                    lay.dimension * lam,
-                                    ((i, q),) + lay.origin))
-        exact = False
-    layers = tuple(sorted(layers, key=lambda l: l.origin))
+        witt = {k: witt_number(r, k) for k in range(3, c + 1)}
+        low = {c: j}
+        for k in range(c, 2, -1):
+            low[k - 1] = max(1, low[k] - witt[k])
+        cells = _class2_dims(r)
+        table = {i: [Layer(2 * i - p, d, ((p, i - p),))
+                     for p in range(1, min(i, r) + 1)
+                     if (d := cells.get((p, i - p), 0))]
+                 for i in range(low[2], j + 1)}
+        for k in range(3, c + 1):
+            # the fibre factor C(W_k, i - p) vanishes below p = i - W_k
+            table = {i: [Layer(l.tensor_degree + k * (i - p),
+                               l.dimension * binomial(witt[k], i - p),
+                               ((p, i - p),) + l.origin)
+                         for p in range(max(1, i - witt[k]), i + 1)
+                         for l in table[p]]
+                     for i in range(low[k], j + 1)}
+        layers = tuple(table[j])
     bound = tensor_degree_bound(c, j)
     ok = all(0 <= l.tensor_degree <= bound for l in layers)
     # degree one is the rationalised abelianisation for every class
-    return FiltrationCertificate(spec, j, layers, bound, ok, exact or j == 1)
+    return FiltrationCertificate(spec, j, layers, bound, ok, c <= 2 or j == 1)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ out one chunk each, so ``pages`` never holds its whole text.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from json import dumps as _scalar
@@ -195,6 +196,17 @@ def _field(doc, key, what):
         raise ValueError(f"{what} lacks the field {key!r}") from None
 
 
+def _size(doc, key, what):
+    """The integer field ``doc[key]``, refused with a ValueError naming it
+    above ``sys.maxsize``: no rank, class or variable count can exceed
+    the largest index Python can hold."""
+    n = _integer(_field(doc, key, what))
+    if n > sys.maxsize:
+        raise ValueError(f"{what} field {key!r} is {n}, above the largest "
+                         f"size {sys.maxsize}")
+    return n
+
+
 def _known(doc, keys, what):
     """A ValueError naming the first field of the object ``doc`` outside
     ``keys``: a misspelt field would otherwise read as an absent one."""
@@ -221,12 +233,12 @@ def parse_group(doc):
     what = f"{kind} spec"
     if kind == "free_nilpotent":
         _known(doc, ("type", "rank", "class"), what)
-        return FreeNilpotentSpec(_integer(_field(doc, "rank", what)),
-                                 _integer(_field(doc, "class", what)))
+        return FreeNilpotentSpec(_size(doc, "rank", what),
+                                 _size(doc, "class", what))
     if kind == "central_extension":
         _known(doc, ("type", "q_rank", "a_rank", "pairing"), what)
-        q_rank = _integer(_field(doc, "q_rank", what))
-        a_rank = _integer(_field(doc, "a_rank", what))
+        q_rank = _size(doc, "q_rank", what)
+        a_rank = _size(doc, "a_rank", what)
         grid = _field(doc, "pairing", what)
         # an empty pairing carries no column count: it is C(q_rank, 2).
         # CentralExtension checks the ranks before the pairing's shape.
@@ -258,7 +270,7 @@ def group_json(obj):
 def parse_module(doc) -> CyclicModuleSpec:
     """A module spec {"nvars": n, "ideal": [...]}; both fields are
     required and no other is read."""
-    n = _integer(_field(doc, "nvars", "module spec"))
+    n = _size(doc, "nvars", "module spec")
     _known(doc, ("nvars", "ideal"), "module spec")
     # before any generator is read, whose exponents would fail on arity
     if n < 0:

@@ -6,14 +6,57 @@ apart: the equivariant page carries every cell, and degree deg is the
 direct sum of the third-page cells (i, deg - i), one block-diagonal
 matrix per generator.  Kept so tests can check the bounded, cell-by-cell
 action against it, on the seeded actions of ``random_action``.
+
+Also kept: ``filtration_certificate`` as it recursed once per class,
+building the whole class-(c-1) certificate for every degree it read,
+so tests can check the bottom-up table against it.
 """
 
 from fractions import Fraction
 
-from nilhom.filtration import _subquotient_action
-from nilhom.groups import NilpotentAction
-from nilhom.linalg import IntMatrix, RatMatrix
-from nilhom.spectral import equivariant_page
+from nilhom.filtration import (FiltrationCertificate, Layer, _subquotient_action,
+                               tensor_degree_bound)
+from nilhom.groups import FreeNilpotentSpec, NilpotentAction, witt_number
+from nilhom.linalg import IntMatrix, RatMatrix, binomial
+from nilhom.spectral import _class2_dims, equivariant_page
+
+
+def filtration_certificate(spec, j: int) -> FiltrationCertificate:
+    """The certificate by recursion through the lower-central pages: the
+    top layer's page contributes cells (i, j-i), whose base factor is the
+    class-(c-1) certificate in degree i, rebuilt for every i."""
+    if j < 0:
+        raise ValueError("degree must be nonnegative")
+    r, c = spec.rank, spec.nil_class
+    if j == 0:
+        layers = (Layer(0, 1, ()),)
+        return FiltrationCertificate(spec, 0, layers, 0, True, True)
+    if c == 1:
+        dim = binomial(r, j)
+        layers = (Layer(j, dim, ()),) if dim else ()
+        exact = True
+    elif c == 2:
+        cells = _class2_dims(r)
+        layers = [Layer(2 * j - i, d, ((i, j - i),))
+                  for i in range(1, min(j, r) + 1)
+                  if (d := cells.get((i, j - i), 0))]
+        exact = True
+    else:
+        layers = []
+        w = witt_number(r, c)
+        for i in range(max(1, j - w), j + 1):
+            q = j - i
+            lam = binomial(w, q)
+            inner = filtration_certificate(FreeNilpotentSpec(r, c - 1), i)
+            for lay in inner.layers:
+                layers.append(Layer(lay.tensor_degree + c * q,
+                                    lay.dimension * lam,
+                                    ((i, q),) + lay.origin))
+        exact = False
+    layers = tuple(sorted(layers, key=lambda l: l.origin))
+    bound = tensor_degree_bound(c, j)
+    ok = all(0 <= l.tensor_degree <= bound for l in layers)
+    return FiltrationCertificate(spec, j, layers, bound, ok, exact or j == 1)
 
 
 def block_diag(mats) -> RatMatrix:

@@ -191,6 +191,39 @@ def test_filtration_far_past_the_hirsch_length(capsys, nil_class):
     assert cert["layers"] == [] and cert["total_dimension"] == 0
 
 
+def test_filtration_refuses_a_class_above_1000(capsys):
+    group = '{"type":"free_nilpotent","rank":2,"class":1001}'
+    code, out, err = run_cli(capsys, "filtration", "--group", group, "--j", "1")
+    assert code == 2 and out == ""
+    assert "class <= 1000" in err
+    group = group.replace("1001", "1000")
+    code, out, _ = run_cli(capsys, "filtration", "--group", group, "--j", "1")
+    assert code == 0
+    assert json.loads(out)["certificate"]["total_dimension"] == 2
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["betti", "--group", '{"type":"free_nilpotent","rank":%s,"class":2}'], "rank"),
+    (["filtration", "--group", '{"type":"free_nilpotent","rank":%s,"class":2}',
+      "--j", "1"], "rank"),
+    (["filtration", "--group", '{"type":"free_nilpotent","rank":2,"class":"%s"}',
+      "--j", "1"], "class"),
+    (["pages", "--group",
+      '{"type":"central_extension","q_rank":%s,"a_rank":0,"pairing":[]}'], "q_rank"),
+    (["pages", "--group",
+      '{"type":"central_extension","q_rank":2,"a_rank":%s,"pairing":[]}'], "a_rank"),
+    (["sigma", "--module", '{"nvars":%s,"ideal":[]}'], "nvars"),
+], ids=["betti-rank", "filtration-rank", "filtration-class", "q_rank",
+        "a_rank", "nvars"])
+def test_a_size_above_maxsize_exit_2(capsys, argv, field):
+    # 2^70 cannot index anything: refused at parse time, where it used to
+    # raise OverflowError (betti) or hang (filtration)
+    argv = [a % 2 ** 70 if "%s" in a else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"field {field!r} is {2 ** 70}" in err
+
+
 def test_pages_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "pages", "--group", HEIS)
     doc = json.loads(out)

@@ -8,6 +8,7 @@ import reference_filtration as ref_filtration
 from nilhom.filtration import (filtration_certificate, induced_homology_action,
                                is_nilpotent_action, tensor_degree_bound)
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
+from nilhom.jsonio import certificate_json
 from nilhom.linalg import IntMatrix, RatMatrix
 from nilhom.spectral import (_class2_cells, equivariant_page,
                              homology_free_nilpotent_c2)
@@ -88,6 +89,30 @@ def test_sharpness_first_layer():
         cert = filtration_certificate(FreeNilpotentSpec(2, 2), j)
         first = [l for l in cert.layers if l.origin and l.origin[0] == (1, j - 1)]
         assert first and first[0].dimension > 0
+
+
+def test_certificate_matches_the_recursive_reference():
+    # the bottom-up table against the recursion once per class, on every
+    # rank <= 4, class <= 6 and degree <= 6 (168 triples), and far past
+    # the Hirsch length, where both read only a window of degrees
+    triples = [(r, c, j) for r in range(1, 5) for c in range(1, 7)
+               for j in range(7)]
+    triples += [(r, c, 2 ** 70) for r in range(1, 5) for c in (2, 3, 5)]
+    for r, c, j in triples:
+        spec = FreeNilpotentSpec(r, c)
+        assert certificate_json(filtration_certificate(spec, j)) == \
+            certificate_json(ref_filtration.filtration_certificate(spec, j)), (r, c, j)
+
+
+def test_class_1000_degree_one_is_the_abelianisation():
+    # the recursion ran out of stack here; the table lifts the single
+    # degree-one layer through every class with q = 0
+    cert = filtration_certificate(FreeNilpotentSpec(2, 1000), 1)
+    (layer,) = cert.layers
+    assert layer.tensor_degree == 1 == cert.bound
+    assert layer.dimension == 2
+    assert layer.origin == ((1, 0),) * 999
+    assert cert.bound_satisfied and cert.dimensions_exact
 
 
 def test_is_nilpotent_identity():

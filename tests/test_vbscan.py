@@ -279,6 +279,20 @@ def test_vb_scan_matches_the_assembled_reference(rank, count, js, m_max):
             assert report.period == _scan_period(modules, m_max), (act, j)
 
 
+def test_rank4_scan_keeps_a_rational_cell():
+    # ranks 2 and 3 have given integral cells only; at rank 4 the cell
+    # basis can carry denominators, here 2 on the 36-dimensional degree-3
+    # cell, which the scan then runs on RatMatrix generators
+    gen = IntMatrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 3]])
+    act = NilpotentAction(FreeNilpotentSpec(4, 2), (gen,))
+    rational = [(mats[0].rows, max(x.denominator for row in mats[0].entries
+                                   for x in row))
+                for mats in induced_homology_action(act, 3)[3]
+                if type(_narrowed(mats)[0]) is RatMatrix]
+    assert rational == [(36, 2)]
+    assert vb_scan(act, 3, 6).rows == ref.scan_rows(act, 3, 6)
+
+
 def _random_block(rng, n):
     """Module of dimension 1..3 on n generators: signed or scaled powers
     of one unipotent or finite-order matrix, conjugated by a unimodular
