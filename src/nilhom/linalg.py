@@ -16,7 +16,8 @@ fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
 only the Smith normal form chooses its pivots by another rule, and it
 returns the invariant factors alone, with no unimodular transforms.
 Every matrix product runs through ``_product``: the left rows and the
-right columns are scaled to integers, only nonzero entries are
+right columns are scaled to integers (an ``IntMatrix`` passes its own
+through, as it does to elimination), only nonzero entries are
 multiplied, and each entry is divided back exactly once.  Operands of
 either type mix: integer with integer gives an integer matrix (so
 integer powers stay integral), and a rational operand a rational one.
@@ -276,6 +277,16 @@ def _integral_rows(entries):
     return rows, scales
 
 
+def _scaled_rows(m):
+    """``_integral_rows`` of a matrix: the rows of an ``IntMatrix`` are
+    integral already and pass through, each with the scale 1.  The rows
+    are the matrix's own tuples, in a new list that ``_eliminate`` may
+    reorder and refill."""
+    if isinstance(m, IntMatrix):
+        return list(m.entries), [1] * m.rows
+    return _integral_rows(m.entries)
+
+
 def integral_row(row):
     """One row of ints or Fractions scaled to integers by the lcm of its
     denominators (``_integral_rows``), and that lcm.
@@ -287,27 +298,32 @@ def integral_row(row):
     return row, s
 
 
-def _product(a, b, cols):
-    """Entries of the product of two grids of rationals or ints.
+def _product(a, b):
+    """Entries of the product of two rational or integer matrices.
 
     Row i of ``a`` is scaled to integers by s_i and column j of ``b`` by
-    t_j (``_integral_rows``), so only Python ints are multiplied, and
-    only where both factors are nonzero.  Entry (i, j) is divided back as
-    x / (s_i t_j) and stays an int when that denominator is 1; ``cols``
-    is the column count of ``b``, which an empty ``b`` does not carry.
+    t_j (``_scaled_rows``, so every scale of an ``IntMatrix`` is 1), so
+    only Python ints are multiplied, and only where both factors are
+    nonzero.  Entry (i, j) is divided back as x / (s_i t_j) and stays an
+    int when that denominator is 1.
     """
-    right, t = _integral_rows(zip(*b)) if b else ([], [1] * cols)
+    right, t = b.entries, [1] * b.cols
+    if not isinstance(b, IntMatrix) and b.rows:
+        scaled, t = _integral_rows(zip(*b.entries))
+        right = zip(*scaled)
     # row k of the scaled b as its nonzero (column, entry) pairs
-    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in zip(*right)]
-    left, s = _integral_rows(a)
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
+    unit = all(tj == 1 for tj in t)
+    left, s = _scaled_rows(a)
     out = []
     for row, si in zip(left, s):
-        acc = [0] * cols
+        acc = [0] * b.cols
         for x, terms in zip(row, nonzero):
             if x:
                 for j, y in terms:
                     acc[j] += x * y
-        out.append([x if si * tj == 1 else Fraction(x, si * tj)
+        out.append(acc if unit and si == 1 else
+                   [x if si * tj == 1 else Fraction(x, si * tj)
                     for x, tj in zip(acc, t)])
     return out
 
@@ -316,7 +332,7 @@ def _matmul(a, b):
     """Product of two matrices, integer when both factors are."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in product")
-    return _kind(a, b)(_product(a.entries, b.entries, b.cols), a.rows, b.cols)
+    return _kind(a, b)(_product(a, b), a.rows, b.cols)
 
 
 def _eliminate(a):
@@ -366,7 +382,7 @@ def rank_kernel_image(m: RatMatrix):
     Q^cols, image vectors are the pivot columns of the original matrix, so
     rank + len(kernel_basis) == cols holds on the nose.
     """
-    a, _ = _integral_rows(m.entries)
+    a, _ = _scaled_rows(m)
     pivots, d, _ = _eliminate(a)
     kernel = []
     for fc in sorted(set(range(m.cols)) - set(pivots)):
@@ -380,7 +396,7 @@ def rank_kernel_image(m: RatMatrix):
 
 def matrix_rank(m) -> int:
     """Rank of a rational or integer matrix."""
-    return len(_eliminate(_integral_rows(m.entries)[0])[0])
+    return len(_eliminate(_scaled_rows(m)[0])[0])
 
 
 def kernel_matrix(m: RatMatrix) -> RatMatrix:
@@ -417,7 +433,7 @@ def det(m) -> Fraction:
     """Determinant of a square rational or integer matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    a, scales = _integral_rows(m.entries)
+    a, scales = _scaled_rows(m)
     pivots, d, sign = _eliminate(a)
     if len(pivots) < m.rows:
         return Fraction(0)
@@ -441,7 +457,7 @@ def exterior_power_map(m: _Matrix, k: int) -> _Matrix:
     so the result has binomial(rows, k) rows and binomial(cols, k)
     columns; when k exceeds a dimension the corresponding side is empty.
     Each k-minor is the Laplace expansion of the (k-1)-minors along its
-    first row, in integers, on the rows of ``m`` scaled by ``_integral_rows``.
+    first row, in integers, on the rows of ``m`` scaled by ``_scaled_rows``.
     The minors of an integer matrix are integers, so an ``IntMatrix``
     gives an ``IntMatrix`` and a ``RatMatrix`` a ``RatMatrix``.
     Functorial: the exterior power of a product is the product of the
@@ -454,7 +470,7 @@ def exterior_power_map(m: _Matrix, k: int) -> _Matrix:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    a, scales = _integral_rows(m.entries)
+    a, scales = _scaled_rows(m)
     rows, cols, minors = [()], [()], {((), ()): 1}
     for size in range(1, k + 1):
         rows = list(combinations(range(m.rows), size))

@@ -39,10 +39,14 @@ degree bound: a degree-j scan reads cells of total degree at most j + 1.
 
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
-lexicographic order.  The whole page and ``d2_central`` both take their
-labels from ``_cell_labels``, and every d2, of a page or a block, its
-entries from ``_d2_rows``, which tables the contractions of each I and
-the wedges into each J once.  A d2 is a ``SparseIntMatrix``, each row
+lexicographic order.  The whole page takes its labels from
+``_cell_labels``.  Two kernels build d2, with one contraction, one sign
+rule and one order of the terms in a row.  A whole cell is a product of
+combinations, so ``d2_central`` builds a page's d2 from combination
+ranks, with no label tuple and no lookup by label; a block's labels are
+not a product, so a block's d2 comes from ``_d2_rows`` on its label
+lists, which tables the contractions of each I and the wedges into each
+J once.  A d2 is a ``SparseIntMatrix``, each row
 its nonzero (column, entry) pairs: a column out of cell (p, q) has at
 most C(p, 2)·a nonzeros (C(p, 2) for free class two), so no dense grid
 is built for ``pages`` and its memory is bounded by the nonzeros.  Each
@@ -173,7 +177,9 @@ def _pair_images(ext: CentralExtension):
 
 def _d2_rows(src, tgt, images):
     """The rows of d2 from the labels ``src`` to the labels ``tgt``, each
-    as its nonzero (column, entry) pairs (``SparseIntMatrix.terms``).
+    as its nonzero (column, entry) pairs (``SparseIntMatrix.terms``): the
+    kernel of the content blocks, whose label lists are not products of
+    combinations (``d2_central`` builds whole cells from ranks instead).
 
     ``images`` is the commutator pairing as ``_pair_images`` gives it.  The
     (k, l) contraction of (I, J) drops I[k] and I[l] and wedges alpha onto
@@ -221,15 +227,52 @@ def _d2_rows(src, tgt, images):
 def d2_central(ext: CentralExtension, p: int, q: int) -> SparseIntMatrix:
     """Degree-2 differential of the page of a central extension.
 
-    The matrix is stated in the canonical (subset, subset) bases.  For
-    p < 2 or out-of-range targets the zero map of the correct shape is
-    returned; empty cells give empty matrices.
+    The matrix is stated in the canonical (subset, subset) bases.  A
+    cell is a product, ``product(combinations(n, p), combinations(a,
+    q))``, so label (I, J) is column rank(I)·C(a, q) + rank(J), and a
+    target label row rank(I')·C(a, q + 1) + rank(J'); no label tuple is
+    built.  The contraction and its signs are those of ``_d2_rows``, and
+    so is the order of the terms in each row (I, then the pair (k, l),
+    then alpha, then J), but both halves are tabled on ranks: for each
+    alpha, the (row offset of J + alpha, column of J) over the J without
+    alpha, split by the sign of the wedge; for each (p-2)-subset, the
+    first row of its block.  The loop over (I, k, l, alpha) then only
+    adds offsets.  When either cell is empty (p < 2 or q >= a empties the
+    target) the zero map of the correct shape is returned at once.
     """
     n, a = ext.q_rank, ext.a_rank
-    src = _cell_labels(n, a, p, q)
-    tgt = _cell_labels(n, a, p - 2, q + 1)
-    return SparseIntMatrix(_d2_rows(src, tgt, _pair_images(ext)),
-                           len(tgt), len(src))
+    rows = binomial(n, p - 2) * binomial(a, q + 1)
+    cols = binomial(n, p) * binomial(a, q)
+    terms = [[] for _ in range(rows)]
+    if not rows or not cols:
+        return SparseIntMatrix(terms, rows, cols)
+    width, height = binomial(a, q), binomial(a, q + 1)
+    offset = {J: i for i, J in enumerate(combinations(range(a), q + 1))}
+    # wedges[alpha] = (even, odd): the J with an even or odd number of
+    # entries below alpha
+    wedges = [([], []) for _ in range(a)]
+    for col, J in enumerate(combinations(range(a), q)):
+        for alpha in range(a):
+            b = bisect_left(J, alpha)
+            if b == q or J[b] != alpha:
+                wedges[alpha][b % 2].append((offset[J[:b] + (alpha,) + J[b:]], col))
+    block = {I: i * height for i, I in enumerate(combinations(range(n), p - 2))}
+    images = _pair_images(ext)
+    for i, I in enumerate(combinations(range(n), p)):
+        first = i * width
+        for k in range(p):
+            for l in range(k + 1, p):
+                top = block[I[:k] + I[k + 1:l] + I[l + 1:]]
+                sgn = 1 if (k + l) % 2 else -1
+                for alpha, cval in images[(I[k], I[l])]:
+                    even, odd = wedges[alpha]
+                    value = sgn * cval
+                    for off, col in even:
+                        terms[top + off].append((first + col, value))
+                    value = -value
+                    for off, col in odd:
+                        terms[top + off].append((first + col, value))
+    return SparseIntMatrix(terms, rows, cols)
 
 
 def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
@@ -280,18 +323,18 @@ def _class2_blocks(r: int):
     Contracting a pair of I into the commutator it spans keeps the
     content, so d2 is block-diagonal by content; permuting generators
     carries each block onto the block of the permuted content by a
-    signed permutation, so only weakly decreasing contents are kept.
-    Returns (content, orbit, page) triples: ``page`` is the ``Page`` (so
-    d2 o d2 = 0 is checked) on the labels of that content, in the whole
-    page's cell order, and ``orbit`` counts the distinct permutations of
-    the content.
+    signed permutation, so only weakly decreasing contents are kept:
+    for each J, a walk over the generators, one position at a time,
+    extends only the partial I whose partial content stays weakly
+    decreasing, so no other I is tried.  Returns (content, orbit, page)
+    triples: ``page`` is the ``Page`` (so d2 o d2 = 0 is checked) on the
+    labels of that content, in the whole page's cell order, and
+    ``orbit`` counts the distinct permutations of the content.
     """
     # the pairing is the identity: centre generator alpha is [x_i, x_j]
     # for the alpha-th pair (i, j)
     pairs = list(combinations(range(r), 2))
     images = _pair_images(central_extension_of_class2(FreeNilpotentSpec(r, 2)))
-    subsets = [(I, [int(i in I) for i in range(r)])
-               for p in range(r + 1) for I in combinations(range(r), p)]
     groups = {}
     for q in range(len(pairs) + 1):
         for J in combinations(range(len(pairs)), q):
@@ -303,10 +346,13 @@ def _class2_blocks(r: int):
             # adding 0 or 1 per generator cannot repair a larger step
             if any(y > x + 1 for x, y in zip(base, base[1:])):
                 continue
-            for I, ind in subsets:
-                c = tuple(x + y for x, y in zip(base, ind))
-                if all(x >= y for x, y in zip(c, c[1:])):
-                    groups.setdefault(c, {}).setdefault((len(I), q), []).append((I, J))
+            # the partial I, with their partial contents base + ind(I)
+            walk = [((), ())]
+            for i, x in enumerate(base):
+                walk = [(I + (i,) * y, c + (x + y,)) for I, c in walk
+                        for y in (0, 1) if not c or x + y <= c[-1]]
+            for I, c in walk:
+                groups.setdefault(c, {}).setdefault((len(I), q), []).append((I, J))
     blocks = []
     for content in sorted(groups, reverse=True):
         cells = {pq: tuple(sorted(labs)) for pq, labs in groups[content].items()}

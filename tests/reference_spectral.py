@@ -9,7 +9,10 @@ content blocks and before torsion was read off the incoming map alone;
 kept so tests can check both against it.  ``class2_dims`` is the closed
 form as the library took it before it read dimensions from the
 Frobenius arms: each self-conjugate lambda rebuilt row by row, and the
-hook-content formula multiplied out over its boxes.
+hook-content formula multiplied out over its boxes.  ``class2_groups``
+is the content grouping of the class-two labels as the library ran it
+before it walked the contents generator by generator: every subset I
+tried against every J.
 """
 
 from bisect import bisect_left
@@ -118,3 +121,27 @@ def class2_dims(r: int):
                 prod(r + j - i for i, j in boxes)
                 // prod(lam[i] - j + lam[j] - i - 1 for i, j in boxes))
     return dims
+
+
+def class2_groups(r: int):
+    """The labels (I, J) of the free class-two page of rank r with weakly
+    decreasing content, as content -> (p, q) -> sorted labels."""
+    pairs = list(combinations(range(r), 2))
+    subsets = [(I, [int(i in I) for i in range(r)])
+               for p in range(r + 1) for I in combinations(range(r), p)]
+    groups = {}
+    for q in range(len(pairs) + 1):
+        for J in combinations(range(len(pairs)), q):
+            base = [0] * r
+            for alpha in J:
+                i, j = pairs[alpha]
+                base[i] += 1
+                base[j] += 1
+            if any(y > x + 1 for x, y in zip(base, base[1:])):
+                continue
+            for I, ind in subsets:
+                c = tuple(x + y for x, y in zip(base, ind))
+                if all(x >= y for x, y in zip(c, c[1:])):
+                    groups.setdefault(c, {}).setdefault((len(I), q), []).append((I, J))
+    return {c: {pq: sorted(labs) for pq, labs in cells.items()}
+            for c, cells in groups.items()}

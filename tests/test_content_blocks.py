@@ -125,15 +125,40 @@ def test_blocks_are_the_dense_differential_restricted(r):
         for (p, q), labels in blk.cells.items():
             assert all(content(lab, r) == blk_content for lab in labels)
             covered[(p, q)] += orbit * len(labels)
-            d = blk.diff(p, q)
-            dense = page.diff(p, q).entries
-            rows = [pos[(p - 2, q + 1)][lab]
-                    for lab in blk.cells.get((p - 2, q + 1), ())]
-            cols = [pos[(p, q)][lab] for lab in labels]
-            assert d.entries == tuple(tuple(int(dense[i][j]) for j in cols)
-                                      for i in rows)
+        # the block kernel (_d2_rows on labels) against the whole-cell one
+        # (d2_central on ranks): each block row is the whole row of its
+        # label, every column in the block, terms in the same order
+        for (p, q), d in blk.diffs.items():
+            col_of = {pos[(p, q)][lab]: j
+                      for j, lab in enumerate(blk.cells[(p, q)])}
+            whole = page.diffs[(p, q)].terms
+            assert d.terms == [[(col_of[k], x) for k, x in
+                                whole[pos[(p - 2, q + 1)][lab]]]
+                               for lab in blk.cells[(p - 2, q + 1)]], (p, q)
     assert covered == {pq: len(cell) for pq, cell in page.cells.items()
                        if len(cell)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_block_contents_equal_the_subset_filter(r):
+    # the walk over generators keeps exactly the labels the filter over
+    # all 2^r subsets I kept, grouped alike, in descending content order
+    want = ref.class2_groups(r)
+    blocks = _class2_blocks(r)
+    assert [c for c, _, _ in blocks] == sorted(want, reverse=True)
+    for c, _, blk in blocks:
+        assert {pq: list(labels) for pq, labels in blk.cells.items()} == want[c]
+
+
+def test_rank6_blocks_cover_the_page_by_orbits():
+    # 476 contents and 45,640 labels, and every one of the 2^21 labels
+    # lies in the orbit of one of them
+    blocks = _class2_blocks(6)
+    assert len(blocks) == 476
+    assert sum(len(labels) for _, _, blk in blocks
+               for labels in blk.cells.values()) == 45640
+    assert sum(orbit * len(labels) for _, orbit, blk in blocks
+               for labels in blk.cells.values()) == 2 ** 21
 
 
 def test_blocks_check_that_d2_composes_to_zero(monkeypatch):

@@ -12,9 +12,10 @@ from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
 from nilhom.jsonio import frac_str
 from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix,
                            matrix_rank, rank_kernel_image, smith_normal_form)
-from nilhom.spectral import (EquivariantPage, Page, _class2_blocks,
-                             _composes_to_zero, _pair_images,
-                             betti_free_nilpotent_c2, d2_central, e2_page,
+from nilhom.spectral import (EquivariantPage, Page, _cell_labels,
+                             _class2_blocks, _composes_to_zero, _d2_rows,
+                             _pair_images, betti_free_nilpotent_c2,
+                             d2_central, e2_page,
                              e3_dimensions, equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
 
@@ -286,6 +287,24 @@ def _one_term_per_entry(d):
         assert len({j for j, _ in row}) == len(row)
 
 
+def _assert_d2_equals_both_references(ext):
+    # d2_central works on combination ranks; _d2_rows on the full label
+    # tuples gives the same terms in the same order, and the dense grid of
+    # the reference the same matrix and shape, also for cells past the
+    # page (p > n or q > a) whose targets are not empty
+    n, a = ext.q_rank, ext.a_rank
+    images = _pair_images(ext)
+    for p in range(-1, n + 3):
+        for q in range(-1, a + 3):
+            d = d2_central(ext, p, q)
+            src = _cell_labels(n, a, p, q)
+            tgt = _cell_labels(n, a, p - 2, q + 1)
+            assert d.shape == (len(tgt), len(src)), (ext, p, q)
+            assert d.terms == _d2_rows(src, tgt, images), (ext, p, q)
+            assert d.dense() == ref_spectral.d2_dense(ext, p, q), (ext, p, q)
+            _one_term_per_entry(d)
+
+
 def test_sparse_d2_equals_the_dense_reference():
     # several alpha per pair: a contracted pair lands on every centre
     # generator its commutator has, so each entry still takes one term
@@ -294,12 +313,24 @@ def test_sparse_d2_equals_the_dense_reference():
     for _ in range(100):
         ext = random_extension(rng, n_max=5, a_max=4)
         several += sum(len(t) > 1 for t in _pair_images(ext).values())
-        for p in range(ext.q_rank + 1):
-            for q in range(ext.a_rank + 1):
-                d = d2_central(ext, p, q)
-                assert d.dense() == ref_spectral.d2_dense(ext, p, q), (ext, p, q)
-                _one_term_per_entry(d)
+        _assert_d2_equals_both_references(ext)
     assert several >= 200
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_class2_d2_equals_the_label_kernel_and_the_dense_reference(r):
+    _assert_d2_equals_both_references(
+        central_extension_of_class2(FreeNilpotentSpec(r, 2)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_class2_page_nonzeros_equal_the_closed_form(r):
+    # each of the C(r, 2) pairs contracts in 2^(C(r, 2)+r-3) labels: I
+    # holds the pair and any of the r-2 other generators, J any of the
+    # C(r, 2)-1 other commutators
+    nnz = sum(len(row) for d in ks_page(r).diffs.values() for row in d.terms)
+    assert nnz == comb(r, 2) * 2 ** (comb(r, 2) + r - 3)
+    assert nnz == {2: 1, 3: 24, 4: 768, 5: 40960}[r]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
