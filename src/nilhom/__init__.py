@@ -8,13 +8,25 @@ algebra (:mod:`nilhom.linalg`); on top of it sit group descriptions
 (:mod:`nilhom.filtration`), polyhedral tameness machinery
 (:mod:`nilhom.sigma`) and the finite-index scans (:mod:`nilhom.vbscan`).
 A JSON command line lives in :mod:`nilhom.cli`.
+
+No command reaches these, kept on purpose: ``is_nilpotent_action``
+(acceptance criterion 09); ``kernel_matrix``, ``image_matrix``,
+``IntMatrix.rank`` and ``hall_basis`` (wrapped by name in
+``perfbench/spans.py``; the Hall basis grounds homology past class two);
+``_action_on_centre`` and the central-extension branch of
+``equivariant_page`` (scans of other class-two extensions); the tests'
+witness audits' membership and polynomial API (``LaurentPoly``'s ``+``,
+``-``, unary ``-``, ``coeff`` and ``monomial``, ``Cone.contains``,
+``ConeUnion.contains``, ``ValuationVector.pair``); and the matrix API
+(``_Matrix``'s ``+``, ``-``, unary ``-``, ``__rmul__``, ``transpose``,
+``is_zero``, ``IntMatrix.to_rat``).
 """
 
 from .linalg import (IntMatrix, RatMatrix, exterior_power_map,
                      rank_kernel_image, smith_normal_form, tensor_power_map)
 from .groups import (CentralExtension, FreeNilpotentSpec, HallBasis,
                      NilpotentAction, central_extension_of_class2, hall_basis,
-                     heisenberg, induced_action_on_quotient, witt_number)
+                     induced_action_on_quotient, witt_number)
 from .spectral import (HomologyResult, Page, betti_free_nilpotent_c2,
                        d2_central, e2_page, e3_dimensions, equivariant_page,
                        h2_class2, homology_free_nilpotent_c2, ks_page)
@@ -22,8 +34,7 @@ from .filtration import (ActionNilpotencyReport, FiltrationCertificate,
                          filtration_certificate, induced_homology_action,
                          is_nilpotent_action, tensor_degree_bound)
 from .sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
-                    ValuationVector, finite_dimensional_is_fully_tame,
-                    full_sphere, m_tame, newton_polytope,
+                    ValuationVector, full_sphere, m_tame, newton_polytope,
                     sigma_complement, sigma_complement_principal,
                     sigma_witness_search, tame_requirement,
                     tensor_power_fg_check)

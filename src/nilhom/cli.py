@@ -4,9 +4,10 @@ Every command reads specs as inline JSON, a file path, or "-" for stdin,
 echoes its resolved configuration into the output document and writes a
 schema-versioned JSON payload.  Exit codes: 0 success, 1 when the
 reader closed the output pipe before the document was written (nothing
-goes to stderr), 2 input error (an unreadable input or an ``--output``
-that cannot be opened among them) or unsupported instance, 3 when
-``sigma --witness --strict`` came back "unknown".
+goes to stderr) or on a bug (a traceback), 2 input error (a ValueError:
+an unreadable input, an ``--output`` that cannot be opened, a size above
+its limit) or unsupported instance, 3 when ``sigma --witness --strict``
+came back "unknown".
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     try:
         doc = args.func(args)
         stream = _open_output(args.output)
-    except (ValueError, KeyError, TypeError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

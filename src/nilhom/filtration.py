@@ -122,7 +122,6 @@ class ActionNilpotencyReport:
     stabilises above zero.  ``image_dims`` records the descending chain.
     """
 
-    operators: tuple
     nilpotent: bool
     nilpotency_class: object
     image_dims: tuple
@@ -154,10 +153,10 @@ def is_nilpotent_action(ops) -> ActionNilpotencyReport:
             stacked_cols.extend(prod.col(j) for j in range(prod.cols))
         nxt = image_matrix(RatMatrix.from_cols(stacked_cols, n))
         if nxt.cols == dims[-1]:
-            return ActionNilpotencyReport(ops, False, None, tuple(dims))
+            return ActionNilpotencyReport(False, None, tuple(dims))
         span = nxt
         dims.append(nxt.cols)
-    return ActionNilpotencyReport(ops, True, max(len(dims) - 1, 1), tuple(dims))
+    return ActionNilpotencyReport(True, max(len(dims) - 1, 1), tuple(dims))
 
 
 def _subquotient_action(d_out: IntMatrix, d_in: IntMatrix, acts) -> list:

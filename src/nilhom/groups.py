@@ -143,8 +143,8 @@ class CentralExtension:
     commutator of the lifts of the i-th and j-th base generators, in that
     order.
 
-    >>> CentralExtension(2, 1, IntMatrix([[1]])) == heisenberg()
-    True
+    >>> central_extension_of_class2(FreeNilpotentSpec(2, 2))
+    CentralExtension(q_rank=2, a_rank=1, pairing=IntMatrix([[1]]))
     """
 
     q_rank: int
@@ -164,11 +164,6 @@ class CentralExtension:
         if self.pairing.shape != want:
             raise ValueError(
                 f"pairing must be {want[0]} x {want[1]}, got {self.pairing.shape}")
-
-
-def heisenberg() -> CentralExtension:
-    """The discrete Heisenberg group as a central extension of Z^2 by Z."""
-    return CentralExtension(2, 1, IntMatrix([[1]]))
 
 
 def central_extension_of_class2(spec: FreeNilpotentSpec) -> CentralExtension:

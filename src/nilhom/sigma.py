@@ -30,8 +30,7 @@ from math import gcd
 from operator import index
 
 from . import lp
-from .linalg import (IntMatrix, as_fraction, det, integral_row, matrix_rank,
-                     require_commuting, require_matrices)
+from .linalg import IntMatrix, as_fraction, integral_row, matrix_rank
 
 
 class LaurentPoly:
@@ -467,29 +466,6 @@ def tame_requirement(c: int, n: int) -> int:
     if c < 1 or n < 1:
         raise ValueError("need c >= 1 and n >= 1")
     return 2 * (c * (n - 1) + 1)
-
-
-def finite_dimensional_is_fully_tame(dim: int, ops) -> ConeUnion:
-    """Empty complement for a finite-dimensional module, certified.
-
-    Each invertible generator satisfies its characteristic polynomial, a
-    monic polynomial whose constant term, +-det, is a unit, so the module
-    is finitely generated over the half-monoid ring of every direction.
-    A singular generator voids the certificate and raises.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("need at least one generator action")
-    require_matrices(ops, "operators")
-    for g in ops:
-        if g.shape != (dim, dim):
-            raise ValueError("operators must be dim x dim")
-    require_commuting(ops, "operators")
-    for g in ops:
-        if det(g) == 0:
-            raise ValueError("singular action matrix, no monic witness with "
-                             "invertible constant term")
-    return ConeUnion(len(ops), ())
 
 
 _MONOMIAL_BUDGET = 4000  # caps the candidate box; 4x it caps the translate box

@@ -364,6 +364,11 @@ def _class2_blocks(r: int):
     return tuple(blocks)
 
 
+# past these ranks the 2^r arm sets or the content blocks take minutes
+MAX_CLOSED_FORM_RANK = 18
+MAX_INTEGRAL_RANK = 6
+
+
 @lru_cache(maxsize=None)
 def _class2_dims(r: int):
     """Rational third page of the free class-two page of rank r, in
@@ -380,8 +385,11 @@ def _class2_dims(r: int):
     (the number of arms), so in (d, sum of the arms).  Its dimension,
     the hook-content formula read from the arms, is the product of
     C(r + a, 2a + 1) C(2a, a) over the arms times ((b - a)/(a + b + 1))^2
-    over the pairs a < b.
+    over the pairs a < b.  A rank above ``MAX_CLOSED_FORM_RANK`` is refused.
     """
+    if r > MAX_CLOSED_FORM_RANK:
+        raise ValueError(f"the class-two closed form takes rank <= "
+                         f"{MAX_CLOSED_FORM_RANK}, got rank {r}")
     dims = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
     single = [binomial(r + a, 2 * a + 1) * binomial(2 * a, a) for a in range(r)]
     for d in range(r + 1):
@@ -408,8 +416,11 @@ def _class2_cells(r: int):
     content in its orbit (a signed permutation is unimodular).  The
     dimensions from the ranks must equal Sigg's closed form with Nomizu
     (``_class2_dims``), cell by cell, or ValueError names the first cell
-    that differs.
+    that differs.  A rank above ``MAX_INTEGRAL_RANK`` is refused.
     """
+    if r > MAX_INTEGRAL_RANK:
+        raise ValueError(f"the integral class-two table takes rank <= "
+                         f"{MAX_INTEGRAL_RANK}, got rank {r}")
     dims = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
     torsion = {}
     for _, orbit, page in _class2_blocks(r):
@@ -458,8 +469,9 @@ def homology_free_nilpotent_c2(r: int, j: int) -> HomologyResult:
 def betti_free_nilpotent_c2(r: int):
     """All rational Betti numbers, degree 0 through the Hirsch length,
     summed from the closed-form cells (``_class2_dims``)."""
+    cells = _class2_dims(r)  # refuses a large rank before the list is sized
     betti = [0] * (r + binomial(r, 2) + 1)
-    for (p, q), dim in _class2_dims(r).items():
+    for (p, q), dim in cells.items():
         betti[p + q] += dim
     return betti
 

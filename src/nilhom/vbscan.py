@@ -38,6 +38,9 @@ from .linalg import (IntMatrix, RatMatrix, binomial, integral_row,
                      matrix_rank, require_commuting, require_matrices)
 from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
+# (j + 1) entries in each of m_max rows; a larger scan can run for minutes
+MAX_SCAN_ENTRIES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class QModuleFD:
@@ -242,9 +245,11 @@ def vb_scan(act: NilpotentAction, j: int, m_max: int) -> ScanReport:
     subgroups are scanned; the report records the observed supremum over
     the range.  Row m is computed at gcd(m, L), once per distinct value,
     where L is the period of the module docstring (``ScanReport.period``).
+    More than ``MAX_SCAN_ENTRIES`` entries, (j + 1) * m_max, are refused.
     """
-    if j < 0 or m_max < 1:
-        raise ValueError("need j >= 0 and m_max >= 1")
+    if j < 0 or m_max < 1 or (j + 1) * m_max > MAX_SCAN_ENTRIES:
+        raise ValueError(f"a scan needs j >= 0, m_max >= 1 and (j + 1) * m_max "
+                         f"<= {MAX_SCAN_ENTRIES}, got j = {j} and m_max = {m_max}")
     if not act.generators:
         raise ValueError("scan needs at least one acting generator")
     n = len(act.generators)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilhom import cli
+from nilhom import cli, spectral, vbscan
 from nilhom.cli import main
 
 from reference_jsonio import DocumentCheck
@@ -327,6 +327,49 @@ def test_vbscan_far_past_the_hirsch_length(capsys):
     assert code == 0
     rows = json.loads(out)["scan"]["rows"]
     assert [row["total"] for row in rows] == [0, 0]
+
+
+@pytest.mark.parametrize("j,m_max", [(10 ** 8, 2), (1, 10 ** 8)],
+                         ids=["deep", "long"])
+def test_vbscan_refuses_a_scan_above_its_entry_limit(capsys, j, m_max):
+    # either shape used to run for minutes with no output
+    action = ('{"type":"action","group":%s,'
+              '"generators":[[["2","1"],["1","1"]]]}' % HEIS)
+    code, out, err = run_cli(capsys, "vbscan", "--group", action,
+                             "--j", str(j), "--m-max", str(m_max))
+    assert code == 2 and out == ""
+    assert f"(j + 1) * m_max <= {vbscan.MAX_SCAN_ENTRIES}" in err
+    assert f"j = {j} and m_max = {m_max}" in err
+
+
+@pytest.mark.parametrize("argv,rank,limit", [
+    (["betti"], spectral.MAX_CLOSED_FORM_RANK + 1, spectral.MAX_CLOSED_FORM_RANK),
+    (["betti"], 10 ** 6, spectral.MAX_CLOSED_FORM_RANK),
+    (["filtration", "--j", "1"], spectral.MAX_CLOSED_FORM_RANK + 1,
+     spectral.MAX_CLOSED_FORM_RANK),
+    (["filtration", "--j", "1"], 10 ** 6, spectral.MAX_CLOSED_FORM_RANK),
+    (["betti", "--integral"], spectral.MAX_INTEGRAL_RANK + 1,
+     spectral.MAX_INTEGRAL_RANK),
+], ids=["betti", "betti-huge", "filtration", "filtration-huge", "integral"])
+def test_a_class2_rank_above_its_limit_exit_2(capsys, argv, rank, limit):
+    # 2^r arm sets for the closed form, one Smith form per content block
+    # for the integral table: above the limit both refuse before any work,
+    # where rank 10^6 used to end in MemoryError
+    group = '{"type":"free_nilpotent","rank":%d,"class":2}' % rank
+    code, out, err = run_cli(capsys, *argv, "--group", group)
+    assert code == 2 and out == ""
+    assert f"takes rank <= {limit}, got rank {rank}" in err
+
+
+@pytest.mark.parametrize("exc", [TypeError, KeyError])
+def test_a_bug_inside_a_command_is_not_an_input_error(monkeypatch, exc):
+    # every input error is a ValueError: anything else propagates, and a
+    # script run shows its traceback and exits 1
+    def bug(r):
+        raise exc("bug")
+    monkeypatch.setattr(cli, "betti_free_nilpotent_c2", bug)
+    with pytest.raises(exc):
+        main(["betti", "--group", HEIS])
 
 
 CLASS3 = '{"type":"free_nilpotent","rank":2,"class":3}'

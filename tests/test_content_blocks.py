@@ -302,3 +302,20 @@ def test_integral_path_checks_the_closed_form(monkeypatch):
             homology_free_nilpotent_c2(3, 2)
     finally:
         _class2_cells.cache_clear()
+
+
+def test_every_class2_path_refuses_a_rank_above_its_limit():
+    # the library entry points behind betti, filtration and h2_class2
+    # refuse at the limit + 1, before any cell is built
+    over = spectral.MAX_CLOSED_FORM_RANK + 1
+    for call in (lambda: _class2_dims(over),
+                 lambda: betti_free_nilpotent_c2(over),
+                 lambda: h2_class2(FreeNilpotentSpec(over, 2)),
+                 lambda: filtration_certificate(FreeNilpotentSpec(over, 3), 2)):
+        with pytest.raises(ValueError, match=f"rank <= {over - 1}, got rank {over}"):
+            call()
+    over = spectral.MAX_INTEGRAL_RANK + 1
+    for call in (lambda: _class2_cells(over),
+                 lambda: homology_free_nilpotent_c2(over, 1)):
+        with pytest.raises(ValueError, match=f"rank <= {over - 1}, got rank {over}"):
+            call()

@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from nilhom import cli, jsonio
-from nilhom.groups import heisenberg
+from nilhom.groups import FreeNilpotentSpec, central_extension_of_class2
 from nilhom.sigma import full_sphere
 from nilhom.spectral import Page, e2_page
 
@@ -157,7 +157,7 @@ def test_page_documents_match_the_oracle(group, capsys, monkeypatch):
 def test_pages_anywhere_in_a_document_match_the_oracle():
     # pages the command line never prints: no cells, an empty cell, and
     # pages nested at other depths than a document's "page" key
-    heis = e2_page(heisenberg())
+    heis = e2_page(central_extension_of_class2(FreeNilpotentSpec(2, 2)))
     docs = [Page({}, {}), [Page({(0, 0): ()}, {})],
             {"a": [{"b": heis}, heis], "c": Page({}, {})}, [[], heis, 1]]
     for doc in docs:

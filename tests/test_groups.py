@@ -5,7 +5,7 @@ import pytest
 
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
                            NilpotentAction, central_extension_of_class2,
-                           hall_basis, heisenberg, induced_action_on_quotient,
+                           hall_basis, induced_action_on_quotient,
                            moebius, witt_number)
 from nilhom.jsonio import group_json, parse_group
 from nilhom.linalg import IntMatrix, RatMatrix
@@ -106,7 +106,7 @@ def test_action_validation_rejects_bad_input():
 
 
 def test_heisenberg_matches_class2_extraction():
-    h = heisenberg()
+    h = CentralExtension(2, 1, IntMatrix([[1]]))
     e = central_extension_of_class2(FreeNilpotentSpec(2, 2))
     assert h.q_rank == e.q_rank == 2
     assert h.a_rank == e.a_rank == 1

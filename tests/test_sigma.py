@@ -6,13 +6,11 @@ import pytest
 
 import reference_tameness as ref
 from nilhom.sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
-                          ValuationVector, _closure_certifies,
-                          finite_dimensional_is_fully_tame,
-                          full_sphere, m_tame, newton_polytope,
+                          ValuationVector, _closure_certifies, full_sphere,
+                          m_tame, newton_polytope,
                           sigma_complement, sigma_complement_principal,
                           sigma_witness_search, tame_requirement,
                           tensor_power_fg_check)
-from nilhom.linalg import RatMatrix
 
 
 def poly(nvars, terms):
@@ -425,22 +423,6 @@ def test_closure_certificate_matches_fraction_reference():
         assert _closure_certifies(spec, m, bound) == want, (spec, m, bound)
         outcomes[len(spec.ideal), want] += 1
     assert min(outcomes.values()) >= 3, outcomes
-
-
-def test_finite_dimensional_certificates():
-    assert not finite_dimensional_is_fully_tame(1, [RatMatrix([[2]])]).cones
-    assert not finite_dimensional_is_fully_tame(2, [RatMatrix.identity(2)]).cones
-    # diagonal prime-power action
-    sc = finite_dimensional_is_fully_tame(
-        2, [RatMatrix([[3, 0], [0, 9]]), RatMatrix([[1, 0], [0, 3]])])
-    assert not sc.cones
-    for m in range(2, 13):
-        assert m_tame(sc, m)
-    with pytest.raises(ValueError):
-        finite_dimensional_is_fully_tame(2, [RatMatrix([[1, 0], [0, 0]])])
-    with pytest.raises(ValueError):
-        finite_dimensional_is_fully_tame(
-            2, [RatMatrix([[1, 1], [0, 1]]), RatMatrix([[1, 0], [1, 1]])])
 
 
 def test_sigma_complement_spec_level():

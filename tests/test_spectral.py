@@ -8,7 +8,7 @@ from math import comb, prod
 import pytest
 
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
-                           central_extension_of_class2, heisenberg)
+                           central_extension_of_class2)
 from nilhom.jsonio import frac_str
 from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix,
                            matrix_rank, rank_kernel_image, smith_normal_form)
@@ -24,6 +24,8 @@ import reference_linalg as ref
 import reference_spectral as ref_spectral
 from reference_jsonio import dumps
 from reference_spectral import nonzero_rows, sparse
+
+HEISENBERG = central_extension_of_class2(FreeNilpotentSpec(2, 2))
 
 
 def random_extension(rng, n_max=4, a_max=3):
@@ -69,7 +71,7 @@ def test_block_cells_hold_labels_in_order(r):
 
 
 def test_e2_cell_dimensions():
-    page = e2_page(heisenberg())
+    page = e2_page(HEISENBERG)
     assert page.cell_dim(2, 0) == 1
     assert page.cell_dim(0, 2) == 0
     zero_pair = CentralExtension(2, 2,
@@ -85,7 +87,7 @@ def test_d2_zero_pairing_is_zero():
 
 
 def test_d2_heisenberg_matches_formula():
-    d = d2_central(heisenberg(), 2, 0)
+    d = d2_central(HEISENBERG, 2, 0)
     assert d.dense().entries == ((Fraction(1),),)
 
 
@@ -98,7 +100,7 @@ def test_d2_rank3_single_pair():
 
 def test_d2_low_p_is_zero_shape():
     for p in (0, 1):
-        d = d2_central(heisenberg(), p, 0)
+        d = d2_central(HEISENBERG, p, 0)
         assert d.rows == 0 and d.cols == comb(2, p)
 
 
@@ -391,7 +393,7 @@ def test_page_check_passes_products_that_cancel():
 
 
 def test_page_rejects_differential_of_wrong_shape():
-    page = e2_page(heisenberg())
+    page = e2_page(HEISENBERG)
     diffs = dict(page.diffs)
     diffs[(2, 0)] = sparse(IntMatrix.zero(1, 2))
     with pytest.raises(ValueError, match=r"at \(2, 0\) has shape \(1, 2\), "
@@ -400,7 +402,7 @@ def test_page_rejects_differential_of_wrong_shape():
 
 
 def test_page_rejects_a_dense_differential():
-    page = e2_page(heisenberg())
+    page = e2_page(HEISENBERG)
     for dense in (page.diff(2, 0), page.diff(2, 0).to_rat()):
         with pytest.raises(TypeError, match=r"at \(2, 0\) must be a "
                                             r"SparseIntMatrix"):
@@ -411,7 +413,7 @@ def test_equivariant_page_rejects_noncommuting_action():
     # Anosov acts on the centre of the Heisenberg group by its determinant
     # 1; claiming -1 for the second generator breaks d2 at cell (2, 0)
     g = RatMatrix([[2, 1], [1, 1]])
-    page = e2_page(heisenberg())
+    page = e2_page(HEISENBERG)
     EquivariantPage(page, [g, g], [RatMatrix([[1]]), RatMatrix([[1]])])
     with pytest.raises(ValueError, match=r"cell \(2, 0\) fails to commute "
                                          r"with generator 1"):
@@ -429,7 +431,7 @@ def test_equivariant_identity_action():
 
 def test_equivariant_heisenberg_cells():
     g = IntMatrix([[2, 1], [1, 1]])
-    ep = equivariant_page(heisenberg(), [g])
+    ep = equivariant_page(HEISENBERG, [g])
     assert ep.actions[(1, 0)][0] == g.to_rat()
     assert ep.actions[(0, 1)][0] == RatMatrix([[1]])
 
