@@ -94,16 +94,32 @@ def _cmd_betti(args):
     return _document("betti", config, payload)
 
 
+# a page has 2^(q_rank + a_rank) labels and is written densely: 15 is the
+# rank-5 free page, and rank 6 (21) would be about 7 * 10^10 entries
+MAX_PAGE_RANK = 15
+
+
+def _require_page_rank(q_rank, a_rank):
+    if q_rank + a_rank > MAX_PAGE_RANK:
+        raise ValueError(f"pages take q_rank + a_rank <= {MAX_PAGE_RANK}, got "
+                         f"q_rank {q_rank} and a_rank {a_rank}")
+
+
 def _cmd_pages(args):
     group = jsonio.parse_group(_load_json(args.group, "--group"))
     config = {"group": jsonio.group_json(group)}
     if isinstance(group, FreeNilpotentSpec):
-        page = e2_page(central_extension_of_class2(group))
+        if group.nil_class <= 2:
+            # sized before the identity pairing is built; class three or
+            # more is refused by central_extension_of_class2
+            r = group.rank
+            _require_page_rank(r, binomial(r, 2) if group.nil_class == 2 else 0)
+        group = central_extension_of_class2(group)
     elif isinstance(group, CentralExtension):
-        page = e2_page(group)
+        _require_page_rank(group.q_rank, group.a_rank)
     else:
         raise ValueError("pages needs a free_nilpotent or central_extension spec")
-    return _document("pages", config, {"page": page})
+    return _document("pages", config, {"page": e2_page(group)})
 
 
 def _cmd_filtration(args):

@@ -361,6 +361,32 @@ def test_a_class2_rank_above_its_limit_exit_2(capsys, argv, rank, limit):
     assert f"takes rank <= {limit}, got rank {rank}" in err
 
 
+@pytest.mark.parametrize("group,q_rank,a_rank", [
+    ('{"type":"free_nilpotent","rank":1000000,"class":2}', 10 ** 6,
+     10 ** 6 * (10 ** 6 - 1) // 2),
+    ('{"type":"free_nilpotent","rank":40,"class":1}', 40, 0),
+    ('{"type":"central_extension","q_rank":1000000,"a_rank":0,"pairing":[]}',
+     10 ** 6, 0),
+    ('{"type":"free_nilpotent","rank":6,"class":2}', 6, 15),
+    ('{"type":"central_extension","q_rank":16,"a_rank":0,"pairing":[]}', 16, 0),
+], ids=["free-huge", "class-one", "extension-huge", "rank-6", "just-above"])
+def test_a_page_above_its_limit_exit_2(capsys, group, q_rank, a_rank):
+    # a page has 2^(q_rank + a_rank) labels; the first three printed
+    # nothing in 5 s before the limit
+    code, out, err = run_cli(capsys, "pages", "--group", group)
+    assert code == 2 and out == ""
+    assert (f"pages take q_rank + a_rank <= {cli.MAX_PAGE_RANK}, got "
+            f"q_rank {q_rank} and a_rank {a_rank}") in err
+
+
+def test_a_page_at_its_limit_is_written(capsys):
+    ext = '{"type":"central_extension","q_rank":%d,"a_rank":0,"pairing":[]}'
+    code, out, _ = run_cli(capsys, "pages", "--group", ext % cli.MAX_PAGE_RANK)
+    assert code == 0
+    cells = json.loads(out)["page"]["cells"]
+    assert sum(c["dim"] for c in cells) == 2 ** cli.MAX_PAGE_RANK
+
+
 @pytest.mark.parametrize("exc", [TypeError, KeyError])
 def test_a_bug_inside_a_command_is_not_an_input_error(monkeypatch, exc):
     # every input error is a ValueError: anything else propagates, and a

@@ -8,14 +8,14 @@ per set of at most n + 1 distinct cones.  The seeded unions mix wedges
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 import reference_tameness as ref
 from nilhom import lp
 from nilhom.filtration import tensor_degree_bound
-from nilhom.sigma import Cone, ConeUnion, m_tame, tame_requirement
+from nilhom.sigma import Cone, ConeUnion, _cone_points, m_tame, tame_requirement
 from nilhom.vbscan import hypothesis_report
 
 
@@ -184,6 +184,55 @@ def _cone_set_systems(rng):
         yield cons, nvars
 
 
+def _negative_point_systems(rng):
+    # mostly "==" rows through a point with negative coordinates, and rows
+    # x_i <= c with c <= 0: the free columns must enter with their sign
+    # flipped, and their rows are dropped; one constant in four is moved
+    # off the point
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        point = [Fraction(rng.randint(-5, -1), rng.randint(1, 2))
+                 for _ in range(nvars)]
+        cons = []
+        for _ in range(rng.randint(1, nvars + 2)):
+            coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
+            const = -sum(c * x for c, x in zip(coeffs, point))
+            if rng.random() < 0.25:
+                const += rng.choice([-1, 1])
+            cons.append((coeffs, const, lp.EQ))
+        for _ in range(rng.randint(0, 2)):
+            coeffs = [Fraction(0)] * nvars
+            coeffs[rng.randrange(nvars)] = Fraction(-1)
+            cons.append((coeffs, Fraction(rng.randint(-6, 0)), lp.GE))
+        yield cons, nvars
+
+
+def _random_pointed_cone(rng, n):
+    """A ray through a nonzero point of [-2, 2]^n, or a wedge of two or
+    three inequality rows."""
+    if rng.random() < 0.6:
+        r = [0] * n
+        while not any(r):
+            r = [rng.randint(-2, 2) for _ in range(n)]
+        return _ray(r)
+    return Cone(n, [[rng.randint(-2, 2) for _ in range(n)]
+                    for _ in range(rng.randint(2, 3))])
+
+
+def _cone_choice_systems(rng):
+    # the LP the subset search asks of a set of k <= 5 cones in three
+    # variables: a point phi_c(v_c) >= 1 in each cone and the points
+    # summing to zero
+    n = 3
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        cones = [_random_pointed_cone(rng, n) for _ in range(k)]
+        sums = [(((0,) * i + (1,) + (0,) * (n - i - 1)) * k, 0, lp.EQ)
+                for i in range(n)]
+        yield ([([Fraction(c) for c in coeffs], Fraction(const), rel)
+                for coeffs, const, rel in _cone_points(cones) + sums], n * k)
+
+
 def _scaled_to_integers(cons):
     """Each row times the lcm of its denominators, with int entries."""
     out = []
@@ -200,7 +249,9 @@ def test_ge_eq_systems_match_reference_lp():
     for family, seed, least in ((_integer_systems, 7, 50),
                                 (_rational_systems, 11, 49),
                                 (_degenerate_systems, 12, 29),
-                                (_cone_set_systems, 13, 9)):
+                                (_cone_set_systems, 13, 9),
+                                (_negative_point_systems, 15, 79),
+                                (_cone_choice_systems, 16, 19)):
         outcomes = {True: 0, False: 0}
         for cons, nvars in family(random.Random(seed)):
             want = ref.feasible(cons, nvars)
@@ -209,6 +260,58 @@ def test_ge_eq_systems_match_reference_lp():
             assert lp.feasible(_scaled_to_integers(cons), nvars) == want, cons
             outcomes[want] += 1
         assert min(outcomes.values()) > least, (family.__name__, outcomes)
+
+
+def test_rows_that_hold_at_the_origin_need_no_pivot(monkeypatch):
+    # ">=" rows with const >= 0 start with their slacks basic: x = 0 is
+    # feasible, and the only content reductions are one per stored row
+    calls = 0
+    reduce = lp._reduce
+
+    def counted(row):
+        nonlocal calls
+        calls += 1
+        return reduce(row)
+
+    monkeypatch.setattr(lp, "_reduce", counted)
+    rng = random.Random(14)
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        cons = [([Fraction(rng.randint(-3, 3)) for _ in range(nvars)],
+                 Fraction(rng.randint(0, 6), rng.randint(1, 3)), lp.GE)
+                for _ in range(rng.randint(1, 6))]
+        assert ref.feasible(cons, nvars)
+        ints = _scaled_to_integers(cons)
+        calls = 0
+        assert lp.feasible(ints, nvars)
+        assert calls == sum(1 for coeffs, _, _ in ints if any(coeffs))
+
+
+# primitive integer points with z >= 1; CI asks `tame --m 6` of the
+# union of all 13 rays as a whole process
+Z_RAYS = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1),
+          (-1, 1, 1), (1, -1, 1), (-1, -1, 1), (2, 1, 1), (1, 2, 1), (-2, 1, 2),
+          (1, -2, 3))
+
+
+@pytest.mark.parametrize("k", [5, 13])
+def test_a_ray_union_asks_one_lp_per_cone_set(monkeypatch, k):
+    # rays in the open half space z > 0 have no nonzero vectors summing to
+    # zero, so the union is tame at every m and the search asks every set
+    # of 2, 3 and 4 = n + 1 distinct cones
+    calls = []
+    feasible = lp.feasible
+
+    def recording(cons, nvars):
+        calls.append(nvars)
+        return feasible(cons, nvars)
+
+    monkeypatch.setattr(lp, "feasible", recording)
+    assert all(gcd(*p) == 1 and p[2] >= 1 for p in Z_RAYS)
+    sc = ConeUnion(3, [_ray(list(p)) for p in Z_RAYS[:k]])
+    assert len(sc.cones) == k
+    assert m_tame(sc, 6)
+    assert len(calls) == comb(k, 2) + comb(k, 3) + comb(k, 4)
 
 
 # Beale's cycling example as a phase-one tableau, columns reordered: the
