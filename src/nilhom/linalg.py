@@ -1,20 +1,19 @@
-"""Dense exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals and the integers.
 
 Everything downstream (spectral differentials, Koszul complexes, cone
-feasibility) reduces to the routines in this module, so it stays small,
-dense and exact.  ``RatMatrix`` and ``IntMatrix`` share one body and
+feasibility) reduces to the routines in this module, so it stays small
+and exact.  ``RatMatrix`` and ``IntMatrix`` share one dense body and
 differ only in how an entry is coerced: rational matrices hold
 ``fractions.Fraction`` entries, integer matrices hold Python ints and
 raise on a ``Fraction`` or float rather than truncate it.  Both are
 immutable after construction and safe to share between threads.
 ``SparseIntMatrix`` holds an integer matrix as the nonzero entries of
 its rows, the form of the degree-2 differentials of spectral pages; it
-carries no algebra and turns into an ``IntMatrix`` where one is needed.
+turns into an ``IntMatrix`` for the dense routines.
 
 Every dense rank, kernel, image, solve and determinant runs through one
-fraction-free Gauss-Jordan routine on integer rows (``_eliminate``);
-only the Smith normal form chooses its pivots by another rule, and it
-returns the invariant factors alone, with no unimodular transforms.
+fraction-free Gauss-Jordan routine on integer rows (``_eliminate``); the
+Smith normal form eliminates on sparse rows and returns its factors alone.
 Every matrix product runs through ``_product``: the left rows and the
 right columns are scaled to integers (an ``IntMatrix`` passes its own
 through, as it does to elimination), only nonzero entries are
@@ -38,6 +37,8 @@ keeps fixtures bit-reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm, prod
@@ -210,8 +211,8 @@ class SparseIntMatrix:
     """Integer matrix held as the nonzero entries of its rows.
 
     ``terms[i]`` lists the (column, entry) pairs of row i, each column at
-    most once and in any order; every entry not listed is zero.  It does
-    no algebra of its own: ``dense`` gives the ``IntMatrix``.
+    most once and in any order; every entry not listed is zero.
+    ``smith_normal_form`` reads these rows; ``dense`` gives the ``IntMatrix``.
 
     >>> m = SparseIntMatrix([[(2, -1)], []], 2, 3)
     >>> m.dense().entries
@@ -501,65 +502,53 @@ def tensor_power_map(m: _Matrix, s: int) -> _Matrix:
     return out
 
 
-def smith_normal_form(m: IntMatrix) -> tuple:
-    """Invariant factors of an integer matrix.
+def smith_normal_form(m) -> tuple:
+    """Invariant factors of an ``IntMatrix`` or a ``SparseIntMatrix``.
 
     The nonzero diagonal d1 | d2 | ... of the Smith normal form, each
-    positive, so its length is the rank.  Pivots are entries of least
-    absolute value, the first in row order, so the search ends at a
-    unit; rows and columns are reduced modulo the pivot until it divides
-    its whole row, column and remaining block.  A unit divides
-    everything, so its block is not searched for a violation, and a
-    column operation touches only the rows with a nonzero in the pivot
-    column.
+    positive, so its length is the rank.  Sparse elimination on the
+    nonzero entries of the rows (Dumas, Heckenbach, Saunders and Welker,
+    2003): the pivot p is an entry of least absolute value, ties broken
+    by the Markowitz cost (row nonzeros - 1)(column nonzeros - 1).  Its
+    column is reduced modulo p by row operations, then its row by column
+    operations, which touch no other row once the column is clear; if
+    |p| > 1 still fails to divide an entry, that row is added to the
+    pivot row.  A remainder left is below |p|, and the step is tried
+    again; else |p| is recorded.  So a unit pivot is one Schur-complement
+    step, and the factors come out in divisibility order.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
     """
-    nr, nc = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    t = 0
-    while t < min(nr, nc):
-        least = 0
-        for i in range(t, nr):
-            seg = [abs(x) for x in a[i][t:]]
-            low = min(filter(None, seg), default=0)
-            if low and (not least or low < least):
-                least, bi, bj = low, i, t + seg.index(low)
-                if least == 1:
-                    break
-        if not least:
-            break
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        top = a[t]
-        p = top[t]
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t]:
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], top)]
-                dirty = dirty or a[i][t] != 0
-        # finished rows are zero from column t on, so only these can change
-        live = [row for row in a[t:] if row[t]]
-        for j in range(t + 1, nc):
-            if top[j]:
-                q = top[j] // p
-                for row in live:
-                    row[j] -= q * row[t]
-                dirty = dirty or top[j] != 0
-        if dirty:
+    grid = m.terms if isinstance(m, SparseIntMatrix) else map(enumerate, m.entries)
+    rows = [r for r in ({k: x for k, x in row if x} for row in grid) if r]
+    diag = []
+    while rows:
+        cols = Counter(k for r in rows for k in r)
+        least, _, i, j = min((abs(x), (len(r) - 1) * (cols[k] - 1), i, k)
+                             for i, r in enumerate(rows) for k, x in r.items())
+        top = rows.pop(i)
+        p = top[j]
+        for r in rows:
+            q = r.get(j, 0) // p
+            if q:
+                for k, y in top.items():
+                    r[k] = r.get(k, 0) - q * y
+                    if not r[k]:
+                        del r[k]
+        rows = [r for r in rows if r]
+        if any(j in r for r in rows):
+            rows.append(top)
             continue
-        viol = None if least == 1 else next(
-            (i for i in range(t + 1, nr)
-             if any(a[i][j] % p for j in range(t + 1, nc))), None)
-        if viol is not None:
-            a[t] = [x + y for x, y in zip(top, a[viol])]
-            continue
-        top[t] = least
-        t += 1
-    return tuple(a[i][i] for i in range(t))
+        rest = {k: x % p for k, x in top.items() if x % p}
+        if not rest and least > 1:
+            bad = next((r for r in rows if any(x % p for x in r.values())), {})
+            rest = {k: x % p for k, x in bad.items() if x % p}
+        if rest:
+            rows.append({j: p, **rest})
+        else:
+            diag.append(least)
+    return tuple(diag)
 
 
 def merge_invariant_factors(chain, factors):
@@ -568,7 +557,9 @@ def merge_invariant_factors(chain, factors):
     ``chain`` is a divisibility chain d_1 | ... | d_k of factors above 1;
     each f is inserted by replacing (d, f) with (lcm, gcd) from the top of
     the chain down, since Z/d + Z/f is Z/lcm(d, f) + Z/gcd(d, f).  The
-    result is again a chain with the factors 1 dropped.
+    walk starts below the multiples of f, a suffix it leaves as it is,
+    and stops at a d dividing f, below which it would only shift the
+    chain up by one.  The result is a chain with the factors 1 dropped.
 
     >>> merge_invariant_factors((2,), (3,))
     (6,)
@@ -577,10 +568,12 @@ def merge_invariant_factors(chain, factors):
     """
     out = list(chain)
     for f in factors:
-        for i in range(len(out) - 1, -1, -1):
+        i = bisect_left(out, True, key=lambda d: d % f == 0)
+        while i and f % out[i - 1]:
+            i -= 1
             out[i], f = lcm(out[i], f), gcd(out[i], f)
         if f > 1:
-            out.insert(0, f)
+            out.insert(i, f)
     return tuple(out)
 
 

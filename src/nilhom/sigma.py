@@ -360,7 +360,8 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     Returns the first pivot, in row order, whose minimal v-value is
     attained at a single support point, divided by its lead coefficient,
     and stops there; the remaining shifts are never built.  Returns None
-    when the bounded search is inconclusive.
+    when the bounded search is inconclusive, and raises ValueError past
+    ``MAX_WITNESS_ROWS`` rows ((2 degree_bound + 1)^n per generator).
     """
     if len(v.v) != spec.nvars:
         raise ValueError("direction arity mismatch")
@@ -376,7 +377,7 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     def key(m):
         return sum(a * b for a, b in zip(weights, m)), m
 
-    pivots = {}
+    pivots, rows = {}, 0
     for gi, g in enumerate(spec.ideal):
         ints, scale = integral_row(list(g.terms.values()))
         terms = list(zip(g.terms, ints))
@@ -384,6 +385,10 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
             for sh in product(range(-r, r + 1), repeat=n):
                 if max(map(abs, sh), default=0) != r:
                     continue
+                rows += 1
+                if rows > MAX_WITNESS_ROWS:
+                    raise ValueError(f"the witness search at degree bound {degree_bound}"
+                                     f" passed its limit of {MAX_WITNESS_ROWS} rows")
                 vec = {tuple(e + s for e, s in zip(exp, sh)): c for exp, c in terms}
                 vec, combo = _sparse_reduce(vec, {(gi, sh): scale}, pivots, key)
                 if not vec:
@@ -468,6 +473,7 @@ def tame_requirement(c: int, n: int) -> int:
     return 2 * (c * (n - 1) + 1)
 
 
+MAX_WITNESS_ROWS = 20_000  # rows a witness search may reduce
 _MONOMIAL_BUDGET = 4000  # caps the candidate box; 4x it caps the translate box
 
 

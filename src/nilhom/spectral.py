@@ -28,14 +28,14 @@ The integral page needs the differentials.  The free class-two page is
 graded by content, the multidegree in Z^r of a label, and d2 keeps it,
 so it is computed block by block: one block per content up to the
 permutations of the generators, counted once for every content in its
-orbit.  Each block differential takes one Smith form, which gives both
+orbit.  One Smith form of each block differential's sparse rows gives
 its rank and the torsion of its target cell; the dimensions from the
-ranks (the integral free ranks) are checked against the closed form.
-Rank 5 takes well under a second, with blocks at most 70 wide against
-cells up to 2520 wide.  ``e2_page`` and ``ks_page`` still build the
-whole page, for ``pages``, which prints it, and as the reference the
-blocks are tested against.  Equivariant pages use it only up to a total
-degree bound: a degree-j scan reads cells of total degree at most j + 1.
+ranks are checked against the closed form.  Rank 6 takes about 5 s,
+with blocks at most 810 wide against cells up to 128,700 wide.
+``e2_page`` and ``ks_page`` still build the whole page, for ``pages``,
+which prints it, and as the reference the blocks are tested against.
+Equivariant pages use it only up to a total degree bound: a degree-j
+scan reads cells of total degree at most j + 1.
 
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
@@ -53,13 +53,13 @@ is built for ``pages`` and its memory is bounded by the nonzeros.  Each
 block is a ``Page`` on the labels of its content, so the page's shape
 and d2 o d2 = 0 checks serve it.  That check multiplies no matrices:
 each row of a composite is summed from the rows of the two
-differentials in exact integers and must vanish.  The dense algebra
-takes ``dense()`` of a differential: ``e3_dimensions`` ranks it by
-Bareiss elimination, ``_class2_cells`` takes its Smith form, the
-equivariant check multiplies it by the actions, and ``Page.diff`` hands
-it to the filtration.  The pairing is an integer matrix, so every d2 is
-one too, and only the equivariant check multiplies differentials by
-rational actions.
+differentials in exact integers and must vanish.  ``e3_dimensions``
+and ``_class2_cells`` rank a differential by the Smith form of its rows
+as they are; only the equivariant check, which multiplies it by the
+actions, and ``Page.diff``, which hands it to the filtration, take
+``dense()``.  The pairing is an integer matrix, so every d2 is one too,
+and only the equivariant check multiplies differentials by rational
+actions.
 """
 
 from __future__ import annotations
@@ -302,8 +302,9 @@ def e3_dimensions(page: Page):
     The page of a central extension is the Chevalley-Eilenberg complex of
     its Malcev Lie algebra, so by Nomizu (1954) the third page is the
     rational limit, and the totals in degree j are the j-th Betti number.
+    A rank is the length of the Smith form of a differential's rows.
     """
-    ranks = {pq: matrix_rank(d.dense()) for pq, d in page.diffs.items()}
+    ranks = {pq: len(smith_normal_form(d)) for pq, d in page.diffs.items()}
     return {(p, q): len(labels) - ranks.get((p, q), 0) - ranks.get((p + 2, q - 1), 0)
             for (p, q), labels in page.cells.items()}
 
@@ -408,15 +409,16 @@ def _class2_cells(r: int):
     Maps every cell (p, q), 0 <= p <= r and 0 <= q <= C(r, 2), to its
     rational dimension, which is also its integral free rank (universal
     coefficients), and its invariant factors above 1 in divisibility
-    order.  One Smith form per block differential gives its rank (the
-    length) and the torsion of its target cell (p - 2, q + 1): for a
-    cell C, C / ker(d_out) is im(d_out), free, so C / im(d_in) is
-    ker(d_out) / im(d_in) plus a free summand, and both have the torsion
-    of the Smith diagonal of d_in.  Each block counts once for every
-    content in its orbit (a signed permutation is unimodular).  The
-    dimensions from the ranks must equal Sigg's closed form with Nomizu
-    (``_class2_dims``), cell by cell, or ValueError names the first cell
-    that differs.  A rank above ``MAX_INTEGRAL_RANK`` is refused.
+    order.  One Smith form of each block differential's sparse rows
+    gives its rank (the length) and the torsion of its target cell
+    (p - 2, q + 1): for a cell C, C / ker(d_out) is im(d_out), free, so
+    C / im(d_in) is ker(d_out) / im(d_in) plus a free summand, and both
+    have the torsion of the Smith diagonal of d_in.  Each block counts
+    once for every content in its orbit (a signed permutation is
+    unimodular).  The dimensions from the ranks must equal Sigg's closed
+    form with Nomizu (``_class2_dims``), cell by cell, or ValueError
+    names the first cell that differs.  A rank above
+    ``MAX_INTEGRAL_RANK`` is refused.
     """
     if r > MAX_INTEGRAL_RANK:
         raise ValueError(f"the integral class-two table takes rank <= "
@@ -426,13 +428,11 @@ def _class2_cells(r: int):
     for _, orbit, page in _class2_blocks(r):
         ranks = {}
         for (p, q), d in page.diffs.items():
-            diag = smith_normal_form(d.dense())
+            diag = smith_normal_form(d)
             ranks[(p, q)] = len(diag)
-            factors = tuple(f for f in diag if f > 1)
-            if factors:
-                cell = (p - 2, q + 1)
-                torsion[cell] = merge_invariant_factors(torsion.get(cell, ()),
-                                                        factors * orbit)
+            cell = (p - 2, q + 1)
+            torsion[cell] = merge_invariant_factors(
+                torsion.get(cell, ()), [f for f in diag if f > 1] * orbit)
         for (p, q), labels in page.cells.items():
             dims[(p, q)] += orbit * (len(labels) - ranks.get((p, q), 0)
                                      - ranks.get((p + 2, q - 1), 0))

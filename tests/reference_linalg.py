@@ -6,12 +6,15 @@ kernel and the sparse integer product in :mod:`nilhom.linalg` so that
 tests and oracles can check those against them.  ``smith_normal_form``
 is the library's former Smith reduction with its unimodular transforms,
 the oracle for the diagonal-only routine that replaced it.
+``merge_invariant_factors`` is the library's former merge, which walks
+the whole chain for every factor.
 ``exterior_power_map`` takes every minor with its own ``det``, as the
 library did before it expanded each size of minor from the one below.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from nilhom.linalg import IntMatrix, RatMatrix
 
@@ -185,3 +188,17 @@ def smith_normal_form(m: IntMatrix):
     return (IntMatrix(u, nr, nr),
             IntMatrix(a, nr, nc),
             IntMatrix(v, nc, nc))
+
+
+def merge_invariant_factors(chain, factors):
+    """Invariant factors of the sum of Z/d over ``chain`` and Z/f over
+    ``factors``: each f walks the whole chain from the top down,
+    replacing (d, f) with (lcm, gcd), and what is left above 1 is
+    prepended."""
+    out = list(chain)
+    for f in factors:
+        for i in range(len(out) - 1, -1, -1):
+            out[i], f = lcm(out[i], f), gcd(out[i], f)
+        if f > 1:
+            out.insert(0, f)
+    return tuple(out)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilhom import cli, spectral, vbscan
+from nilhom import cli, sigma, spectral, vbscan
 from nilhom.cli import main
 
 from reference_jsonio import DocumentCheck
@@ -455,6 +455,26 @@ def test_sigma_witness_rejects_a_negative_degree_bound(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--module",
                            '{"nvars":1,"ideal":[]}', "--degree-bound", "0")
     assert code == 0 and json.loads(out)["config"]["degree_bound"] == 0
+
+
+def test_sigma_witness_refuses_a_search_past_its_row_limit(capsys):
+    # the supports of the tameness benchmark's witness.i1: bound 3 finds a
+    # witness among the second generator's rows, but bound 10^6 runs
+    # through the first generator's shells before it, and printed nothing
+    # in 20 s; now it stops once it passes the row limit
+    mod = json.dumps({"nvars": 3, "ideal": [
+        [{"coeff": "1", "exp": [0, 0, 0]}, {"coeff": "1", "exp": [1, 1, 0]},
+         {"coeff": "1", "exp": [0, 0, 1]}],
+        [{"coeff": "1", "exp": [1, 0, 0]}, {"coeff": "1", "exp": [0, 1, 0]},
+         {"coeff": "1", "exp": [0, 0, 1]}]]})
+    code, out, _ = run_cli(capsys, "sigma", "--module", mod,
+                           "--witness", "[-1,1,2]", "--degree-bound", "3")
+    assert code == 0 and json.loads(out)["witness"] != "unknown"
+    code, out, err = run_cli(capsys, "sigma", "--module", mod, "--witness",
+                             "[-1,1,2]", "--degree-bound", str(10 ** 6))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert (f"the witness search at degree bound 1000000 passed its limit of "
+            f"{sigma.MAX_WITNESS_ROWS} rows") in err
 
 
 def test_sigma_output_feeds_tame_input(capsys):

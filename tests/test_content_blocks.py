@@ -4,8 +4,9 @@ The block path (``_class2_blocks`` and its one Smith form per block
 differential in ``_class2_cells``) must agree with the dense page
 (``e3_dimensions`` and the dense Smith reduction in
 ``reference_spectral``) for r <= 4, with Bareiss ranks block by block
-for r = 5, and with Sigg's closed form for the Betti numbers of free
-two-step nilpotent groups for r <= 5.  The closed-form cells
+for r = 5, with Sigg's closed form for the Betti numbers of free
+two-step nilpotent groups for r <= 5, and with the recorded torsion
+table of r = 6.  The closed-form cells
 (``_class2_dims``), which the rational paths read, are checked against
 the blocks and against ``reference_spectral.class2_dims`` cell by cell,
 and against the box walk of ``sigg_betti``, which stays independent of
@@ -81,6 +82,22 @@ def test_rank5_smith_lengths_equal_bareiss_ranks():
         for pq in blk.diffs:
             d = blk.diff(*pq)
             assert len(smith_normal_form(d)) == matrix_rank(d), pq
+
+
+def test_rank6_torsion_table():
+    # the integral table of rank 6: its only factors are 3 and 15, so
+    # 5-torsion appears first at this rank, and each cell holds these
+    # many of each (the dimensions are checked against the closed form
+    # inside _class2_cells)
+    threes = {}
+    for p, first, counts in ((1, 3, (126, 490, 630, 336, 76, 6)),
+                             (2, 4, (21, 281, 1611, 4341, 5950, 4341, 1611,
+                                     281, 21)),
+                             (3, 8, (6, 76, 336, 630, 490, 126))):
+        threes.update({(p, first + i): c for i, c in enumerate(counts)})
+    fifteens = {(2, 6 + i): c for i, c in enumerate((105, 384, 560, 384, 105))}
+    for pq, (_, torsion) in _class2_cells(6).items():
+        assert torsion == (3,) * threes.get(pq, 0) + (15,) * fifteens.get(pq, 0), pq
 
 
 def test_one_smith_form_per_block_differential(monkeypatch):

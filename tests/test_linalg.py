@@ -6,7 +6,7 @@ import pytest
 
 from nilhom.filtration import is_nilpotent_action
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
-from nilhom.linalg import (IntMatrix, RatMatrix, det,
+from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix, det,
                            exterior_power_map, image_matrix, kernel_matrix,
                            kron, matrix_rank, merge_invariant_factors,
                            rank_kernel_image, require_commuting,
@@ -242,6 +242,59 @@ def test_snf_random_properties():
     assert unit_then_core >= 10
 
 
+def _sparse_snf_cases(rng):
+    """Seeded ``SparseIntMatrix`` inputs for the Smith form: the shapes
+    with no entry at all, then matrices with non-unit entries, empty rows
+    and columns, no unit anywhere, and products through a narrow middle
+    whose units leave a core of larger factors."""
+    for nr, nc in ((0, 0), (0, 4), (4, 0), (3, 5), (6, 2)):
+        yield SparseIntMatrix([[] for _ in range(nr)], nr, nc)
+    for trial in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        kind = trial % 3
+        if kind == 0:
+            # sparse, entries of any size, some rows and columns empty
+            values = (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)
+            grid = [[rng.choice(values) if rng.random() < 0.35 else 0
+                     for _ in range(nc)] for _ in range(nr)]
+        elif kind == 1:
+            # no unit anywhere: every entry a nonzero multiple of 2 or 3
+            grid = [[rng.choice((2, 3)) * rng.randint(-3, 3)
+                     if rng.random() < 0.5 else 0 for _ in range(nc)]
+                    for _ in range(nr)]
+        else:
+            k = rng.randint(1, 4)
+            left = IntMatrix([[rng.choice((-1, 0, 0, 1)) for _ in range(k)]
+                              for _ in range(nr)])
+            right = IntMatrix([[rng.choice((-1, 0, 0, 1)) * scale
+                                for _ in range(nc)]
+                               for scale in rng.choices((1, 2, 3, 5), k=k)])
+            grid = (left * right).entries
+        terms = [[(j, x) for j, x in enumerate(row) if x] for row in grid]
+        for row in terms:
+            rng.shuffle(row)  # a row's pairs come in any order
+        yield SparseIntMatrix(terms, nr, nc)
+
+
+def test_sparse_snf_matches_the_transform_reference():
+    # the same factors from the sparse rows and from the dense matrix,
+    # and they are the reference's nonzero diagonal
+    rng = random.Random(3)
+    seen = {"no unit": 0, "core": 0, "zero": 0}
+    for m in _sparse_snf_cases(rng):
+        dense, terms = m.dense(), [list(row) for row in m.terms]
+        _, d, _ = ref.smith_normal_form(dense)
+        want = tuple(x for i, row in enumerate(d.entries)
+                     for j, x in enumerate(row) if i == j and x)
+        assert smith_normal_form(m) == want, m.terms
+        assert m.terms == terms  # the input rows are read, not reduced
+        assert smith_normal_form(dense) == want, dense
+        seen["no unit"] += bool(want) and want[0] > 1
+        seen["core"] += len(want) > 1 and want[0] == 1 and want[-1] > 1
+        seen["zero"] += not want
+    assert min(seen.values()) >= 10, seen
+
+
 def test_exterior_top_is_determinant():
     m = RatMatrix([[1, 2], [3, 4]])
     top = exterior_power_map(m, 2)
@@ -369,6 +422,25 @@ def test_merge_matches_smith_form_of_the_diagonal():
                           for i in range(n)], n, n)
         want = tuple(x for x in smith_normal_form(diag) if x > 1)
         assert merge_invariant_factors(chain, factors[cut:]) == want, factors
+
+
+def test_merge_long_chains_match_the_old_loop():
+    # chains thousands long, as the rank-6 integral cells give: the merge
+    # that starts below the multiples of f equals the whole-chain walk
+    rng = random.Random(56)
+    for pool in ((3, 3, 3, 15), (2, 4, 6, 12, 8), (2, 3, 5, 7, 30)):
+        factors = [rng.choice(pool) for _ in range(rng.randint(500, 1500))]
+        cut = rng.randint(0, len(factors))
+        chain = ref.merge_invariant_factors((), factors[:cut])
+        assert merge_invariant_factors(chain, factors[cut:]) \
+            == ref.merge_invariant_factors(chain, factors[cut:])
+    for _ in range(2000):
+        factors = [rng.choice((2, 3, 4, 5, 6, 9, 10, 12, 15, 18, 30, 45))
+                   for _ in range(rng.randint(0, 12))]
+        cut = rng.randint(0, len(factors))
+        chain = ref.merge_invariant_factors((), factors[:cut])
+        assert merge_invariant_factors(chain, factors[cut:]) \
+            == ref.merge_invariant_factors(chain, factors[cut:]), factors
 
 
 @pytest.mark.parametrize("kind", [RatMatrix, IntMatrix])

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import reference_tameness as ref
+from nilhom import sigma
 from nilhom.sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
                           ValuationVector, _closure_certifies, full_sphere,
                           m_tame, newton_polytope,
@@ -285,6 +286,21 @@ def test_witness_search_stops_in_the_first_shell():
     w = sigma_witness_search(spec, v, 0)
     assert w is not None and w.minimal_exponent == (0, 0, 0)
     assert sigma_witness_search(spec, v, 60) == w
+
+
+def test_witness_search_refuses_past_its_row_limit(monkeypatch):
+    # inside the complement the search runs to its bound: (2d + 1)^2 rows
+    # for one generator in two variables, 49 at d = 3
+    spec = CyclicModuleSpec(2, (TRIANGLE,))
+    v = ValuationVector((0, 1))
+    monkeypatch.setattr(sigma, "MAX_WITNESS_ROWS", 49)
+    assert sigma_witness_search(spec, v, 3) is None
+    monkeypatch.setattr(sigma, "MAX_WITNESS_ROWS", 48)
+    with pytest.raises(ValueError, match="degree bound 3 passed its limit of 48 rows"):
+        sigma_witness_search(spec, v, 3)
+    # a search that stops early takes any bound
+    w = sigma_witness_search(spec, ValuationVector((1, 2)), 10 ** 9)
+    assert w == sigma_witness_search(spec, ValuationVector((1, 2)), 2)
 
 
 def test_has_nonzero_point_matches_strict_reference():

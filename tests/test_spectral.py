@@ -172,6 +172,24 @@ def test_low_degrees_closed_form():
         assert homology_free_nilpotent_c2(r, 1).rational_dimension == r
 
 
+def test_e3_dimensions_match_dense_bareiss_ranks():
+    # e3_dimensions ranks each d2 by the sparse Smith form; Bareiss on
+    # the dense matrix stays the oracle, on the whole class-two pages and
+    # on extensions of the homology benchmark's shapes whose pairings
+    # have entries other than units
+    rng = random.Random(33)
+    pages = [ks_page(r) for r in (1, 2, 3, 4)]
+    for n, a in ((5, 3), (5, 4), (6, 3), (6, 4)):
+        pairing = IntMatrix([[rng.randint(-3, 3) for _ in range(comb(n, 2))]
+                             for _ in range(a)])
+        pages.append(e2_page(CentralExtension(n, a, pairing)))
+    for page in pages:
+        ranks = {pq: matrix_rank(d.dense()) for pq, d in page.diffs.items()}
+        assert e3_dimensions(page) == {
+            (p, q): len(labels) - ranks.get((p, q), 0) - ranks.get((p + 2, q - 1), 0)
+            for (p, q), labels in page.cells.items()}
+
+
 def test_corner_cells_die():
     # surjective pairing kills the outer corner at the third page
     for r in (2, 3, 4):
