@@ -62,11 +62,23 @@ def _document(command, config, payload):
     return doc
 
 
+# class one prints binomials C(r, j): rank 4,000 takes about a second in
+# betti, and from rank 14,000 on C(r, r/2) has more digits than str() takes
+MAX_CLASS_ONE_RANK = 4000
+
+
+def _require_class_one_rank(group):
+    if group.nil_class == 1 and group.rank > MAX_CLASS_ONE_RANK:
+        raise ValueError(f"class one takes rank <= {MAX_CLASS_ONE_RANK}, "
+                         f"got rank {group.rank}")
+
+
 def _cmd_betti(args):
     group = jsonio.parse_group(_load_json(args.group, "--group"))
     config = {"group": jsonio.group_json(group), "integral": bool(args.integral)}
     if not isinstance(group, FreeNilpotentSpec):
         raise ValueError("betti needs a free_nilpotent group spec")
+    _require_class_one_rank(group)
     if group.nil_class > 2:
         raise ValueError("betti supports free nilpotent groups of class "
                          "<= 2 only; higher classes have no closed page")
@@ -126,6 +138,7 @@ def _cmd_filtration(args):
     group = jsonio.parse_group(_load_json(args.group, "--group"))
     if not isinstance(group, FreeNilpotentSpec):
         raise ValueError("filtration certificates need a free_nilpotent spec")
+    _require_class_one_rank(group)
     cert = filtration_certificate(group, args.j)
     config = {"group": jsonio.group_json(group), "j": args.j}
     return _document("filtration", config,

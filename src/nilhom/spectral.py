@@ -40,22 +40,21 @@ scan reads cells of total degree at most j + 1.
 A cell is its basis: the tuple of its labels (I, J), with I a strictly
 increasing tuple of base generators and J one of centre generators, in
 lexicographic order.  The whole page takes its labels from
-``_cell_labels``.  Two kernels build d2, with one contraction, one sign
-rule and one order of the terms in a row.  A whole cell is a product of
-combinations, so ``d2_central`` builds a page's d2 from combination
-ranks, with no label tuple and no lookup by label; a block's labels are
-not a product, so a block's d2 comes from ``_d2_rows`` on its label
-lists, which tables the contractions of each I and the wedges into each
-J once.  A d2 is a ``SparseIntMatrix``, each row
-its nonzero (column, entry) pairs: a column out of cell (p, q) has at
-most C(p, 2)·a nonzeros (C(p, 2) for free class two), so no dense grid
-is built for ``pages`` and its memory is bounded by the nonzeros.  Each
+``_cell_labels``.  One kernel, ``_d2_rows``, builds every d2, on cells
+given as runs (I, Js), Js the J paired with I.  It indexes each target
+run once and tables the wedges once per pair of runs and centre
+generator: in a whole cell (``d2_central``) every I shares one Js, so
+there is one table per generator, and ``_class2_blocks`` groups a
+block's labels into runs.  A d2 is a ``SparseIntMatrix``, each row its
+nonzero (column, entry) pairs: a column out of cell (p, q) has at most
+C(p, 2)·a nonzeros (C(p, 2) for free class two), so no dense grid is
+built for ``pages`` and its memory is bounded by the nonzeros.  Each
 block is a ``Page`` on the labels of its content, so the page's shape
 and d2 o d2 = 0 checks serve it.  That check multiplies no matrices:
-each row of a composite is summed from the rows of the two
-differentials in exact integers and must vanish.  ``e3_dimensions``
-and ``_class2_cells`` rank a differential by the Smith form of its rows
-as they are; only the equivariant check, which multiplies it by the
+each row of a composite is summed from the rows of the two differentials
+in exact integers and must vanish.  ``e3_dimensions`` and
+``_class2_cells`` rank a differential by the Smith form of its rows as
+they are; only the equivariant check, which multiplies it by the
 actions, and ``Page.diff``, which hands it to the filtration, take
 ``dense()``.  The pairing is an integer matrix, so every d2 is one too,
 and only the equivariant check multiplies differentials by rational
@@ -68,7 +67,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import factorial, prod
 
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
@@ -85,11 +84,12 @@ class Page:
     labels in lexicographic order, which fixes the rows and columns of
     every matrix on the page.  ``diffs`` maps (p, q) to d2 from cell
     (p, q) to cell (p-2, q+1) as a ``SparseIntMatrix``; a missing one is
-    zero, and ``diff`` gives either as a dense ``IntMatrix``.
-    Construction checks every type and shape, then that every
-    consecutive pair of differentials composes to zero, on the rows'
-    nonzero entries (``_composes_to_zero``).  ``jsonio`` writes a page
-    straight into the ``pages`` document.
+    zero, and ``diff`` gives either as a dense ``IntMatrix``.  Each d2 is
+    ``_d2_rows`` on runs, one shared tuple of J in a whole cell.
+    Construction checks every type and shape, then that every consecutive
+    pair of differentials composes to zero, on the rows' nonzero entries
+    (``_composes_to_zero``).  ``jsonio`` writes a page straight into the
+    ``pages`` document.
     """
 
     def __init__(self, cells, diffs):
@@ -166,113 +166,93 @@ def _cell_labels(n, a, p, q):
     return tuple(product(combinations(range(n), p), combinations(range(a), q)))
 
 
+@lru_cache(maxsize=None)
 def _pair_images(ext: CentralExtension):
     """Each pair (i, j), i < j, of base generators mapped to the nonzero
-    (alpha, value) terms of its commutator in the centre."""
+    (alpha, value) terms of its commutator in the centre; cached, since
+    ``d2_central`` asks for it once per cell."""
     P = ext.pairing.entries
     return {pair: [(alpha, P[alpha][pc]) for alpha in range(ext.a_rank)
                    if P[alpha][pc]]
             for pc, pair in enumerate(combinations(range(ext.q_rank), 2))}
 
 
-def _d2_rows(src, tgt, images):
-    """The rows of d2 from the labels ``src`` to the labels ``tgt``, each
-    as its nonzero (column, entry) pairs (``SparseIntMatrix.terms``): the
-    kernel of the content blocks, whose label lists are not products of
-    combinations (``d2_central`` builds whole cells from ranks instead).
+def _runs(labels):
+    """A cell's labels, in order, as runs (I, Js): Js the J paired with I."""
+    return [(I, tuple(J for _, J in run))
+            for I, run in groupby(labels, key=lambda label: label[0])]
 
-    ``images`` is the commutator pairing as ``_pair_images`` gives it.  The
-    (k, l) contraction of (I, J) drops I[k] and I[l] and wedges alpha onto
-    J, with the sign (-1)^(k+l-1) (positions 1-based) times the sign of
-    moving alpha past the smaller entries of J.  Both halves are tabled:
-    each distinct J once, as alpha -> (J2, sign) (None for alpha in J),
-    and each (k, l) contraction once per distinct I, applied to all the
-    columns of that I.  ``tgt`` must hold every label a term lands on.
+
+def _wedges(Js, at, alpha):
+    """Per J of ``Js`` without alpha: (at[J + alpha], offset of J, sign)."""
+    table = []
+    for col, J in enumerate(Js):
+        b = bisect_left(J, alpha)
+        if b == len(J) or J[b] != alpha:
+            table.append((at[J[:b] + (alpha,) + J[b:]], col, -1 if b % 2 else 1))
+    return table
+
+
+def _d2_rows(src, tgt, images):
+    """The rows of d2 from the cell ``src`` to the cell ``tgt``, both given
+    as runs (``_runs``), each row as its nonzero (column, entry) pairs
+    (``SparseIntMatrix.terms``).  ``images`` is the commutator pairing as
+    ``_pair_images`` gives it.  The (k, l) contraction of (I, J) drops
+    I[k] and I[l] and wedges alpha onto J, with the sign (-1)^(k+l-1)
+    (positions 1-based) times the sign of moving alpha past the smaller
+    entries of J.  Each target run is indexed once (keyed by identity),
+    and the wedges are tabled (``_wedges``) on first use, once per source
+    run, target run and alpha, so the loop over (I, k, l, alpha) only adds
+    offsets.  ``tgt`` must hold every label a term lands on.
 
     Each term is appended to its row as it is found, with no grid: the
     target label (I minus {I[k], I[l]}, J plus alpha) fixes both the
     contracted pair and alpha, so an entry receives at most one term,
-    and that term is nonzero (``images`` holds no zero value).  No entry
-    needs summing and no zero needs filtering out.
+    and that term is nonzero (``images`` holds no zero value).  So no
+    entry needs summing, and a row's terms come in the order of I, then
+    (k, l), then alpha.
     """
-    terms = [[] for _ in tgt]
-    rows = {}
-    for (I, J), row in zip(tgt, terms):
-        rows.setdefault(I, {})[J] = row
-    top = 1 + max((alpha for pair in images.values() for alpha, _ in pair),
-                  default=-1)
-    wedges, columns = {}, {}
-    for col, (I, J) in enumerate(src):
-        wedge = wedges.get(J)
-        if wedge is None:
-            wedge = wedges[J] = [
-                None if alpha in J else (J[:b] + (alpha,) + J[b:], -1 if b % 2 else 1)
-                for alpha in range(top) for b in (bisect_left(J, alpha),)]
-        columns.setdefault(I, []).append((col, wedge))
-    for I, cols in columns.items():
+    first, index, rows = {}, {}, 0
+    for I, Js in tgt:
+        if id(Js) not in index:
+            index[id(Js)] = {J: i for i, J in enumerate(Js)}
+        first[I] = (rows, index[id(Js)])
+        rows += len(Js)
+    terms = [[] for _ in range(rows)]
+    tables, left, missing = {}, 0, (0, {})
+    for I, Js in src:
+        by_run = tables.setdefault(id(Js), {})
         for k in range(len(I)):
             for l in range(k + 1, len(I)):
-                row_of = rows.get(I[:k] + I[k + 1:l] + I[l + 1:], {})
+                top, at = first.get(I[:k] + I[k + 1:l] + I[l + 1:], missing)
                 sgn = 1 if (k + l) % 2 else -1
+                by_alpha = by_run.setdefault(id(at), {})
                 for alpha, cval in images[(I[k], I[l])]:
+                    table = by_alpha.get(alpha)
+                    if table is None:
+                        table = by_alpha[alpha] = _wedges(Js, at, alpha)
                     value = sgn * cval
-                    for col, wedge in cols:
-                        hit = wedge[alpha]
-                        if hit is not None:
-                            J2, wedge_sgn = hit
-                            row_of[J2].append((col, wedge_sgn * value))
+                    for off, col, wedge_sgn in table:
+                        terms[top + off].append((left + col, wedge_sgn * value))
+        left += len(Js)
     return terms
 
 
 def d2_central(ext: CentralExtension, p: int, q: int) -> SparseIntMatrix:
-    """Degree-2 differential of the page of a central extension.
-
-    The matrix is stated in the canonical (subset, subset) bases.  A
-    cell is a product, ``product(combinations(n, p), combinations(a,
-    q))``, so label (I, J) is column rank(I)·C(a, q) + rank(J), and a
-    target label row rank(I')·C(a, q + 1) + rank(J'); no label tuple is
-    built.  The contraction and its signs are those of ``_d2_rows``, and
-    so is the order of the terms in each row (I, then the pair (k, l),
-    then alpha, then J), but both halves are tabled on ranks: for each
-    alpha, the (row offset of J + alpha, column of J) over the J without
-    alpha, split by the sign of the wedge; for each (p-2)-subset, the
-    first row of its block.  The loop over (I, k, l, alpha) then only
-    adds offsets.  When either cell is empty (p < 2 or q >= a empties the
-    target) the zero map of the correct shape is returned at once.
+    """Degree-2 differential of the page of a central extension, in the
+    bases of ``_cell_labels``: ``_d2_rows`` on runs that share one tuple of
+    J.  When either cell is empty (p < 2 or q >= a empties the target) the
+    zero map of the correct shape is returned at once.
     """
     n, a = ext.q_rank, ext.a_rank
     rows = binomial(n, p - 2) * binomial(a, q + 1)
     cols = binomial(n, p) * binomial(a, q)
-    terms = [[] for _ in range(rows)]
     if not rows or not cols:
-        return SparseIntMatrix(terms, rows, cols)
-    width, height = binomial(a, q), binomial(a, q + 1)
-    offset = {J: i for i, J in enumerate(combinations(range(a), q + 1))}
-    # wedges[alpha] = (even, odd): the J with an even or odd number of
-    # entries below alpha
-    wedges = [([], []) for _ in range(a)]
-    for col, J in enumerate(combinations(range(a), q)):
-        for alpha in range(a):
-            b = bisect_left(J, alpha)
-            if b == q or J[b] != alpha:
-                wedges[alpha][b % 2].append((offset[J[:b] + (alpha,) + J[b:]], col))
-    block = {I: i * height for i, I in enumerate(combinations(range(n), p - 2))}
-    images = _pair_images(ext)
-    for i, I in enumerate(combinations(range(n), p)):
-        first = i * width
-        for k in range(p):
-            for l in range(k + 1, p):
-                top = block[I[:k] + I[k + 1:l] + I[l + 1:]]
-                sgn = 1 if (k + l) % 2 else -1
-                for alpha, cval in images[(I[k], I[l])]:
-                    even, odd = wedges[alpha]
-                    value = sgn * cval
-                    for off, col in even:
-                        terms[top + off].append((first + col, value))
-                    value = -value
-                    for off, col in odd:
-                        terms[top + off].append((first + col, value))
-    return SparseIntMatrix(terms, rows, cols)
+        return SparseIntMatrix([[] for _ in range(rows)], rows, cols)
+    Js, Js2 = tuple(combinations(range(a), q)), tuple(combinations(range(a), q + 1))
+    src = [(I, Js) for I in combinations(range(n), p)]
+    tgt = [(I, Js2) for I in combinations(range(n), p - 2)]
+    return SparseIntMatrix(_d2_rows(src, tgt, _pair_images(ext)), rows, cols)
 
 
 def e2_page(ext: CentralExtension, max_degree: int = None) -> Page:
@@ -357,7 +337,7 @@ def _class2_blocks(r: int):
     blocks = []
     for content in sorted(groups, reverse=True):
         cells = {pq: tuple(sorted(labs)) for pq, labs in groups[content].items()}
-        diffs = {pq: SparseIntMatrix(_d2_rows(src, tgt, images),
+        diffs = {pq: SparseIntMatrix(_d2_rows(_runs(src), _runs(tgt), images),
                                      len(tgt), len(src))
                  for pq, src in cells.items()
                  if (tgt := cells.get((pq[0] - 2, pq[1] + 1)))}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,33 @@ def test_a_class2_rank_above_its_limit_exit_2(capsys, argv, rank, limit):
     code, out, err = run_cli(capsys, *argv, "--group", group)
     assert code == 2 and out == ""
     assert f"takes rank <= {limit}, got rank {rank}" in err
+
+
+@pytest.mark.parametrize("argv,rank", [
+    (["betti"], cli.MAX_CLASS_ONE_RANK + 1),
+    (["betti"], 10 ** 6),
+    (["filtration", "--j", "50000"], cli.MAX_CLASS_ONE_RANK + 1),
+    (["filtration", "--j", "50000"], 10 ** 6),
+], ids=["betti", "betti-huge", "filtration", "filtration-huge"])
+def test_a_class1_rank_above_its_limit_exit_2(capsys, argv, rank):
+    # betti at rank 20,000 printed nothing in 10 s, and filtration at rank
+    # 100,000 ended in a traceback writing a number of over 4,300 digits
+    group = '{"type":"free_nilpotent","rank":%d,"class":1}' % rank
+    code, out, err = run_cli(capsys, *argv, "--group", group)
+    assert code == 2 and out == ""
+    assert (f"class one takes rank <= {cli.MAX_CLASS_ONE_RANK}, "
+            f"got rank {rank}") in err
+
+
+def test_a_class1_filtration_at_its_limit_is_written(capsys):
+    # the middle binomial, the longest number class one prints
+    r = cli.MAX_CLASS_ONE_RANK
+    group = '{"type":"free_nilpotent","rank":%d,"class":1}' % r
+    code, out, _ = run_cli(capsys, "filtration", "--j", str(r // 2),
+                           "--group", group)
+    assert code == 0
+    layers = json.loads(out)["certificate"]["layers"]
+    assert [layer["dimension"] for layer in layers] == [comb(r, r // 2)]
 
 
 @pytest.mark.parametrize("group,q_rank,a_rank", [

@@ -142,9 +142,9 @@ def test_blocks_are_the_dense_differential_restricted(r):
         for (p, q), labels in blk.cells.items():
             assert all(content(lab, r) == blk_content for lab in labels)
             covered[(p, q)] += orbit * len(labels)
-        # the block kernel (_d2_rows on labels) against the whole-cell one
-        # (d2_central on ranks): each block row is the whole row of its
-        # label, every column in the block, terms in the same order
+        # the kernel on a block's runs against it on the whole cell's
+        # (d2_central): each block row is the whole row of its label,
+        # every column in the block, terms in the same order
         for (p, q), d in blk.diffs.items():
             col_of = {pos[(p, q)][lab]: j
                       for j, lab in enumerate(blk.cells[(p, q)])}
@@ -182,7 +182,8 @@ def test_blocks_check_that_d2_composes_to_zero(monkeypatch):
     # rank 4 is the least with composable d2 (cell (4, 0) to (0, 2)); an
     # all-ones "differential" on every block cannot square to zero
     monkeypatch.setattr(spectral, "_d2_rows", lambda src, tgt, images: [
-        [(j, 1) for j in range(len(src))] for _ in tgt])
+        [(j, 1) for j in range(sum(len(Js) for _, Js in src))]
+        for _, Js in tgt for _ in Js])
     _class2_blocks.cache_clear()
     try:
         with pytest.raises(ValueError, match=r"d2 o d2 != 0 out of cell"):

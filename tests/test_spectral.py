@@ -14,7 +14,7 @@ from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix,
                            matrix_rank, rank_kernel_image, smith_normal_form)
 from nilhom.spectral import (EquivariantPage, Page, _cell_labels,
                              _class2_blocks, _composes_to_zero, _d2_rows,
-                             _pair_images, betti_free_nilpotent_c2,
+                             _pair_images, _runs, betti_free_nilpotent_c2,
                              d2_central, e2_page,
                              e3_dimensions, equivariant_page, h2_class2,
                              homology_free_nilpotent_c2, ks_page)
@@ -308,10 +308,11 @@ def _one_term_per_entry(d):
 
 
 def _assert_d2_equals_both_references(ext):
-    # d2_central works on combination ranks; _d2_rows on the full label
-    # tuples gives the same terms in the same order, and the dense grid of
-    # the reference the same matrix and shape, also for cells past the
-    # page (p > n or q > a) whose targets are not empty
+    # d2_central passes runs that share one tuple of J; the same kernel on
+    # the full label tuples grouped into runs, one tuple of J per I as a
+    # block passes them, gives the same terms in the same order, and the
+    # dense grid of the reference the same matrix and shape, also for
+    # cells past the page (p > n or q > a) whose targets are not empty
     n, a = ext.q_rank, ext.a_rank
     images = _pair_images(ext)
     for p in range(-1, n + 3):
@@ -320,7 +321,7 @@ def _assert_d2_equals_both_references(ext):
             src = _cell_labels(n, a, p, q)
             tgt = _cell_labels(n, a, p - 2, q + 1)
             assert d.shape == (len(tgt), len(src)), (ext, p, q)
-            assert d.terms == _d2_rows(src, tgt, images), (ext, p, q)
+            assert d.terms == _d2_rows(_runs(src), _runs(tgt), images), (ext, p, q)
             assert d.dense() == ref_spectral.d2_dense(ext, p, q), (ext, p, q)
             _one_term_per_entry(d)
 
