@@ -14,12 +14,12 @@ turns into an ``IntMatrix`` for the dense routines.
 Every dense rank, kernel, image, solve and determinant runs through one
 fraction-free Gauss-Jordan routine on integer rows (``_eliminate``); the
 Smith normal form eliminates on sparse rows and returns its factors alone.
-Every matrix product runs through ``_product``: the left rows and the
-right columns are scaled to integers (an ``IntMatrix`` passes its own
-through, as it does to elimination), only nonzero entries are
-multiplied, and each entry is divided back exactly once.  Operands of
-either type mix: integer with integer gives an integer matrix (so
-integer powers stay integral), and a rational operand a rational one.
+Every matrix product runs through one loop on rows, ``row_products``,
+which multiplies only nonzero entries; ``_product`` hands it the rows
+and columns scaled to integers (an ``IntMatrix`` passes its own through,
+as it does to elimination) and divides each entry back exactly once.
+Operands of either type mix: integer with integer gives an integer
+matrix (so integer powers stay integral), a rational operand a rational.
 The same rule holds for the graded maps: the exterior power of an
 integer matrix has its minors as entries and the Kronecker product of
 integer matrices has products of integers, so ``exterior_power_map``,
@@ -103,6 +103,12 @@ class _Matrix:
 
     def col(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
+
+    @property
+    def terms(self):
+        """Each row as its nonzero (column, entry) pairs, as in
+        ``SparseIntMatrix.terms``."""
+        return [[(j, x) for j, x in enumerate(row) if x] for row in self.entries]
 
     def transpose(self):
         return type(self)([[row[j] for row in self.entries]
@@ -299,34 +305,41 @@ def integral_row(row):
     return row, s
 
 
+def row_products(left, right, width):
+    """The product of two matrices given by their rows, one row at a time,
+    each a list of ``width`` entries: row i is the sum of x times row k of
+    ``right`` over the (column, entry) pairs (k, x) of row i of ``left``.
+    ``right`` gives each row as its nonzero pairs (``terms``); a zero x is
+    skipped, so dense left rows pass as ``map(enumerate, rows)``."""
+    for pairs in left:
+        acc = [0] * width
+        for k, x in pairs:
+            if x:
+                for j, y in right[k]:
+                    acc[j] += x * y
+        yield acc
+
+
 def _product(a, b):
     """Entries of the product of two rational or integer matrices.
 
     Row i of ``a`` is scaled to integers by s_i and column j of ``b`` by
     t_j (``_scaled_rows``, so every scale of an ``IntMatrix`` is 1), so
-    only Python ints are multiplied, and only where both factors are
-    nonzero.  Entry (i, j) is divided back as x / (s_i t_j) and stays an
-    int when that denominator is 1.
+    ``row_products`` multiplies only Python ints.  Entry (i, j) is
+    divided back as x / (s_i t_j) and stays an int when that denominator
+    is 1.
     """
     right, t = b.entries, [1] * b.cols
-    if not isinstance(b, IntMatrix) and b.rows:
+    if not isinstance(b, IntMatrix) and b.rows and b.cols:
         scaled, t = _integral_rows(zip(*b.entries))
         right = zip(*scaled)
     # row k of the scaled b as its nonzero (column, entry) pairs
     nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
     unit = all(tj == 1 for tj in t)
     left, s = _scaled_rows(a)
-    out = []
-    for row, si in zip(left, s):
-        acc = [0] * b.cols
-        for x, terms in zip(row, nonzero):
-            if x:
-                for j, y in terms:
-                    acc[j] += x * y
-        out.append(acc if unit and si == 1 else
-                   [x if si * tj == 1 else Fraction(x, si * tj)
-                    for x, tj in zip(acc, t)])
-    return out
+    return [acc if unit and si == 1 else
+            [x if si * tj == 1 else Fraction(x, si * tj) for x, tj in zip(acc, t)]
+            for acc, si in zip(row_products(map(enumerate, left), nonzero, b.cols), s)]
 
 
 def _matmul(a, b):
@@ -520,8 +533,7 @@ def smith_normal_form(m) -> tuple:
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
     """
-    grid = m.terms if isinstance(m, SparseIntMatrix) else map(enumerate, m.entries)
-    rows = [r for r in ({k: x for k, x in row if x} for row in grid) if r]
+    rows = [r for r in ({k: x for k, x in row if x} for row in m.terms) if r]
     diag = []
     while rows:
         cols = Counter(k for r in rows for k in r)

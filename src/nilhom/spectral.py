@@ -50,15 +50,14 @@ nonzero (column, entry) pairs: a column out of cell (p, q) has at most
 C(p, 2)·a nonzeros (C(p, 2) for free class two), so no dense grid is
 built for ``pages`` and its memory is bounded by the nonzeros.  Each
 block is a ``Page`` on the labels of its content, so the page's shape
-and d2 o d2 = 0 checks serve it.  That check multiplies no matrices:
-each row of a composite is summed from the rows of the two differentials
-in exact integers and must vanish.  ``e3_dimensions`` and
-``_class2_cells`` rank a differential by the Smith form of its rows as
-they are; only the equivariant check, which multiplies it by the
-actions, and ``Page.diff``, which hands it to the filtration, take
-``dense()``.  The pairing is an integer matrix, so every d2 is one too,
-and only the equivariant check multiplies differentials by rational
-actions.
+and d2 o d2 = 0 checks serve it.  Both page checks, d2 o d2 = 0 and the
+equivariant one, take their products from ``linalg.row_products`` on
+the rows' nonzero entries, one row at a time, in exact arithmetic.
+``e3_dimensions`` and ``_class2_cells`` rank a differential by the Smith
+form of its rows as they are; only ``Page.diff``, which hands it to the
+filtration, takes ``dense()``.  The pairing is an integer matrix, so
+every d2 is one too, and only the equivariant check multiplies
+differentials by rational actions.
 """
 
 from __future__ import annotations
@@ -69,12 +68,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, product
 from math import factorial, prod
+from operator import ne
 
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
                      central_extension_of_class2, induced_action_on_quotient)
 from .linalg import (IntMatrix, SparseIntMatrix, binomial,
                      exterior_power_map, kron, matrix_rank,
-                     merge_invariant_factors, smith_normal_form, solve)
+                     merge_invariant_factors, row_products,
+                     smith_normal_form, solve)
 
 
 class Page:
@@ -87,9 +88,9 @@ class Page:
     zero, and ``diff`` gives either as a dense ``IntMatrix``.  Each d2 is
     ``_d2_rows`` on runs, one shared tuple of J in a whole cell.
     Construction checks every type and shape, then that every consecutive
-    pair of differentials composes to zero, on the rows' nonzero entries
-    (``_composes_to_zero``).  ``jsonio`` writes a page straight into the
-    ``pages`` document.
+    pair of differentials composes to zero, row by row from the rows'
+    nonzero entries (``row_products``), stopping at the first nonzero
+    row.  ``jsonio`` writes a page straight into the ``pages`` document.
     """
 
     def __init__(self, cells, diffs):
@@ -117,24 +118,9 @@ class Page:
                                  f"{d.shape}, expected {want}")
         for (p, q), d in self.diffs.items():
             nxt = self.diffs.get((p - 2, q + 1))
-            if nxt is not None and nxt.rows and d.cols:
-                if not _composes_to_zero(nxt.terms, d.terms):
-                    raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)}")
-
-
-def _composes_to_zero(left, right) -> bool:
-    """Whether the product of two matrices, given by the ``terms`` of
-    their rows, is zero: row i of it is the sum of x times row k of
-    ``right`` over the pairs (k, x) of row i of ``left``, in exact
-    arithmetic."""
-    for terms in left:
-        acc = {}
-        for k, x in terms:
-            for j, y in right[k]:
-                acc[j] = acc.get(j, 0) + x * y
-        if any(acc.values()):
-            return False
-    return True
+            if nxt is not None and any(
+                    map(any, row_products(nxt.terms, d.terms, d.cols))):
+                raise ValueError(f"d2 o d2 != 0 out of cell {(p, q)}")
 
 
 @dataclass(frozen=True)
@@ -505,9 +491,9 @@ class EquivariantPage:
                 continue
             # a nonempty target is a cell of the page, so it has an action
             tgt = self.actions[(p - 2, q + 1)]
-            d = d.dense()
             for gi, (src_act, tgt_act) in enumerate(zip(self.actions[(p, q)], tgt)):
-                if d * src_act != tgt_act * d:
+                if any(map(ne, row_products(d.terms, src_act.terms, d.cols),
+                           row_products(tgt_act.terms, d.terms, d.cols))):
                     raise ValueError(
                         f"differential at cell {(p, q)} fails to commute "
                         f"with generator {gi}")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nilhom import cli, sigma, spectral, vbscan
+from nilhom import cli, filtration, sigma, spectral, vbscan
 from nilhom.cli import main
 
 from reference_jsonio import DocumentCheck
@@ -376,6 +377,18 @@ def test_a_class1_rank_above_its_limit_exit_2(capsys, argv, rank):
     assert code == 2 and out == ""
     assert (f"class one takes rank <= {cli.MAX_CLASS_ONE_RANK}, "
             f"got rank {rank}") in err
+
+
+@pytest.mark.parametrize("rank,nil_class", [(4, 35), (4, 1000), (18, 1000)])
+def test_a_filtration_above_its_layer_limit_exit_2(capsys, rank, nil_class):
+    # class 35 took 10.7 s and 909 MB to print 131.6 MB, and class 1000
+    # printed nothing in 20 s; the layers of rank 18 would hold numbers
+    # of more digits than str() takes
+    group = '{"type":"free_nilpotent","rank":%d,"class":%d}' % (rank, nil_class)
+    code, out, err = run_cli(capsys, "filtration", "--j", "5", "--group", group)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: the certificate would have \d+ layers, above the "
+                        rf"limit of {filtration.MAX_LAYERS}\n", err), err
 
 
 def test_a_class1_filtration_at_its_limit_is_written(capsys):

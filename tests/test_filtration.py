@@ -5,6 +5,7 @@ import pytest
 
 import reference_filtration as ref_filtration
 
+from nilhom import filtration
 from nilhom.filtration import (filtration_certificate, induced_homology_action,
                                is_nilpotent_action, tensor_degree_bound)
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
@@ -102,6 +103,25 @@ def test_certificate_matches_the_recursive_reference():
         spec = FreeNilpotentSpec(r, c)
         assert certificate_json(filtration_certificate(spec, j)) == \
             certificate_json(ref_filtration.filtration_certificate(spec, j)), (r, c, j)
+
+
+def test_layer_counts_are_the_layers_built(monkeypatch):
+    # the count that the limit reads is the number of layers: at that
+    # number as the limit the certificate is built, one below it refused
+    rng = random.Random(35)
+    triples = [(rng.randint(1, 4), rng.randint(2, 12), rng.randint(1, 5))
+               for _ in range(40)]
+    sizes = [(FreeNilpotentSpec(r, c), j,
+              len(filtration_certificate(FreeNilpotentSpec(r, c), j).layers))
+             for r, c, j in triples]
+    for spec, j, n in sizes:
+        monkeypatch.setattr(filtration, "MAX_LAYERS", n)
+        assert len(filtration_certificate(spec, j).layers) == n
+        monkeypatch.setattr(filtration, "MAX_LAYERS", n - 1)
+        with pytest.raises(ValueError, match=f"would have {n} layers, "
+                                             f"above the limit of {n - 1}$"):
+            filtration_certificate(spec, j)
+    assert len({t[1] for t in triples}) >= 8
 
 
 def test_class_1000_degree_one_is_the_abelianisation():

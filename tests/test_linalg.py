@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain, product
 from math import comb, gcd
 
 import pytest
@@ -10,7 +11,8 @@ from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix, det,
                            exterior_power_map, image_matrix, kernel_matrix,
                            kron, matrix_rank, merge_invariant_factors,
                            rank_kernel_image, require_commuting,
-                           smith_normal_form, solve, tensor_power_map)
+                           row_products, smith_normal_form, solve,
+                           tensor_power_map)
 from nilhom.vbscan import QModuleFD
 
 import reference_linalg as ref
@@ -147,8 +149,11 @@ def _product_factor(rng, rows, cols, den_of):
 def test_products_match_dense_fraction_reference():
     rng = random.Random(2025)
     dens = (1, 2, 3, 4, 6, 35, BIG)
-    for _ in range(200):
-        r, k, c = (rng.randint(0, 7) for _ in range(3))
+    # 200 seeded shapes, then every shape with sides 0, 1 and 2, so that
+    # each empty side meets each other side
+    shapes = chain(((rng.randint(0, 7) for _ in range(3)) for _ in range(200)),
+                   product(range(3), repeat=3))
+    for r, k, c in shapes:
         # the left factor's denominators vary by row, the right's by column
         row_den = [rng.choice(dens) for _ in range(r)]
         col_den = [rng.choice(dens) for _ in range(c)]
@@ -166,6 +171,37 @@ def test_products_match_dense_fraction_reference():
         for e in range(4):
             assert g ** e == want
             want = ref.matmul(want, g)
+
+
+def test_row_products_match_the_dense_reference():
+    rng = random.Random(33)
+    dens = (1, 2, 3, 4, 6, 35, BIG)
+    for _ in range(150):
+        r, k, c = (rng.randint(0, 6) for _ in range(3))
+        a = _product_factor(rng, r, k, lambda i, j: rng.choice(dens))
+        b = _product_factor(rng, k, c, lambda i, j: rng.choice(dens))
+        ai, bi = (IntMatrix([[x.numerator for x in row] for row in m.entries],
+                            m.rows, m.cols) for m in (a, b))
+        for x, y in ((a, b), (ai, bi), (ai, b)):
+            want = [list(row) for row in ref.matmul(x, y).entries]
+            # the left rows once as their nonzero pairs, once with the
+            # zeros that _product_factor puts in
+            for left in (x.terms, map(enumerate, x.entries)):
+                assert list(row_products(left, y.terms, c)) == want
+
+
+def test_dense_terms_are_the_sparse_terms():
+    rng = random.Random(34)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        grid = [[rng.choice((0, 0, 1, -3, BIG)) for _ in range(cols)]
+                for _ in range(rows)]
+        m = IntMatrix(grid, rows, cols)
+        terms = [[(j, x) for j, x in enumerate(row) if x] for row in grid]
+        sparse = SparseIntMatrix(terms, rows, cols)
+        assert m.terms == sparse.terms
+        assert m.to_rat().terms == sparse.terms
+        assert SparseIntMatrix(m.terms, rows, cols).dense() == m
 
 
 def test_snf_reorders_divisors():

@@ -1,8 +1,9 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
 
 import pytest
@@ -11,9 +12,10 @@ from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
                            central_extension_of_class2)
 from nilhom.jsonio import frac_str
 from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix,
-                           matrix_rank, rank_kernel_image, smith_normal_form)
+                           matrix_rank, rank_kernel_image, row_products,
+                           smith_normal_form)
 from nilhom.spectral import (EquivariantPage, Page, _cell_labels,
-                             _class2_blocks, _composes_to_zero, _d2_rows,
+                             _class2_blocks, _d2_rows,
                              _pair_images, _runs, betti_free_nilpotent_c2,
                              d2_central, e2_page,
                              e3_dimensions, equivariant_page, h2_class2,
@@ -385,7 +387,7 @@ def test_sparse_composition_check_agrees_with_the_dense_product():
             grid[rng.randrange(d.rows)][rng.randrange(d.cols)] += rng.choice((-1, 1))
             moved = IntMatrix(grid, d.rows, d.cols)
             for right, terms in ((dense, d.terms), (moved, nonzero_rows(moved))):
-                verdict = _composes_to_zero(nxt.terms, terms)
+                verdict = not any(map(any, row_products(nxt.terms, terms, d.cols)))
                 assert verdict == (nxt.dense() * right).is_zero()
                 verdicts[verdict] += 1
     # every page's own pairs vanish; most moved entries do not
@@ -437,6 +439,66 @@ def test_equivariant_page_rejects_noncommuting_action():
     with pytest.raises(ValueError, match=r"cell \(2, 0\) fails to commute "
                                          r"with generator 1"):
         EquivariantPage(page, [g, g], [RatMatrix([[1]]), RatMatrix([[-1]])])
+
+
+def _dense_commutation_failure(page, actions):
+    """The first (cell, generator), in the order of the page's
+    differentials, at which d2 fails to commute with the actions by the
+    products of dense matrices; None when there is none."""
+    for (p, q), d in page.diffs.items():
+        if d.rows and d.cols:
+            dense = d.dense()
+            pairs = zip(actions[(p, q)], actions[(p - 2, q + 1)])
+            for gi, (src, tgt) in enumerate(pairs):
+                if dense * src != tgt * dense:
+                    return (p, q), gi
+    return None
+
+
+def test_equivariant_check_names_the_cell_the_dense_products_name():
+    # one entry of one cell action moved, on rank-3 and rank-4 pages with
+    # integer actions (free class two) and rational ones (the centre
+    # action solved from a pairing of determinant 2)
+    rng = random.Random(33)
+    g3 = IntMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    g4 = IntMatrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 3]])
+    def det_two(n):
+        grid = [[int(i == j) for j in range(n)] for i in range(n)]
+        grid[0][1], grid[1][0], grid[1][1] = 1, 1, -1
+        return IntMatrix(grid)
+    sources = [(FreeNilpotentSpec(3, 2), g3), (FreeNilpotentSpec(4, 2), g4),
+               (CentralExtension(3, 3, det_two(3)), g3),
+               (CentralExtension(4, 6, det_two(6)), g4)]
+    verdicts = Counter()
+    for source, g in sources:
+        ep = equivariant_page(source, [g, g * g])
+        kind = type(ep.actions[(0, 1)][0])
+        verdicts[kind.__name__] += 1
+        if kind is RatMatrix:  # the centre action leaves the integers
+            centre = ep.actions[(0, 1)][0]
+            assert any(x.denominator > 1 for x in chain(*centre.entries))
+        for _ in range(12):
+            actions = {pq: list(acts) for pq, acts in ep.actions.items()}
+            cell, gi = rng.choice(sorted(actions)), rng.randrange(2)
+            act = actions[cell][gi]
+            grid = [list(row) for row in act.entries]
+            grid[rng.randrange(act.rows)][rng.randrange(act.cols)] += (
+                rng.choice((-1, 1)) if kind is IntMatrix
+                else Fraction(rng.choice((-1, 1)), rng.choice((2, 3))))
+            actions[cell][gi] = kind(grid, act.rows, act.cols)
+            moved = EquivariantPage.__new__(EquivariantPage)
+            moved.page, moved.actions = ep.page, actions
+            failure = _dense_commutation_failure(ep.page, actions)
+            if failure is None:
+                moved._verify()
+            else:
+                (p, q), fgi = failure
+                with pytest.raises(ValueError, match=re.escape(
+                        f"at cell {(p, q)} fails to commute with generator {fgi}")):
+                    moved._verify()
+            verdicts[failure is None] += 1
+    assert verdicts["IntMatrix"] == verdicts["RatMatrix"] == 2
+    assert verdicts[True] >= 5 and verdicts[False] >= 20, verdicts
 
 
 def test_equivariant_identity_action():
