@@ -22,8 +22,8 @@ from . import jsonio
 from .filtration import filtration_certificate
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
                      central_extension_of_class2)
-from .sigma import (ValuationVector, m_tame, sigma_complement,
-                    sigma_witness_search)
+from .sigma import (ValuationVector, m_tame, principal_least_failing_m,
+                    sigma_complement, sigma_witness_search)
 from .linalg import binomial
 from .spectral import (betti_free_nilpotent_c2, e2_page,
                        homology_free_nilpotent_c2)
@@ -182,7 +182,8 @@ def _cmd_sigma(args):
 
 
 def _agreeing(args, sc):
-    """``sc``, once an explicit --nvars is checked against its dimension."""
+    """``sc``, once an explicit --nvars is checked against its dimension
+    (a module's is its nvars)."""
     if args.nvars is not None and args.nvars != sc.nvars:
         raise ValueError(f"--nvars {args.nvars} disagrees with the "
                          f"dimension {sc.nvars} of the cones")
@@ -200,8 +201,16 @@ def _cmd_tame(args):
         raise ValueError("tame needs exactly one of --module or --sigma-complement")
     if args.module is not None:
         spec = jsonio.parse_module(_load_json(args.module, "--module"))
-        sc = _agreeing(args, sigma_complement(spec))
         config = {"module": jsonio.module_json(spec), "m": args.m}
+        if len(spec.ideal) == 1:
+            # the least failing m of (f) is read from its Newton polytope;
+            # the errors come in the order of the cone path below
+            _agreeing(args, spec)
+            if args.m < 2:
+                raise ValueError("tameness is defined for m >= 2")
+            least = principal_least_failing_m(spec.ideal[0])
+            return _document("tame", config, {"tame": least is None or least > args.m})
+        sc = _agreeing(args, sigma_complement(spec))
     else:
         sc = _parse_cones(args, args.nvars)
         config = {"sigma_complement": jsonio.cones_json(sc), "m": args.m}

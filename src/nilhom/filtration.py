@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (IntMatrix, RatMatrix, binomial, image_matrix,
                      rank_kernel_image, require_commuting, require_matrices, solve)
-from .spectral import _class2_dims, equivariant_page
+from .spectral import (_class2_dims, _class2_nonzero, _require_closed_form_rank,
+                       equivariant_page)
 
 # every class up to c is lifted in turn and has its Witt number computed,
 # so a class of millions would run for hours instead of failing at once
@@ -98,8 +99,8 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
         low = {c: j}
         for k in range(c, 2, -1):
             low[k - 1] = max(1, low[k] - witt[k])
-        cells = _class2_dims(r)
-        first = {i: [p for p in range(1, min(i, r) + 1) if cells.get((p, i - p))]
+        _require_closed_form_rank(r)
+        first = {i: [p for p in range(1, min(i, r) + 1) if _class2_nonzero(r, p, i - p)]
                  for i in range(low[2], j + 1)}
         count = {i: len(ps) for i, ps in first.items()}
         for k in range(3, c + 1):
@@ -108,6 +109,7 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
         if count[j] > MAX_LAYERS:
             raise ValueError(f"the certificate would have {count[j]} layers, "
                              f"above the limit of {MAX_LAYERS}")
+        cells = _class2_dims(r)
         table = {i: [Layer(2 * i - p, cells[(p, i - p)], ((p, i - p),)) for p in ps]
                  for i, ps in first.items()}
         for k in range(3, c + 1):

@@ -9,7 +9,12 @@ of f is attained at two or more points.  Membership, m-tameness and the
 finite-generation semidecisions below are all decided in exact rational
 arithmetic.  m-tameness is one search over sets of at most n + 1
 distinct cones (conic Caratheodory), one non-strict LP per set, which
-also yields the least failing m for hypothesis reports.  One builder,
+also yields the least failing m for hypothesis reports.  For a principal
+module, whose complement is the tropical hypersurface of f, the least
+failing m is read from the Newton polytope instead, with no LP
+(``principal_least_failing_m``, which ``tame --module`` uses); the
+complement itself and the search stay for ``sigma --module``,
+``tame --sigma-complement`` and reports, and as its oracle.  One builder,
 ``_cone_points``, states "a nonzero vector in each cone" for that
 search and for ``Cone.has_nonzero_point``.  A Newton vertex is a
 support point that some direction strictly separates from the rest,
@@ -445,6 +450,75 @@ def _least_failing_m(sc: ConeUnion, m_max: int):
             if lp.feasible(_cone_points(choice) + sums, n * k):
                 return k
     return None
+
+
+def _hull(pts):
+    """Vertices of the convex hull of distinct integer points in the
+    plane, counterclockwise, by an exact monotone chain; points inside
+    an edge are dropped, and collinear points give the two ends."""
+    def turns_left(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) > (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and not turns_left(out[-2], out[-1], p):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    pts = sorted(pts)
+    return chain(pts) + chain(reversed(pts))
+
+
+def principal_least_failing_m(f: LaurentPoly):
+    """Least m at which QQ/(f) is not m-tame, or None, read from the
+    Newton polytope P of f with no LP.
+
+    The complement of ``sigma_complement_principal(f)`` is the set of
+    nonzero v whose minimal face of P is not a vertex: the cones of
+    codimension one in the normal fan of P, the tropical hypersurface of
+    f (Bieri and Groves, J. reine angew. Math. 347, 1984).  It fails at
+    m = 2 exactly when it holds some v and -v.
+    - n <= 1, or f a monomial: every v has a unique minimising point
+      (for n = 1 the sign of v picks an end), so the set is empty and
+      the module is tame at every m: None.
+    - Support differences of rank below n (n >= 2): a v orthogonal to
+      them all is minimised on the whole support, as is -v: 2.
+    - n = 2, P a polygon: the set is the union of the inward edge
+      normals.  Two are opposite exactly when two edges are parallel,
+      which gives 2.  Otherwise the normals, weighted by edge length,
+      sum to zero, and by Caratheodory three of them with positive
+      weights do (two would be opposite): 3.
+    - n >= 3, P full-dimensional: 2.  Let S be the unit sphere, R_u the
+      open region of S where vertex u is the unique minimiser, and N_u
+      its closed normal cone, pointed since P is full-dimensional
+      (N_u and -N_u meet in 0).  The set on S is G = S minus the union
+      of the R_u, that is the union of their boundaries.  Each boundary
+      is that of a convex (n-1)-cell, an (n-2)-sphere, connected as
+      n >= 3; the boundaries of the regions of adjacent vertices meet
+      in the normal cone of their edge, and the edge graph of P is
+      connected, so G is connected.  If G missed -G, the connected set
+      -G would lie in the disjoint open regions, so in one R_u, and G in
+      -R_u, inside -N_u.  But G holds the boundary of R_u, which is
+      inside N_u, and nonempty as R_u is neither empty nor S: a
+      contradiction.
+    So for n >= 3 every f with two or more terms gives 2, and no rank is
+    needed: in the plane a collinear support has a hull of two vertices,
+    whose two edges are opposite.  ``_least_failing_m(sigma_complement_principal(f),
+    n + 2)`` is the LP search this replaces, kept as the oracle.
+    """
+    pts = f.support
+    if f.nvars <= 1 or len(pts) <= 1:
+        return None
+    if f.nvars >= 3:
+        return 2
+    hull = _hull(pts)
+    edges = set()
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        g = gcd(bx - ax, by - ay)
+        edges.add(((bx - ax) // g, (by - ay) // g))
+    return 2 if any((-x, -y) in edges for x, y in edges) else 3
 
 
 def m_tame(sc: ConeUnion, m: int) -> bool:

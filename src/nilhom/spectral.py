@@ -336,6 +336,20 @@ MAX_CLOSED_FORM_RANK = 18
 MAX_INTEGRAL_RANK = 6
 
 
+def _require_closed_form_rank(r: int):
+    if r > MAX_CLOSED_FORM_RANK:
+        raise ValueError(f"the class-two closed form takes rank <= "
+                         f"{MAX_CLOSED_FORM_RANK}, got rank {r}")
+
+
+def _class2_nonzero(r: int, p: int, q: int) -> bool:
+    """Whether cell (p, q) of ``_class2_dims(r)`` is nonzero, with no
+    table: q must be a sum of p distinct arms in range(r), and those sums
+    fill the interval from C(p, 2) to p(2r - p - 1)/2, which is empty
+    for p > r."""
+    return binomial(p, 2) <= q <= p * (2 * r - p - 1) // 2
+
+
 @lru_cache(maxsize=None)
 def _class2_dims(r: int):
     """Rational third page of the free class-two page of rank r, in
@@ -354,9 +368,7 @@ def _class2_dims(r: int):
     C(r + a, 2a + 1) C(2a, a) over the arms times ((b - a)/(a + b + 1))^2
     over the pairs a < b.  A rank above ``MAX_CLOSED_FORM_RANK`` is refused.
     """
-    if r > MAX_CLOSED_FORM_RANK:
-        raise ValueError(f"the class-two closed form takes rank <= "
-                         f"{MAX_CLOSED_FORM_RANK}, got rank {r}")
+    _require_closed_form_rank(r)
     dims = {(p, q): 0 for p in range(r + 1) for q in range(binomial(r, 2) + 1)}
     single = [binomial(r + a, 2 * a + 1) * binomial(2 * a, a) for a in range(r)]
     for d in range(r + 1):

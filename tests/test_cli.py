@@ -85,6 +85,49 @@ def test_tame_principal_module(capsys):
     assert json.loads(out)["tame"] is True
 
 
+def test_tame_on_a_principal_module_asks_no_lp(capsys, monkeypatch):
+    # the least failing m is read from the Newton polygon: the hexagon
+    # has parallel edges and fails at 2, the pentagon has none and fails
+    # at 3
+    from nilhom import lp
+
+    def refuse(cons, nvars):
+        raise AssertionError("tame --module asked an LP")
+
+    monkeypatch.setattr(lp, "feasible", refuse)
+    hexagon = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
+    pentagon = [(0, 0), (2, 0), (3, 2), (0, 1), (1, 1)]
+    for support, least in ((hexagon, 2), (pentagon, 3)):
+        mod = json.dumps({"nvars": 2, "ideal": [[
+            {"coeff": "1", "exp": list(e)} for e in support]]})
+        for m in (2, 3, 4):
+            code, out, err = run_cli(capsys, "tame", "--module", mod, "--m", str(m))
+            assert code == 0, err
+            assert json.loads(out)["tame"] is (m < least)
+
+
+def test_tame_module_errors_keep_their_order(capsys):
+    # parse, then the non-principal refusal, then --nvars, then m < 2:
+    # each input below also breaks every later rule
+    line = ('[{"coeff":"1","exp":[0,0]},{"coeff":"1","exp":[1,0]},'
+            '{"coeff":"1","exp":[0,1]}]')
+    principal = '{"nvars":2,"ideal":[%s]}' % line
+    cases = [
+        ('{"nvars":2,"ideal":[%s],"extra":1}' % line,
+         "module spec has the unknown field 'extra'; it takes 'nvars' and "
+         "'ideal'"),
+        ('{"nvars":2,"ideal":[%s,%s]}' % (line, line),
+         "non-principal ideals admit only the witness semidecision"),
+        (principal, "--nvars 3 disagrees with the dimension 2 of the cones"),
+    ]
+    for mod, message in cases:
+        code, out, err = run_cli(capsys, "tame", "--module", mod,
+                                 "--nvars", "3", "--m", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run_cli(capsys, "tame", "--module", principal, "--m", "1")
+    assert (code, out, err) == (2, "", "error: tameness is defined for m >= 2\n")
+
+
 def test_tame_needs_exactly_one_input(capsys):
     code, _, err = run_cli(capsys, "tame", "--m", "2")
     assert code == 2

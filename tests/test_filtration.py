@@ -11,8 +11,8 @@ from nilhom.filtration import (filtration_certificate, induced_homology_action,
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.jsonio import certificate_json
 from nilhom.linalg import IntMatrix, RatMatrix
-from nilhom.spectral import (_class2_cells, equivariant_page,
-                             homology_free_nilpotent_c2)
+from nilhom.spectral import (_class2_cells, _class2_dims, _class2_nonzero,
+                             equivariant_page, homology_free_nilpotent_c2)
 
 
 def test_bound_values():
@@ -122,6 +122,28 @@ def test_layer_counts_are_the_layers_built(monkeypatch):
                                              f"above the limit of {n - 1}$"):
             filtration_certificate(spec, j)
     assert len({t[1] for t in triples}) >= 8
+
+
+def test_the_nonzero_rule_is_the_support_of_the_closed_form():
+    # C(p, 2) <= q <= p(2r - p - 1)/2, against every cell of the table,
+    # and empty past the table's edges
+    for r in range(13):
+        cells = _class2_dims(r)
+        assert all(_class2_nonzero(r, p, q) == (dim != 0)
+                   for (p, q), dim in cells.items()), r
+        assert not any(_class2_nonzero(r, r + 1, q) for q in range(comb(r + 1, 2) + 1))
+        assert not _class2_nonzero(r, 0, 1) and not _class2_nonzero(r, 1, -1)
+
+
+def test_a_refused_certificate_builds_no_cell_table(monkeypatch):
+    # rank 18, class 1000, degree 5 spent 2.3 s in the rank-18 table before
+    # its count refused it; the count now reads the nonzero rule
+    def refuse(r):
+        raise AssertionError("the cell table was built")
+
+    monkeypatch.setattr(filtration, "_class2_dims", refuse)
+    with pytest.raises(ValueError, match=f"above the limit of {filtration.MAX_LAYERS}$"):
+        filtration_certificate(FreeNilpotentSpec(18, 1000), 5)
 
 
 def test_class_1000_degree_one_is_the_abelianisation():

@@ -7,8 +7,9 @@ import pytest
 import reference_tameness as ref
 from nilhom import sigma
 from nilhom.sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
-                          ValuationVector, _closure_certifies, full_sphere,
-                          m_tame, newton_polytope,
+                          ValuationVector, _closure_certifies,
+                          _least_failing_m, full_sphere, m_tame,
+                          newton_polytope, principal_least_failing_m,
                           sigma_complement, sigma_complement_principal,
                           sigma_witness_search, tame_requirement,
                           tensor_power_fg_check)
@@ -379,6 +380,56 @@ def test_two_tame_iff_no_antipodal_pair():
                  ci.eqs + cj.eqs).has_nonzero_point()
             for ci in cones for cj in cones)
         assert m_tame(sc, 2) == (not antipodal)
+
+
+def _lp_least(f):
+    return _least_failing_m(sigma_complement_principal(f), f.nvars + 2)
+
+
+def test_principal_least_failing_m_named_polygons():
+    # (expected, support): monomials, collinear supports, points inside an
+    # edge or inside the polygon, hexagons (parallel edges) and polygons
+    # with no parallel edges
+    cases = [
+        (None, [(3, -1)]),
+        (None, [(0,), (1,), (5,)]),
+        (2, [(0, 0), (1, 1), (3, 3)]),
+        (2, [(0, 0), (2, 1), (4, 2), (-2, -1)]),
+        (3, [(0, 0), (1, 0), (0, 1)]),
+        (3, [(0, 0), (2, 0), (0, 2), (1, 0), (1, 1)]),
+        (3, [(0, 0), (3, 0), (0, 3), (1, 1)]),
+        (3, [(0, 0), (2, 0), (3, 2), (0, 1), (1, 1)]),
+        (2, [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]),
+        (2, [(0, 0), (2, 0), (4, 2), (4, 4), (2, 4), (0, 2), (2, 2)]),
+        (2, [(0, 0), (1, 0), (1, 1), (0, 1)]),
+        (3, [(0, 0), (1, 0), (2, 1), (1, 3), (0, 1)]),
+        (2, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (2, [(0, 0, 0), (1, 2, 3)]),
+        (2, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+             (0, 0, 0, 1)]),
+    ]
+    for expected, support in cases:
+        f = poly(len(support[0]), {e: 1 for e in support})
+        assert principal_least_failing_m(f) == expected == _lp_least(f), support
+
+
+def test_principal_least_failing_m_matches_the_lp_search():
+    rng = random.Random(34)
+    seen = set()
+    for n, trials, radius in ((1, 20, 3), (2, 70, 3), (3, 30, 2), (4, 20, 1)):
+        for k in range(trials):
+            # every third support has points inside an edge or the hull
+            if k % 3 == 0:
+                support, _ = _support_with_non_vertices(rng, n)
+            else:
+                support = {tuple(rng.randint(-radius, radius) for _ in range(n))
+                           for _ in range(rng.randint(1, 7))}
+            f = poly(n, {e: rng.choice([1, -2, Fraction(1, 3)]) for e in support})
+            got = principal_least_failing_m(f)
+            assert got == _lp_least(f), sorted(support)
+            seen.add((n, got))
+    assert seen >= {(1, None), (2, None), (2, 2), (2, 3), (3, None), (3, 2),
+                    (4, None), (4, 2)}
 
 
 def test_tame_requirement_values():
