@@ -33,13 +33,12 @@ from .spectral import (HomologyResult, Page, betti_free_nilpotent_c2,
 from .filtration import (ActionNilpotencyReport, FiltrationCertificate,
                          filtration_certificate, induced_homology_action,
                          is_nilpotent_action, tensor_degree_bound)
-from .sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
-                    ValuationVector, full_sphere, m_tame, newton_polytope,
-                    sigma_complement, sigma_complement_principal,
-                    sigma_witness_search, tame_requirement,
-                    tensor_power_fg_check)
-from .vbscan import (HypothesisReport, QModuleFD, ScanReport, hirsch_bound,
-                     hypothesis_report, koszul_homology, power_subgroup,
-                     vb_scan)
+from .sigma import (Cone, ConeUnion, CyclicModuleSpec, HypothesisReport,
+                    LaurentPoly, ValuationVector, full_sphere,
+                    hypothesis_report, m_tame, newton_polytope, sigma_complement,
+                    sigma_complement_principal, sigma_witness_search,
+                    tame_requirement, tensor_power_fg_check)
+from .vbscan import (QModuleFD, ScanReport, hirsch_bound, koszul_homology,
+                     power_subgroup, vb_scan)
 
 __version__ = "0.1.0"

@@ -22,12 +22,12 @@ from . import jsonio
 from .filtration import filtration_certificate
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
                      central_extension_of_class2)
-from .sigma import (ValuationVector, m_tame, principal_least_failing_m,
-                    sigma_complement, sigma_witness_search)
+from .sigma import (ValuationVector, hypothesis_report, least_failing_m,
+                    m_tame, sigma_complement, sigma_witness_search)
 from .linalg import binomial
 from .spectral import (betti_free_nilpotent_c2, e2_page,
                        homology_free_nilpotent_c2)
-from .vbscan import hypothesis_report, vb_scan
+from .vbscan import vb_scan
 
 
 def _load_json(value, what):
@@ -199,22 +199,17 @@ def _parse_cones(args, nvars):
 def _cmd_tame(args):
     if (args.module is None) == (args.sigma_complement is None):
         raise ValueError("tame needs exactly one of --module or --sigma-complement")
-    if args.module is not None:
-        spec = jsonio.parse_module(_load_json(args.module, "--module"))
-        config = {"module": jsonio.module_json(spec), "m": args.m}
-        if len(spec.ideal) == 1:
-            # the least failing m of (f) is read from its Newton polytope;
-            # the errors come in the order of the cone path below
-            _agreeing(args, spec)
-            if args.m < 2:
-                raise ValueError("tameness is defined for m >= 2")
-            least = principal_least_failing_m(spec.ideal[0])
-            return _document("tame", config, {"tame": least is None or least > args.m})
-        sc = _agreeing(args, sigma_complement(spec))
-    else:
+    if args.module is None:
         sc = _parse_cones(args, args.nvars)
         config = {"sigma_complement": jsonio.cones_json(sc), "m": args.m}
-    return _document("tame", config, {"tame": m_tame(sc, args.m)})
+        return _document("tame", config, {"tame": m_tame(sc, args.m)})
+    spec = jsonio.parse_module(_load_json(args.module, "--module"))
+    least = least_failing_m(spec)
+    _agreeing(args, spec)
+    if args.m < 2:
+        raise ValueError("tameness is defined for m >= 2")
+    config = {"module": jsonio.module_json(spec), "m": args.m}
+    return _document("tame", config, {"tame": least is None or least > args.m})
 
 
 def _cmd_vbscan(args):

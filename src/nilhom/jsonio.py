@@ -24,9 +24,9 @@ from json.encoder import encode_basestring_ascii as _string
 from .filtration import FiltrationCertificate
 from .groups import CentralExtension, FreeNilpotentSpec, NilpotentAction
 from .linalg import IntMatrix, binomial
-from .sigma import Cone, ConeUnion, CyclicModuleSpec, LaurentPoly
+from .sigma import Cone, ConeUnion, CyclicModuleSpec, HypothesisReport, LaurentPoly
 from .spectral import Page
-from .vbscan import HypothesisReport, ScanReport
+from .vbscan import ScanReport
 
 SCHEMA = "v1"
 

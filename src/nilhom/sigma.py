@@ -7,14 +7,11 @@ monoid ring form a rational polyhedral set; for a principal ideal (f) it
 is cut out by the classical criterion: the minimum of v over the support
 of f is attained at two or more points.  Membership, m-tameness and the
 finite-generation semidecisions below are all decided in exact rational
-arithmetic.  m-tameness is one search over sets of at most n + 1
-distinct cones (conic Caratheodory), one non-strict LP per set, which
-also yields the least failing m for hypothesis reports.  For a principal
-module, whose complement is the tropical hypersurface of f, the least
-failing m is read from the Newton polytope instead, with no LP
-(``principal_least_failing_m``, which ``tame --module`` uses); the
-complement itself and the search stay for ``sigma --module``,
-``tame --sigma-complement`` and reports, and as its oracle.  One builder,
+arithmetic.  ``least_failing_m`` decides a module's tameness with no
+LP: 2 for the free module, read from the Newton polytope for a
+principal one.  A union of cones is decided by one search over sets of
+at most n + 1 distinct cones (conic Caratheodory), one non-strict LP
+per set, which is also the polytope reading's oracle.  One builder,
 ``_cone_points``, states "a nonzero vector in each cone" for that
 search and for ``Cone.has_nonzero_point``.  A Newton vertex is a
 support point that some direction strictly separates from the rest,
@@ -293,6 +290,13 @@ def sigma_complement_principal(f: LaurentPoly) -> ConeUnion:
     return ConeUnion(n, cones)
 
 
+def _generator(spec: CyclicModuleSpec):
+    """The ideal's one generator, or None for the free module."""
+    if len(spec.ideal) > 1:
+        raise ValueError("non-principal ideals admit only the witness semidecision")
+    return spec.ideal[0] if spec.ideal else None
+
+
 def sigma_complement(spec: CyclicModuleSpec) -> ConeUnion:
     """Exact polyhedral complement for free or principal cyclic modules.
 
@@ -301,11 +305,8 @@ def sigma_complement(spec: CyclicModuleSpec) -> ConeUnion:
     two or more generators have no exact polyhedral description here;
     only the witness semidecision applies to them.
     """
-    if len(spec.ideal) == 0:
-        return full_sphere(spec.nvars)
-    if len(spec.ideal) == 1:
-        return sigma_complement_principal(spec.ideal[0])
-    raise ValueError("non-principal ideals admit only the witness semidecision")
+    f = _generator(spec)
+    return full_sphere(spec.nvars) if f is None else sigma_complement_principal(f)
 
 
 @dataclass(frozen=True)
@@ -471,9 +472,10 @@ def _hull(pts):
     return chain(pts) + chain(reversed(pts))
 
 
-def principal_least_failing_m(f: LaurentPoly):
-    """Least m at which QQ/(f) is not m-tame, or None, read from the
-    Newton polytope P of f with no LP.
+def least_failing_m(spec: CyclicModuleSpec):
+    """Least m at which QQ/I is not m-tame, or None, with no LP: for I = 0
+    the whole sphere fails at 2 (n >= 1), and I = (f) is read from the
+    Newton polytope P of f.
 
     The complement of ``sigma_complement_principal(f)`` is the set of
     nonzero v whose minimal face of P is not a vertex: the cones of
@@ -508,6 +510,9 @@ def principal_least_failing_m(f: LaurentPoly):
     whose two edges are opposite.  ``_least_failing_m(sigma_complement_principal(f),
     n + 2)`` is the LP search this replaces, kept as the oracle.
     """
+    f = _generator(spec)
+    if f is None:
+        return 2 if spec.nvars else None
     pts = f.support
     if f.nvars <= 1 or len(pts) <= 1:
         return None
@@ -545,6 +550,31 @@ def tame_requirement(c: int, n: int) -> int:
     if c < 1 or n < 1:
         raise ValueError("need c >= 1 and n >= 1")
     return 2 * (c * (n - 1) + 1)
+
+
+@dataclass(frozen=True)
+class HypothesisReport:
+    """Verdict of the tameness hypothesis behind the boundedness theorem."""
+
+    requirement: int
+    holds: bool
+    fails_at_m: object
+    guaranteed: object
+
+
+def hypothesis_report(c: int, n: int, sc: ConeUnion) -> HypothesisReport:
+    """Check 2(c(n-1)+1)-tameness of a complement and report coverage.
+
+    When the hypothesis holds the virtual Betti numbers are guaranteed
+    finite in degrees 0..n; otherwise the least failing tameness degree
+    is reported (failures are upward closed).
+    """
+    req = tame_requirement(c, n)
+    fails_at = _least_failing_m(sc, req)
+    if fails_at is None:
+        return HypothesisReport(req, True, None,
+                                f"vb_j finite for 0 <= j <= {n}")
+    return HypothesisReport(req, False, fails_at, None)
 
 
 MAX_WITNESS_ROWS = 20_000  # rows a witness search may reduce
@@ -601,19 +631,18 @@ def tensor_power_fg_check(spec: CyclicModuleSpec, m: int,
                           degree_bound: int = 8) -> str:
     """Semidecide finite generation of the m-th diagonal tensor power.
 
-    Two independent routes: the polyhedral tameness test refutes finite
-    generation when it fails (for free or principal ideals, where the
-    complement is exact), and a bounded closure certification proves it.
+    Two independent routes: ``least_failing_m`` refutes finite generation
+    when it fails (for free or principal ideals, where the complement is
+    exact), and a bounded closure certification proves it.
     Everything else is an honest "unknown".
     """
     if m < 2:
         raise ValueError("tensor power check needs m >= 2")
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    if len(spec.ideal) <= 1:
-        sc = sigma_complement(spec)
-        if not m_tame(sc, m):
-            return "no_witness"
+    least = least_failing_m(spec) if len(spec.ideal) <= 1 else None
+    if least is not None and least <= m:
+        return "no_witness"
     if _closure_certifies(spec, m, degree_bound):
         return "yes"
     return "unknown"

@@ -36,7 +36,6 @@ from .filtration import induced_homology_action
 from .groups import NilpotentAction
 from .linalg import (IntMatrix, RatMatrix, binomial, integral_row,
                      matrix_rank, require_commuting, require_matrices)
-from .sigma import ConeUnion, _least_failing_m, tame_requirement
 
 # (j + 1) entries in each of m_max rows; a larger scan can run for minutes
 MAX_SCAN_ENTRIES = 10 ** 6
@@ -283,27 +282,3 @@ def hirsch_bound(h: int, j: int) -> int:
         raise ValueError("need h, j >= 0")
     return binomial(h, j)
 
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Verdict of the tameness hypothesis behind the boundedness theorem."""
-
-    requirement: int
-    holds: bool
-    fails_at_m: object
-    guaranteed: object
-
-
-def hypothesis_report(c: int, n: int, sc: ConeUnion) -> HypothesisReport:
-    """Check 2(c(n-1)+1)-tameness of a complement and report coverage.
-
-    When the hypothesis holds the virtual Betti numbers are guaranteed
-    finite in degrees 0..n; otherwise the least failing tameness degree
-    is reported (failures are upward closed).
-    """
-    req = tame_requirement(c, n)
-    fails_at = _least_failing_m(sc, req)
-    if fails_at is None:
-        return HypothesisReport(req, True, None,
-                                f"vb_j finite for 0 <= j <= {n}")
-    return HypothesisReport(req, False, fails_at, None)

@@ -15,12 +15,12 @@ from nilhom.filtration import (filtration_certificate, induced_homology_action,
 from nilhom.groups import CentralExtension, FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix, rank_kernel_image
 from nilhom.sigma import (Cone, ConeUnion, LaurentPoly, ValuationVector,
-                          full_sphere, m_tame, sigma_complement_principal,
-                          tame_requirement)
+                          full_sphere, hypothesis_report, m_tame,
+                          sigma_complement_principal, tame_requirement)
 from nilhom.spectral import (betti_free_nilpotent_c2, e2_page, e3_dimensions,
                              homology_free_nilpotent_c2, ks_page)
-from nilhom.vbscan import (QModuleFD, hirsch_bound, hypothesis_report,
-                           koszul_homology, power_subgroup, vb_scan)
+from nilhom.vbscan import (QModuleFD, hirsch_bound, koszul_homology,
+                           power_subgroup, vb_scan)
 
 import reference_linalg as ref
 

@@ -106,6 +106,28 @@ def test_tame_on_a_principal_module_asks_no_lp(capsys, monkeypatch):
             assert json.loads(out)["tame"] is (m < least)
 
 
+def test_tame_on_a_free_module_asks_no_lp(capsys, monkeypatch):
+    # every module takes one decision: the free module's complement is
+    # the whole sphere, which fails at 2 once nvars >= 1, and the
+    # triangle has no parallel edges, so it fails at 3
+    from nilhom import lp
+
+    def refuse(cons, nvars):
+        raise AssertionError("tame --module asked an LP")
+
+    monkeypatch.setattr(lp, "feasible", refuse)
+    triangle = ('{"nvars":2,"ideal":[[{"coeff":"1","exp":[0,0]},'
+                '{"coeff":"1","exp":[1,0]},{"coeff":"1","exp":[0,1]}]]}')
+    for mod, m, tame in (('{"nvars":0,"ideal":[]}', 2, True),
+                         ('{"nvars":0,"ideal":[]}', 5, True),
+                         ('{"nvars":2,"ideal":[]}', 2, False),
+                         ('{"nvars":2,"ideal":[]}', 4, False),
+                         (triangle, 2, True), (triangle, 3, False)):
+        code, out, err = run_cli(capsys, "tame", "--module", mod, "--m", str(m))
+        assert code == 0, err
+        assert json.loads(out)["tame"] is tame, (mod, m)
+
+
 def test_tame_module_errors_keep_their_order(capsys):
     # parse, then the non-principal refusal, then --nvars, then m < 2:
     # each input below also breaks every later rule

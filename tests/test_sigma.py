@@ -8,8 +8,8 @@ import reference_tameness as ref
 from nilhom import sigma
 from nilhom.sigma import (Cone, ConeUnion, CyclicModuleSpec, LaurentPoly,
                           ValuationVector, _closure_certifies,
-                          _least_failing_m, full_sphere, m_tame,
-                          newton_polytope, principal_least_failing_m,
+                          _least_failing_m, full_sphere, least_failing_m,
+                          m_tame, newton_polytope,
                           sigma_complement, sigma_complement_principal,
                           sigma_witness_search, tame_requirement,
                           tensor_power_fg_check)
@@ -410,7 +410,8 @@ def test_principal_least_failing_m_named_polygons():
     ]
     for expected, support in cases:
         f = poly(len(support[0]), {e: 1 for e in support})
-        assert principal_least_failing_m(f) == expected == _lp_least(f), support
+        assert least_failing_m(CyclicModuleSpec(f.nvars, (f,))) == expected \
+            == _lp_least(f), support
 
 
 def test_principal_least_failing_m_matches_the_lp_search():
@@ -425,11 +426,21 @@ def test_principal_least_failing_m_matches_the_lp_search():
                 support = {tuple(rng.randint(-radius, radius) for _ in range(n))
                            for _ in range(rng.randint(1, 7))}
             f = poly(n, {e: rng.choice([1, -2, Fraction(1, 3)]) for e in support})
-            got = principal_least_failing_m(f)
+            got = least_failing_m(CyclicModuleSpec(n, (f,)))
             assert got == _lp_least(f), sorted(support)
             seen.add((n, got))
     assert seen >= {(1, None), (2, None), (2, 2), (2, 3), (3, None), (3, 2),
                     (4, None), (4, 2)}
+
+
+def test_least_failing_m_of_free_and_non_principal_modules():
+    # the whole sphere holds v and -v once n >= 1; n = 0 has no direction
+    assert least_failing_m(CyclicModuleSpec(0, ())) is None
+    for n in (1, 2, 3):
+        assert least_failing_m(CyclicModuleSpec(n, ())) == 2 \
+            == _least_failing_m(full_sphere(n), n + 2)
+    with pytest.raises(ValueError, match="only the witness semidecision"):
+        least_failing_m(CyclicModuleSpec(2, (TRIANGLE, TRIANGLE)))
 
 
 def test_tame_requirement_values():
@@ -443,6 +454,17 @@ def test_tensor_power_fg_fixtures():
     assert tensor_power_fg_check(spec_t2, 2, 4) == "yes"
     lamplighter = CyclicModuleSpec(1, ())
     assert tensor_power_fg_check(lamplighter, 2, 2) == "no_witness"
+    tri = CyclicModuleSpec(2, (TRIANGLE,))
+    assert tensor_power_fg_check(tri, 3, 1) == "no_witness"
+
+
+def test_tensor_power_fg_refutes_with_no_lp(monkeypatch):
+    # free and principal modules are refuted by least_failing_m alone
+    def refuse(cons, nvars):
+        raise AssertionError("tensor_power_fg_check asked an LP")
+
+    monkeypatch.setattr(sigma.lp, "feasible", refuse)
+    assert tensor_power_fg_check(CyclicModuleSpec(1, ()), 2, 2) == "no_witness"
     tri = CyclicModuleSpec(2, (TRIANGLE,))
     assert tensor_power_fg_check(tri, 3, 1) == "no_witness"
 

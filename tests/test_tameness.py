@@ -15,8 +15,8 @@ import pytest
 import reference_tameness as ref
 from nilhom import lp
 from nilhom.filtration import tensor_degree_bound
-from nilhom.sigma import Cone, ConeUnion, _cone_points, m_tame, tame_requirement
-from nilhom.vbscan import hypothesis_report
+from nilhom.sigma import (Cone, ConeUnion, _cone_points, hypothesis_report,
+                          m_tame, tame_requirement)
 
 
 def _ray_eqs(r):

@@ -9,11 +9,11 @@ import reference_vbscan as ref
 from nilhom.filtration import induced_homology_action, is_nilpotent_action
 from nilhom.groups import FreeNilpotentSpec, NilpotentAction
 from nilhom.linalg import IntMatrix, RatMatrix, det, matrix_rank, solve
-from nilhom.sigma import Cone, ConeUnion, full_sphere
+from nilhom.sigma import Cone, ConeUnion, full_sphere, hypothesis_report
 from nilhom.vbscan import (QModuleFD, _charpoly, _cyclotomics,
                            _koszul_differential, _narrowed, _scan_period,
-                           hirsch_bound, hypothesis_report, koszul_homology,
-                           power_subgroup, vb_scan)
+                           hirsch_bound, koszul_homology, power_subgroup,
+                           vb_scan)
 
 ANOSOV = IntMatrix([[2, 1], [1, 1]])
 
