@@ -6,8 +6,8 @@ schema-versioned JSON payload.  Exit codes: 0 success, 1 when the
 reader closed the output pipe before the document was written (nothing
 goes to stderr) or on a bug (a traceback), 2 input error (a ValueError:
 an unreadable input, an ``--output`` that cannot be opened, a size above
-its limit) or unsupported instance, 3 when ``sigma --witness --strict``
-came back "unknown".
+its limit, an integer flag above ``sys.maxsize``) or unsupported
+instance, 3 when ``sigma --witness --strict`` came back "unknown".
 """
 
 from __future__ import annotations
@@ -313,9 +313,20 @@ def _emit(doc, out):
     out.write("\n")
 
 
+def _require_flag_sizes(args):
+    """Refuse an integer flag above ``sys.maxsize``, as ``jsonio._size``
+    refuses a JSON size: a larger one can make a number in the document
+    too long for ``str``."""
+    for key, value in vars(args).items():
+        if isinstance(value, int) and value > sys.maxsize:
+            raise ValueError(f"--{key.replace('_', '-')} is {value}, above the "
+                             f"largest size {sys.maxsize}")
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        _require_flag_sizes(args)
         doc = args.func(args)
         stream = _open_output(args.output)
     except ValueError as err:

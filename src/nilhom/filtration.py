@@ -12,7 +12,9 @@ higher class they are second-page upper bounds and flagged as such.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from .linalg import (IntMatrix, RatMatrix, binomial, image_matrix,
@@ -26,6 +28,11 @@ MAX_CLASS = 1000
 # rank 4, class 21, degree 5 (9,064 layers) is written in about a second;
 # class 35 took 10 s and 909 MB, and class 1000 printed nothing in 20 s
 MAX_LAYERS = 10000
+# the count reads one entry per class and degree from class two up, each
+# up to a thousand digits long: rank 2, class 1000 has about 2 * 10^6 at
+# --j 2000, and the top degree of rank 2 has 0.93 * 10^6 at class 19
+# (1.4 s) and 1.9 * 10^6 at class 20
+MAX_COUNT_ENTRIES = 10 ** 6
 
 
 def tensor_degree_bound(c: int, j: int) -> int:
@@ -82,7 +89,9 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
     order of their origin traces.  Class one is one binomial layer.  A
     class above ``MAX_CLASS`` is refused, and so is a certificate of more
     than ``MAX_LAYERS`` layers, counted by the same lifts before any
-    layer is built.
+    layer is built: class k's count in degree i is a window sum of class
+    k - 1's, read as a difference of its prefix sums.  A count of more
+    than ``MAX_COUNT_ENTRIES`` (class, degree) entries is refused first.
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
@@ -100,24 +109,32 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
         for k in range(c, 2, -1):
             low[k - 1] = max(1, low[k] - witt[k])
         _require_closed_form_rank(r)
+        entries = sum(j - low[k] + 1 for k in range(2, c + 1))
+        if entries > MAX_COUNT_ENTRIES:
+            raise ValueError(f"counting the layers would read {entries} (class, "
+                             f"degree) entries, above the limit of {MAX_COUNT_ENTRIES}")
         first = {i: [p for p in range(1, min(i, r) + 1) if _class2_nonzero(r, p, i - p)]
                  for i in range(low[2], j + 1)}
-        count = {i: len(ps) for i, ps in first.items()}
+        # count[i - low[k]] is class k's count in degree i
+        count = [len(ps) for ps in first.values()]
         for k in range(3, c + 1):
-            count = {i: sum(count[p] for p in range(max(1, i - witt[k]), i + 1))
-                     for i in range(low[k], j + 1)}
-        if count[j] > MAX_LAYERS:
-            raise ValueError(f"the certificate would have {count[j]} layers, "
+            sums, base = [0, *accumulate(count)], low[k - 1]
+            count = [sums[i + 1 - base] - sums[max(1, i - witt[k]) - base]
+                     for i in range(low[k], j + 1)]
+        if count[-1] > MAX_LAYERS:
+            raise ValueError(f"the certificate would have {count[-1]} layers, "
                              f"above the limit of {MAX_LAYERS}")
         cells = _class2_dims(r)
         table = {i: [Layer(2 * i - p, cells[(p, i - p)], ((p, i - p),)) for p in ps]
                  for i, ps in first.items()}
         for k in range(3, c + 1):
-            # the fibre factor C(W_k, i - p) vanishes below p = i - W_k
+            # the fibre factor C(W_k, i - p) vanishes below p = i - W_k;
+            # only the degrees that hold layers are read
+            held = [p for p, row in table.items() if row]
             table = {i: [Layer(l.tensor_degree + k * (i - p),
                                l.dimension * binomial(witt[k], i - p),
                                ((p, i - p),) + l.origin)
-                         for p in range(max(1, i - witt[k]), i + 1)
+                         for p in held[bisect_left(held, i - witt[k]):bisect_right(held, i)]
                          for l in table[p]]
                      for i in range(low[k], j + 1)}
         layers = tuple(table[j])

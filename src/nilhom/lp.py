@@ -10,7 +10,9 @@ by its content, and the ratio test compares right-hand side over pivot
 entry by cross-multiplication, where those factors cancel.  Termination
 is guaranteed by Bland's anticycling rule (Bland, 1977) and every
 verdict is exact, so a True/False answer here is a proof, not an
-approximation.
+approximation.  In ``sigma`` it decides the tameness of cone unions,
+Newton vertices and whether a cone has a nonzero point; the tameness
+of a free or principal module asks it nothing.
 
 A constraint is (coeffs, const, rel) meaning coeffs . x + const REL 0
 with rel one of ">=", "==", and every entry an int; a ``Fraction``
@@ -45,16 +47,15 @@ def _reduce(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _phase_one(rows, ncols, basis=None, nfree=0):
+def _phase_one(rows, ncols, basis, nfree):
     """Maximise minus the sum of the artificials over integer rows.
 
     ``rows`` hold ncols integer coefficients and a right-hand side >= 0.
     ``basis[i]`` is row i's basic variable: a column below ncols whose
     entry in row i is positive and zero in every other row, or ncols + i
-    for an artificial; by default every row starts with its artificial.
-    The artificial columns are not stored: an artificial that leaves the
-    basis stays at 0, which does not change whether the system is
-    feasible.  ``cost`` is the phase-one reduced-cost row over the real
+    for an artificial, whose column is not stored: an artificial that
+    leaves the basis stays at 0, which does not change whether the
+    system is feasible.  ``cost`` is the phase-one reduced-cost row over the real
     columns, up to a positive factor; it starts as the sum of the rows
     whose artificial is basic, and with no such row x = 0 is feasible.
 
@@ -70,8 +71,6 @@ def _phase_one(rows, ncols, basis=None, nfree=0):
     leaving row.  Returns True exactly when the optimum is 0, i.e. when
     every basic artificial ends at right-hand side 0.
     """
-    if basis is None:
-        basis = [ncols + i for i in range(len(rows))]
     art = [row for row, b in zip(rows, basis) if b >= ncols]
     if not art:
         return True

@@ -6,7 +6,9 @@ Scanning the power subgroups (Z^n)^m = (mZ)^n replaces every generator
 by its m-th power, and the per-degree totals reproduce, at desk scale,
 the boundedness phenomenon behind finite virtual Betti numbers.  All
 dimensions are exact; reports state the observed supremum over the
-scanned range, never a mathematical supremum.
+scanned range, never a mathematical supremum.  A scan reads no
+tameness: the hypothesis reports, which tie tameness to the
+boundedness theorem, are in ``sigma``.
 
 The coefficients H_q(N, Q) are taken one module per third-page cell
 (i, q - i), the graded pieces of H_q; Koszul homology is additive over

@@ -456,6 +456,33 @@ def test_a_filtration_above_its_layer_limit_exit_2(capsys, rank, nil_class):
                         rf"limit of {filtration.MAX_LAYERS}\n", err), err
 
 
+@pytest.mark.parametrize("rank,nil_class,j", [
+    (2, 60, 3000), (2, 60, 10000), (3, 20, 20000), (2, 1000, 2000)])
+def test_a_deep_layer_count_exit_2_at_once(capsys, rank, nil_class, j):
+    # each class re-summed a window of degrees for every degree: the first
+    # took 19.8 s to refuse, the others printed nothing in 20 s
+    group = '{"type":"free_nilpotent","rank":%d,"class":%d}' % (rank, nil_class)
+    code, out, err = run_cli(capsys, "filtration", "--j", str(j), "--group", group)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: (the certificate would have \d+ layers|counting the "
+                        r"layers would read \d+ \(class, degree\) entries), above "
+                        r"the limit of \d+\n", err), err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["report", "--c", "9" * 2200, "--n", "9" * 2200, "--sigma-complement", "[]"],
+     "--c"),
+    (["filtration", "--j", "9" * 4300, "--group", HEIS], "--j"),
+], ids=["report", "filtration"])
+def test_an_integer_flag_above_maxsize_exit_2(capsys, argv, flag):
+    # the requirement 2(c(n-1)+1) and the bound c(j-1)+1 had more digits
+    # than str() takes: a traceback from the writer, exit 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    value = argv[argv.index(flag) + 1]
+    assert err == f"error: {flag} is {value}, above the largest size {sys.maxsize}\n"
+
+
 def test_a_class1_filtration_at_its_limit_is_written(capsys):
     # the middle binomial, the longest number class one prints
     r = cli.MAX_CLASS_ONE_RANK

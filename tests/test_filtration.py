@@ -8,7 +8,7 @@ import reference_filtration as ref_filtration
 from nilhom import filtration
 from nilhom.filtration import (filtration_certificate, induced_homology_action,
                                is_nilpotent_action, tensor_degree_bound)
-from nilhom.groups import FreeNilpotentSpec, NilpotentAction
+from nilhom.groups import FreeNilpotentSpec, NilpotentAction, witt_number
 from nilhom.jsonio import certificate_json
 from nilhom.linalg import IntMatrix, RatMatrix
 from nilhom.spectral import (_class2_cells, _class2_dims, _class2_nonzero,
@@ -144,6 +144,54 @@ def test_a_refused_certificate_builds_no_cell_table(monkeypatch):
     monkeypatch.setattr(filtration, "_class2_dims", refuse)
     with pytest.raises(ValueError, match=f"above the limit of {filtration.MAX_LAYERS}$"):
         filtration_certificate(FreeNilpotentSpec(18, 1000), 5)
+
+
+def _count_entries(r, c, j):
+    """(class, degree) entries the layer count reads: class k reads the
+    degrees from j minus the Witt numbers above k (and at least 1) to j."""
+    low, lows = j, [j]
+    for k in range(c, 2, -1):
+        low = max(1, low - witt_number(r, k))
+        lows.append(low)
+    return sum(j - low + 1 for low in lows)
+
+
+def _outcome(spec, j):
+    try:
+        return certificate_json(filtration_certificate(spec, j))
+    except ValueError as err:
+        return str(err)
+
+
+def test_the_count_entries_are_limited(monkeypatch):
+    # at its entry count as the limit a certificate is counted as before
+    # (built, or refused for its layers), one below it refused before
+    # anything is counted
+    rng = random.Random(36)
+    triples = [(rng.randint(2, 4), rng.randint(3, 12), rng.randint(1, 60))
+               for _ in range(30)]
+    cases = [(FreeNilpotentSpec(r, c), j, _count_entries(r, c, j),
+              _outcome(FreeNilpotentSpec(r, c), j)) for r, c, j in triples]
+    assert {isinstance(want, str) for *_, want in cases} == {True, False}
+    for spec, j, n, want in cases:
+        monkeypatch.setattr(filtration, "MAX_COUNT_ENTRIES", n)
+        assert _outcome(spec, j) == want
+        monkeypatch.setattr(filtration, "MAX_COUNT_ENTRIES", n - 1)
+        with pytest.raises(ValueError, match=rf"would read {n} \(class, degree\) "
+                                             rf"entries, above the limit of {n - 1}$"):
+            filtration_certificate(spec, j)
+
+
+def test_top_degrees_match_the_recursive_reference():
+    # near the Hirsch length each class reads a long range of degrees of
+    # which few hold layers
+    for r, top_class in ((2, 7), (3, 4)):
+        for c in range(3, top_class + 1):
+            h = sum(witt_number(r, k) for k in range(1, c + 1))
+            for j in range(h - 2, h + 2):
+                spec = FreeNilpotentSpec(r, c)
+                assert certificate_json(filtration_certificate(spec, j)) == \
+                    certificate_json(ref_filtration.filtration_certificate(spec, j)), (r, c, j)
 
 
 def test_class_1000_degree_one_is_the_abelianisation():

@@ -342,7 +342,7 @@ def test_blands_leaving_rule_ends_a_cycling_tableau(monkeypatch):
              for j in range(6)]
     want = ref.feasible(cons, 6)
     assert want
-    assert lp._phase_one([list(row) for row in _BEALE_ROWS], 6) == want
+    assert lp._phase_one([list(row) for row in _BEALE_ROWS], 6, [6, 7, 8], 0) == want
 
 
 def test_tame_requirement_is_twice_the_tensor_degree_bound():
