@@ -134,7 +134,8 @@ def filtration_certificate(spec: FreeNilpotentSpec, j: int) -> FiltrationCertifi
             table = {i: [Layer(l.tensor_degree + k * (i - p),
                                l.dimension * binomial(witt[k], i - p),
                                ((p, i - p),) + l.origin)
-                         for p in held[bisect_left(held, i - witt[k]):bisect_right(held, i)]
+                         for p in held[bisect_left(held, i - witt[k]):
+                                       bisect_right(held, i)]
                          for l in table[p]]
                      for i in range(low[k], j + 1)}
         layers = tuple(table[j])

@@ -55,9 +55,10 @@ def _phase_one(rows, ncols, basis, nfree):
     entry in row i is positive and zero in every other row, or ncols + i
     for an artificial, whose column is not stored: an artificial that
     leaves the basis stays at 0, which does not change whether the
-    system is feasible.  ``cost`` is the phase-one reduced-cost row over the real
-    columns, up to a positive factor; it starts as the sum of the rows
-    whose artificial is basic, and with no such row x = 0 is feasible.
+    system is feasible.  ``cost`` is the phase-one reduced-cost row over
+    the real columns, up to a positive factor; it starts as the sum of
+    the rows whose artificial is basic, and with no such row x = 0 is
+    feasible.
 
     The first ``nfree`` columns are free variables, the rest are >= 0.
     The entering column is the first one whose reduced cost is positive,

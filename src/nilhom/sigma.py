@@ -475,7 +475,7 @@ def _hull(pts):
 def least_failing_m(spec: CyclicModuleSpec):
     """Least m at which QQ/I is not m-tame, or None, with no LP: for I = 0
     the whole sphere fails at 2 (n >= 1), and I = (f) is read from the
-    Newton polytope P of f.
+    Newton polytope P of f; two or more generators are refused.
 
     The complement of ``sigma_complement_principal(f)`` is the set of
     nonzero v whose minimal face of P is not a vertex: the cones of
