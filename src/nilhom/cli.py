@@ -22,8 +22,9 @@ from . import jsonio
 from .filtration import filtration_certificate
 from .groups import (CentralExtension, FreeNilpotentSpec, NilpotentAction,
                      central_extension_of_class2)
-from .sigma import (ValuationVector, hypothesis_report, least_failing_m,
-                    m_tame, sigma_complement, sigma_witness_search)
+from .sigma import (ConeUnion, ValuationVector, hypothesis_report,
+                    least_failing_m, m_tame, sigma_complement,
+                    sigma_witness_search)
 from .linalg import binomial
 from .spectral import (betti_free_nilpotent_c2, e2_page,
                        homology_free_nilpotent_c2)
@@ -182,11 +183,12 @@ def _cmd_sigma(args):
 
 
 def _agreeing(args, sc):
-    """``sc``, once an explicit --nvars is checked against its dimension
-    (a module's is its nvars)."""
+    """``sc``, cones or a module, once an explicit --nvars is checked
+    against its nvars."""
     if args.nvars is not None and args.nvars != sc.nvars:
-        raise ValueError(f"--nvars {args.nvars} disagrees with the "
-                         f"dimension {sc.nvars} of the cones")
+        what = (f"dimension {sc.nvars} of the cones" if isinstance(sc, ConeUnion)
+                else f"nvars {sc.nvars} of the module")
+        raise ValueError(f"--nvars {args.nvars} disagrees with the {what}")
     return sc
 
 

@@ -19,7 +19,10 @@ one LP per point.  Cones are canonical from construction, with
 primitive integer rows, so every LP is stated in integers.  The
 witness search and the closure certificate share one fraction-free
 sparse reduction, ``_sparse_reduce``, on integer vectors; only a
-returned witness is divided by its lead.
+returned witness is divided by its lead.  It reads pivots through a
+lookup: the witness search's order is invariant under translation, so
+the first generator's shifts never reduce, and it serves each as a
+pivot by translation, built only when a later row reads it.
 """
 
 from __future__ import annotations
@@ -322,21 +325,23 @@ class Witness:
     minimal_exponent: tuple
 
 
-def _sparse_reduce(vec, combo, pivots, key=None):
+def _sparse_reduce(vec, combo, pivot, key=None):
     """Reduce an integer vector against pivots, fraction-free (Bareiss).
 
-    ``vec`` maps monomials and ``combo`` tags to ints; ``pivots`` maps the
-    lead of each pivot, its least monomial under ``key``, to its (vector,
-    combination) pair.  While vec's lead is a pivot's, vec and combo
+    ``vec`` maps monomials and ``combo`` tags to ints; ``pivot`` takes a
+    lead, a least monomial under ``key``, and gives the (vector,
+    combination) pair of the pivot with that lead, or None (``pivots.get``
+    for a dict of pivots).  While vec's lead has a pivot, vec and combo
     become p vec - f pivot (p, f the two leads) over their one common
     content, so vec = sum combo * g stays exact.  Returns the reduced
     pair; an empty vec lies in the span of the pivots.
     """
     while vec:
         lead = min(vec, key=key)
-        if lead not in pivots:
+        got = pivot(lead)
+        if got is None:
             break
-        pvec, pcombo = pivots[lead]
+        pvec, pcombo = got
         p, f = pvec[lead], vec[lead]
         vec = {m: p * x for m, x in vec.items()}
         for m, x in pvec.items():
@@ -368,6 +373,14 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     and stops there; the remaining shifts are never built.  Returns None
     when the bounded search is inconclusive, and raises ValueError past
     ``MAX_WITNESS_ROWS`` rows ((2 degree_bound + 1)^n per generator).
+
+    The order is invariant under translation, so the shift s g_0 of the
+    first generator has lead lead(g_0) + s, and no two of its shifts
+    share a lead: none of its rows reduces, each is its own pivot, and
+    each is a witness exactly when g_0 is.  So g_0 is decided once, at
+    shift 0; otherwise its rows are counted against the limit without
+    being built, and the shift of g_0 with a given lead is built only
+    when a later generator's row reduces against it.
     """
     if len(v.v) != spec.nvars:
         raise ValueError("direction arity mismatch")
@@ -383,29 +396,65 @@ def sigma_witness_search(spec: CyclicModuleSpec, v: ValuationVector,
     def key(m):
         return sum(a * b for a, b in zip(weights, m)), m
 
-    pivots, rows = {}, 0
-    for gi, g in enumerate(spec.ideal):
+    scaled = []
+    for g in spec.ideal:
         ints, scale = integral_row(list(g.terms.values()))
-        terms = list(zip(g.terms, ints))
+        scaled.append((list(zip(g.terms, ints)), scale))
+
+    def row(gi, sh):
+        """Generator gi shifted by sh, in integers, and its combination."""
+        terms, scale = scaled[gi]
+        return ({tuple(e + s for e, s in zip(exp, sh)): c for exp, c in terms},
+                {(gi, sh): scale})
+
+    def witness(vec, combo, lead):
+        """The pivot divided by its lead, if its v-minimum is unique."""
+        lead_val = key(lead)[0]
+        if all(key(m)[0] > lead_val for m in vec if m != lead):
+            c = Fraction(1, vec[lead])
+            combo = tuple(sorted((t, x * c) for t, x in combo.items()))
+            return Witness(LaurentPoly(n, vec) * c, combo, lead)
+        return None
+
+    def admitted(rows):
+        """The row count, refused past the limit."""
+        if rows > MAX_WITNESS_ROWS:
+            raise ValueError(f"the witness search at degree bound {degree_bound}"
+                             f" passed its limit of {MAX_WITNESS_ROWS} rows")
+        return rows
+
+    first = row(0, (0,) * n)
+    lead0 = min(first[0], key=key)
+    found = witness(*first, lead0)
+    if found is not None:
+        return found
+    rows = admitted((2 * degree_bound + 1) ** n)
+    pivots = {}
+
+    def pivot(lead):
+        """The pivot with this lead: a later generator's, else the shift
+        of g_0 that has it, built on first reading."""
+        got = pivots.get(lead)
+        if got is None:
+            sh = tuple(a - b for a, b in zip(lead, lead0))
+            if max(map(abs, sh), default=0) <= degree_bound:
+                got = pivots[lead] = row(0, sh)
+        return got
+
+    for gi in range(1, len(spec.ideal)):
         for r in range(degree_bound + 1):
             for sh in product(range(-r, r + 1), repeat=n):
                 if max(map(abs, sh), default=0) != r:
                     continue
-                rows += 1
-                if rows > MAX_WITNESS_ROWS:
-                    raise ValueError(f"the witness search at degree bound {degree_bound}"
-                                     f" passed its limit of {MAX_WITNESS_ROWS} rows")
-                vec = {tuple(e + s for e, s in zip(exp, sh)): c for exp, c in terms}
-                vec, combo = _sparse_reduce(vec, {(gi, sh): scale}, pivots, key)
+                rows = admitted(rows + 1)
+                vec, combo = _sparse_reduce(*row(gi, sh), pivot, key)
                 if not vec:
                     continue
                 lead = min(vec, key=key)
                 pivots[lead] = (vec, combo)
-                lead_val = key(lead)[0]
-                if all(key(m)[0] > lead_val for m in vec if m != lead):
-                    c = Fraction(1, vec[lead])
-                    combo = tuple(sorted((t, x * c) for t, x in combo.items()))
-                    return Witness(LaurentPoly(n, vec) * c, combo, lead)
+                found = witness(vec, combo, lead)
+                if found is not None:
+                    return found
     return None
 
 
@@ -617,11 +666,11 @@ def _closure_certifies(spec: CyclicModuleSpec, m: int, degree_bound: int) -> boo
                                 for e, c in terms.items()})
         pivots = {}
         for vec in columns:
-            vec, _ = _sparse_reduce(vec, {}, pivots)
+            vec, _ = _sparse_reduce(vec, {}, pivots.get)
             if vec:
                 pivots[min(vec)] = (vec, {})
         if all(not _sparse_reduce({mu[:var] + (mu[var] + step,) + mu[var + 1:]: 1},
-                                  {}, pivots)[0]
+                                  {}, pivots.get)[0]
                for mu in cand for var in range(nm) for step in (1, -1)):
             return True
     return False

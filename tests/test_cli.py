@@ -140,7 +140,7 @@ def test_tame_module_errors_keep_their_order(capsys):
          "'ideal'"),
         ('{"nvars":2,"ideal":[%s,%s]}' % (line, line),
          "non-principal ideals admit only the witness semidecision"),
-        (principal, "--nvars 3 disagrees with the dimension 2 of the cones"),
+        (principal, "--nvars 3 disagrees with the nvars 2 of the module"),
     ]
     for mod, message in cases:
         code, out, err = run_cli(capsys, "tame", "--module", mod,

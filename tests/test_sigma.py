@@ -275,6 +275,129 @@ def test_witness_search_matches_full_elimination_reference():
                 * spec.ideal[gi]
         assert rebuilt == w.poly, (spec, v, bound)
     assert min(outcomes.values()) >= 50, outcomes
+    # the search builds a shift of the first generator only when a later
+    # row reads it: cases whose first generator is tied check that path
+    kinds = {}
+    for _ in range(150):
+        spec, v, bound = _tied_first_case(rng)
+        w = sigma_witness_search(spec, v, bound)
+        assert w == ref.sigma_witness_search(spec, v, bound), (spec, v, bound)
+        later = w is not None and any(gi for (gi, _), _ in w.combination)
+        kind = (spec.nvars, "none" if w is None else "later" if later else "first")
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get((1, "first"), 0) >= 30, kinds
+    for n in (2, 3):
+        assert kinds.get((n, "later"), 0) >= 20, kinds
+        assert kinds.get((n, "none"), 0) >= 10, kinds
+
+
+def _tied_first_case(rng):
+    """(spec, direction, degree bound <= 2) with two or three generators,
+    the first attaining its minimal v-value twice when n >= 2.
+
+    In n = 1 a nonzero direction separates any two exponents, so there
+    the first generator is its own witness at shift 0.  A later
+    generator is a multiple h g_0 (if every one is, the ideal is (g_0)
+    and no witness exists), one more generator on g_0's tied pair with
+    fresh coefficients, or random.
+    """
+    n = rng.randint(1, 3)
+    v = _direction(rng, n)
+    if n == 1:
+        first = {_point(rng, n): _coeff(rng) for _ in range(rng.randint(1, 3))}
+    else:
+        a, b = _tied_pair(rng, v)
+        first = {a: _coeff(rng), b: _coeff(rng)}
+        for _ in range(rng.randint(0, 2)):
+            p = _point(rng, n)
+            if v.pair(p) > v.pair(a):
+                first[p] = _coeff(rng)
+    gens = [LaurentPoly(n, first)]
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.random()
+        if kind < 0.5:
+            h = {_point(rng, n): _coeff(rng) for _ in range(rng.randint(1, 2))}
+            gens.append(LaurentPoly(n, h) * gens[0])
+        elif kind < 0.7 and n >= 2:
+            gens.append(LaurentPoly(n, {a: _coeff(rng), b: _coeff(rng)}))
+        else:
+            gens.append(LaurentPoly(n, {_point(rng, n): _coeff(rng)
+                                        for _ in range(rng.randint(1, 3))}))
+    return CyclicModuleSpec(n, tuple(gens)), v, rng.randint(0, 2)
+
+
+# the supports of the tameness benchmark's witness.i1 (perfbench/workloads.py)
+# with unit coefficients: generator 0, 1 + xy + z, ties at v-value 0 in the
+# direction (-1, 1, 2), and generator 1, x + y + z, reduces against three of
+# generator 0's shifts before its row at shift 0 is a witness
+I1 = CyclicModuleSpec(3, (poly(3, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1}),
+                          poly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})))
+I1_DIRECTION = ValuationVector((-1, 1, 2))
+
+
+def test_witness_search_builds_only_the_first_generator_shifts_it_reads(monkeypatch):
+    reduce, calls, read = sigma._sparse_reduce, [], []
+
+    def counting(vec, combo, pivot, key=None):
+        calls.append(combo)
+
+        def reading(lead):
+            got = pivot(lead)
+            if got is not None:
+                read.append(got)  # kept alive, so ids stay distinct
+            return got
+        return reduce(vec, combo, reading, key)
+
+    monkeypatch.setattr(sigma, "_sparse_reduce", counting)
+    w = sigma_witness_search(I1, I1_DIRECTION, 3)
+    # generator 0's 343 rows are counted, not reduced: the one reduction is
+    # generator 1's row at shift 0, and it reads three shifts of generator 0
+    assert calls == [{(1, (0, 0, 0)): 1}]
+    built = {id(p) for p in read if all(gi == 0 for gi, _ in p[1])}
+    assert len(built) == 3 and len(read) == 3
+    assert w.combination == (((0, (1, 0, 0)), 1), ((0, (2, 1, 0)), -1),
+                             ((0, (3, 2, 0)), 1), ((1, (0, 0, 0)), -1))
+    assert w == ref.sigma_witness_search(I1, I1_DIRECTION, 3)
+
+
+def test_witness_search_counts_the_first_generator_rows_against_the_limit(monkeypatch):
+    # two generators, a limit between one and two generators' rows: the
+    # first generator's rows count in full though none is built, so the
+    # answer appears exactly when the limit admits the row that finds it
+    def outcome(spec, v, d, limit):
+        monkeypatch.setattr(sigma, "MAX_WITNESS_ROWS", limit)
+        try:
+            return sigma_witness_search(spec, v, d)
+        except ValueError as err:
+            assert str(err) == (f"the witness search at degree bound {d} passed "
+                                f"its limit of {limit} rows")
+            return "refused"
+
+    # witness.i1: generator 1's first row, the 344th, is the witness
+    want = sigma_witness_search(I1, I1_DIRECTION, 3)
+    for limit in range(343 - 2, 2 * 343 + 1):
+        got = outcome(I1, I1_DIRECTION, 3, limit)
+        assert got == ("refused" if limit < 344 else want), limit
+    # the ideal (TRIANGLE) given by TRIANGLE and (x - 2y) TRIANGLE, in a
+    # direction of its complement: no witness, and all 2 * 49 rows count
+    spec = CyclicModuleSpec(2, (TRIANGLE, poly(2, {(1, 0): 1, (0, 1): -2}) * TRIANGLE))
+    v = ValuationVector((0, 1))
+    for limit in range(49 - 2, 2 * 49 + 2):
+        got = outcome(spec, v, 3, limit)
+        assert got == ("refused" if limit < 98 else None), limit
+
+
+def test_a_first_generator_witness_ignores_the_row_limit(monkeypatch):
+    # 2 + x - y + z has its unique v-minimum at the origin for v = (1, 2, 3):
+    # the search returns it at shift 0 before it counts any other row,
+    # even where one generator's (2d + 1)^3 rows are far above the limit
+    f = poly(3, {(0, 0, 0): 2, (1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1})
+    spec = CyclicModuleSpec(3, (f,) + I1.ideal)
+    v = ValuationVector((1, 2, 3))
+    monkeypatch.setattr(sigma, "MAX_WITNESS_ROWS", 1)
+    w = sigma_witness_search(spec, v, 10 ** 6)
+    assert w.combination == (((0, (0, 0, 0)), Fraction(1, 2)),)
+    assert w.minimal_exponent == (0, 0, 0)
 
 
 def test_witness_search_stops_in_the_first_shell():
