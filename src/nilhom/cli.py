@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 
 from . import jsonio
 from .filtration import filtration_certificate
@@ -55,12 +56,6 @@ def _load_json(value, what):
     except json.JSONDecodeError as err:
         raise ValueError(f"{what} ({source}): invalid JSON at line "
                          f"{err.lineno} column {err.colno}: {err.msg}") from None
-
-
-def _document(command, config, payload):
-    doc = {"schema": jsonio.SCHEMA, "command": command, "config": config}
-    doc.update(payload)
-    return doc
 
 
 # class one prints binomials C(r, j): rank 4,000 takes about a second in
@@ -104,7 +99,7 @@ def _cmd_betti(args):
                 list(res.invariant_factors)
                 if res.invariant_factors is not None else None,
         } for res in results]
-    return _document("betti", config, payload)
+    return {"config": config, **payload}
 
 
 # a page has 2^(q_rank + a_rank) labels and is written densely: 15 is the
@@ -132,7 +127,7 @@ def _cmd_pages(args):
         _require_page_rank(group.q_rank, group.a_rank)
     else:
         raise ValueError("pages needs a free_nilpotent or central_extension spec")
-    return _document("pages", config, {"page": e2_page(group)})
+    return {"config": config, "page": e2_page(group)}
 
 
 def _cmd_filtration(args):
@@ -142,8 +137,7 @@ def _cmd_filtration(args):
     _require_class_one_rank(group)
     cert = filtration_certificate(group, args.j)
     config = {"group": jsonio.group_json(group), "j": args.j}
-    return _document("filtration", config,
-                     {"certificate": jsonio.certificate_json(cert)})
+    return {"config": config, "certificate": jsonio.certificate_json(cert)}
 
 
 def _cmd_sigma(args):
@@ -165,7 +159,7 @@ def _cmd_sigma(args):
             raise ValueError("--witness is the zero direction, but a "
                              "direction must be nonzero")
         direction = ValuationVector(values)
-        config["witness_direction"] = [jsonio.frac_str(x) for x in direction.v]
+        config["witness_direction"] = [str(Fraction(x)) for x in direction.v]
         found = sigma_witness_search(spec, direction, args.degree_bound)
         if found is None:
             payload["witness"] = "unknown"
@@ -174,12 +168,12 @@ def _cmd_sigma(args):
                 "poly": jsonio.laurent_json(found.poly),
                 "minimal_exponent": list(found.minimal_exponent),
                 "combination": [{"generator": gi, "shift": list(sh),
-                                 "coeff": jsonio.frac_str(c)}
+                                 "coeff": str(Fraction(c))}
                                 for (gi, sh), c in found.combination],
             }
     else:
         payload["sigma_complement"] = jsonio.cones_json(sigma_complement(spec))
-    return _document("sigma", config, payload)
+    return {"config": config, **payload}
 
 
 def _agreeing(args, sc):
@@ -204,14 +198,14 @@ def _cmd_tame(args):
     if args.module is None:
         sc = _parse_cones(args, args.nvars)
         config = {"sigma_complement": jsonio.cones_json(sc), "m": args.m}
-        return _document("tame", config, {"tame": m_tame(sc, args.m)})
+        return {"config": config, "tame": m_tame(sc, args.m)}
     spec = jsonio.parse_module(_load_json(args.module, "--module"))
     least = least_failing_m(spec)
     _agreeing(args, spec)
     if args.m < 2:
         raise ValueError("tameness is defined for m >= 2")
     config = {"module": jsonio.module_json(spec), "m": args.m}
-    return _document("tame", config, {"tame": least is None or least > args.m})
+    return {"config": config, "tame": least is None or least > args.m}
 
 
 def _cmd_vbscan(args):
@@ -222,8 +216,7 @@ def _cmd_vbscan(args):
     report = vb_scan(group, args.j, args.m_max)
     config = {"group": jsonio.group_json(group), "j": args.j,
               "m_max": args.m_max}
-    return _document("vbscan", config,
-                     {"scan": jsonio.scan_report_json(report)})
+    return {"config": config, "scan": jsonio.scan_report_json(report)}
 
 
 def _cmd_report(args):
@@ -231,7 +224,7 @@ def _cmd_report(args):
     rep = hypothesis_report(args.c, args.n, sc)
     config = {"c": args.c, "n": args.n,
               "sigma_complement": jsonio.cones_json(sc)}
-    return _document("report", config, jsonio.hypothesis_json(rep))
+    return {"config": config, **jsonio.hypothesis_json(rep)}
 
 
 def _build_parser():
@@ -310,7 +303,8 @@ def _open_output(path):
 
 def _emit(doc, out):
     """Write the document and a newline to the stream ``out``, in the
-    chunks ``jsonio.write_json`` hands over."""
+    chunks ``jsonio.write_json`` hands over; the tests hook it to check
+    every document written."""
     jsonio.write_json(doc, out.write)
     out.write("\n")
 
@@ -329,7 +323,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         _require_flag_sizes(args)
-        doc = args.func(args)
+        doc = {"schema": jsonio.SCHEMA, "command": args.command, **args.func(args)}
         stream = _open_output(args.output)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

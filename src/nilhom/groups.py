@@ -17,34 +17,19 @@ from .linalg import (IntMatrix, RatMatrix, binomial, require_commuting, solve,
                      tensor_power_map)
 
 
-def moebius(n: int) -> int:
-    """Moebius function by trial factorisation (inputs are tiny)."""
-    if n < 1:
-        raise ValueError("moebius needs n >= 1")
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
+@lru_cache(maxsize=None)
 def witt_number(r: int, w: int) -> int:
-    """Rank of the weight-w layer of the free Lie ring on r generators.
+    """Rank of the weight-w layer of the free Lie ring on r generators,
+    from the necklace identity r^w = sum of d W(r, d) over the divisors
+    d of w, solved for its last term.
 
     >>> [witt_number(2, w) for w in range(1, 5)]
     [2, 1, 2, 3]
     """
     if w < 1:
         raise ValueError("weight must be >= 1")
-    total = sum(moebius(d) * r ** (w // d) for d in range(1, w + 1) if w % d == 0)
-    return total // w
+    return (r ** w - sum(d * witt_number(r, d) for d in range(1, w // 2 + 1)
+                         if w % d == 0)) // w
 
 
 @dataclass(frozen=True)

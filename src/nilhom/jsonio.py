@@ -150,11 +150,6 @@ def _write_page(page: Page, pad, write):
     write(head + (p1 + "]" if diffs else "]") + pad + "}")
 
 
-def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def parse_frac(s) -> Fraction:
     """A Fraction from a JSON number or string; a JSON boolean, which
     Python reads as an int, is refused."""
@@ -290,7 +285,7 @@ def parse_module(doc) -> CyclicModuleSpec:
 
 
 def laurent_json(f: LaurentPoly):
-    return [{"coeff": frac_str(c), "exp": list(e)}
+    return [{"coeff": str(Fraction(c)), "exp": list(e)}
             for e, c in sorted(f.terms.items())]
 
 

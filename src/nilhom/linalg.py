@@ -15,7 +15,7 @@ Every dense rank, kernel, image, solve and determinant runs through one
 fraction-free Gauss-Jordan routine on integer rows (``_eliminate``); the
 Smith normal form eliminates on sparse rows and returns its factors alone.
 Every matrix product runs through one loop on rows, ``row_products``,
-which multiplies only nonzero entries; ``_product`` hands it the rows
+which multiplies only nonzero entries; ``_matmul`` hands it the rows
 and columns scaled to integers (an ``IntMatrix`` passes its own through,
 as it does to elimination) and divides each entry back exactly once.
 Operands of either type mix: integer with integer gives an integer
@@ -320,8 +320,9 @@ def row_products(left, right, width):
         yield acc
 
 
-def _product(a, b):
-    """Entries of the product of two rational or integer matrices.
+def _matmul(a, b):
+    """Product of two rational or integer matrices, integer when both
+    factors are.
 
     Row i of ``a`` is scaled to integers by s_i and column j of ``b`` by
     t_j (``_scaled_rows``, so every scale of an ``IntMatrix`` is 1), so
@@ -329,6 +330,8 @@ def _product(a, b):
     divided back as x / (s_i t_j) and stays an int when that denominator
     is 1.
     """
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
     right, t = b.entries, [1] * b.cols
     if not isinstance(b, IntMatrix) and b.rows and b.cols:
         scaled, t = _integral_rows(zip(*b.entries))
@@ -337,16 +340,10 @@ def _product(a, b):
     nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in right]
     unit = all(tj == 1 for tj in t)
     left, s = _scaled_rows(a)
-    return [acc if unit and si == 1 else
-            [x if si * tj == 1 else Fraction(x, si * tj) for x, tj in zip(acc, t)]
-            for acc, si in zip(row_products(map(enumerate, left), nonzero, b.cols), s)]
-
-
-def _matmul(a, b):
-    """Product of two matrices, integer when both factors are."""
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch in product")
-    return _kind(a, b)(_product(a, b), a.rows, b.cols)
+    entries = [acc if unit and si == 1 else
+               [x if si * tj == 1 else Fraction(x, si * tj) for x, tj in zip(acc, t)]
+               for acc, si in zip(row_products(map(enumerate, left), nonzero, b.cols), s)]
+    return _kind(a, b)(entries, a.rows, b.cols)
 
 
 def _eliminate(a):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -610,19 +611,49 @@ def test_sigma_witness_refuses_a_search_past_its_row_limit(capsys):
             f"{sigma.MAX_WITNESS_ROWS} rows") in err
 
 
+def _seeded_support(rng, n):
+    """2-6 distinct points of [-3, 3]^n, a third of the time on one line."""
+    k = rng.randint(2, 6)
+    if rng.random() < 1 / 3:
+        base = [rng.randint(-2, 2) for _ in range(n)]
+        step = [rng.randint(-1, 1) for _ in range(n)]
+        step[0] = step[0] or 1
+        return [tuple(b + t * d for b, d in zip(base, step)) for t in range(k)]
+    pts = set()
+    while len(pts) < k:
+        pts.add(tuple(rng.randint(-3, 3) for _ in range(n)))
+    return sorted(pts)
+
+
 def test_sigma_output_feeds_tame_input(capsys):
-    # round-trip: the emitted cone union re-parses as tame input
-    mod = json.dumps({"nvars": 2, "ideal": [
-        [{"coeff": "1", "exp": [0, 0]}, {"coeff": "1", "exp": [1, 0]},
-         {"coeff": "1", "exp": [0, 1]}]]})
-    _, out, _ = run_cli(capsys, "sigma", "--module", mod)
-    cones = json.dumps(json.loads(out)["sigma_complement"])
-    code, out2, _ = run_cli(capsys, "tame", "--sigma-complement", cones,
-                            "--m", "2")
-    assert code == 0 and json.loads(out2)["tame"] is True
-    code, out3, _ = run_cli(capsys, "tame", "--sigma-complement", cones,
-                            "--m", "3")
-    assert code == 0 and json.loads(out3)["tame"] is False
+    # round-trip: the emitted cone union re-parses as tame input and gives
+    # the verdict tame --module reads from the Newton polytope, at m = 2,
+    # 3 and 4, on 1 + x + y and on 36 seeded supports
+    rng = random.Random(37)
+    supports = [(2, [(0, 0), (1, 0), (0, 1)])] + [
+        (n, _seeded_support(rng, n)) for n in (1, 2, 3) for _ in range(12)]
+    seen = []
+    for n, pts in supports:
+        mod = json.dumps({"nvars": n, "ideal": [[
+            {"coeff": str(rng.choice([-2, -1, 1, 3])), "exp": list(p)}
+            for p in pts]]})
+        _, out, _ = run_cli(capsys, "sigma", "--module", mod)
+        cones = json.dumps(json.loads(out)["sigma_complement"])
+        verdicts = []
+        for m in ("2", "3", "4"):
+            code, by_module, _ = run_cli(capsys, "tame", "--module", mod,
+                                         "--m", m)
+            code2, by_cones, _ = run_cli(capsys, "tame", "--sigma-complement",
+                                         cones, "--nvars", str(n), "--m", m)
+            assert code == code2 == 0
+            verdicts.append(json.loads(by_module)["tame"])
+            assert json.loads(by_cones)["tame"] is verdicts[-1], (mod, m)
+        seen.append((n, *verdicts))
+    # 1 + x + y fails at m = 3; the seeded supports are tame throughout in
+    # n = 1, fail at 2 in n = 3, and in the plane fail at 2 or at 3
+    assert seen[0] == (2, True, False, False)
+    assert {(1, True, True, True), (2, False, False, False),
+            (2, True, False, False), (3, False, False, False)} <= set(seen[1:])
 
 
 @pytest.mark.parametrize("argv,value", [

@@ -6,7 +6,7 @@ import pytest
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
                            NilpotentAction, central_extension_of_class2,
                            hall_basis, induced_action_on_quotient,
-                           moebius, witt_number)
+                           witt_number)
 from nilhom.jsonio import group_json, parse_group
 from nilhom.linalg import IntMatrix, RatMatrix
 
@@ -30,6 +30,14 @@ def test_witt_hand_values():
     assert [witt_number(2, w) for w in range(1, 5)] == [2, 1, 2, 3]
     assert [witt_number(3, w) for w in range(1, 5)] == [3, 3, 8, 18]
     assert witt_number(4, 4) == 60
+
+
+def test_witt_necklace_matches_moebius_sum():
+    # w up to 60 holds primes, prime powers (32, 49) and highly
+    # composite weights (12, 24, 36, 48, 60)
+    for r in range(1, 7):
+        for w in range(1, 61):
+            assert witt_number(r, w) == witt_oracle(r, w), (r, w)
 
 
 def test_hall_sizes_match_witt_exhaustive():
@@ -162,10 +170,6 @@ def test_central_extension_json_round_trip():
     with pytest.raises(ValueError, match=r"pairing must be 1 x 3, got \(1, 2\)"):
         parse_group({"type": "central_extension", "q_rank": 3, "a_rank": 1,
                      "pairing": [["1", "0"]]})
-
-
-def test_moebius():
-    assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
 def test_hirsch_length():

@@ -9,13 +9,13 @@ from math import comb, prod
 import pytest
 
 from nilhom.groups import (CentralExtension, FreeNilpotentSpec,
-                           central_extension_of_class2)
-from nilhom.jsonio import frac_str
+                           central_extension_of_class2,
+                           induced_action_on_quotient)
 from nilhom.linalg import (IntMatrix, RatMatrix, SparseIntMatrix,
-                           matrix_rank, rank_kernel_image, row_products,
-                           smith_normal_form)
-from nilhom.spectral import (EquivariantPage, Page, _cell_labels,
-                             _class2_blocks, _d2_rows,
+                           exterior_power_map, matrix_rank, rank_kernel_image,
+                           row_products, smith_normal_form)
+from nilhom.spectral import (EquivariantPage, Page, _action_on_centre,
+                             _cell_labels, _class2_blocks, _d2_rows,
                              _pair_images, _runs, betti_free_nilpotent_c2,
                              d2_central, e2_page,
                              e3_dimensions, equivariant_page, h2_class2,
@@ -562,6 +562,21 @@ def test_bounded_equivariant_page_is_the_full_page_cut(rank):
                 assert cut.actions[pq] == full.actions[pq], (act, bound, pq)
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_centre_action_three_ways_agree(rank):
+    # the Hall-basis solve on the weight-two layer, the exterior square
+    # and the solve from the identity pairing give one integer matrix
+    rng = random.Random(90 + rank)
+    spec = FreeNilpotentSpec(rank, 2)
+    ext = central_extension_of_class2(spec)
+    for _ in range(10):
+        act = ref_filtration.random_action(rng, spec)
+        hall = induced_action_on_quotient(act, 2)
+        wedge = [exterior_power_map(g, 2) for g in act.generators]
+        paired = [ga.to_int() for ga in _action_on_centre(ext, act.generators)]
+        assert hall == wedge == paired, act
+
+
 def test_equivariant_rejects_undetermined_centre():
     ext = CentralExtension(2, 2, IntMatrix([[1], [0]]))
     with pytest.raises(ValueError):
@@ -663,7 +678,7 @@ def test_page_json_writes_integer_differentials_as_before():
     assert all(isinstance(d, SparseIntMatrix) for d in page.diffs.values())
     dense = [(pq, ref_spectral.d2_dense(ext, *pq)) for pq in sorted(page.diffs)]
     want = [{"p": p, "q": q,
-             "matrix": [[frac_str(x) for x in row] for row in d.to_rat().entries]}
+             "matrix": [[str(x) for x in row] for row in d.to_rat().entries]}
             for (p, q), d in dense
             if d.rows and d.cols and not d.is_zero()]
     got = json.loads(dumps(page))["differentials"]
